@@ -139,17 +139,29 @@ def _cmd_cz_table(args) -> None:
     _emit(args, ["orbit", "action", "cz_orb"], rows, _meta(kp, maxAction=args.max_action))
 
 
+def _window_spec(args, kp: KnotParams) -> ComplexSpec:
+    """The complex for --max-index, cut at --max-degree or, by default,
+    at the degree that certifies the index window."""
+    if args.max_index < 0:
+        raise UsageError("--max-index must be nonnegative")
+    if args.max_degree is None:
+        return ComplexSpec(kp, required_degree(kp, args.max_index))
+    if args.max_degree < 0:
+        raise UsageError("--max-degree must be nonnegative")
+    return ComplexSpec(kp, args.max_degree)
+
+
 def _cmd_homology(args) -> None:
     kp = _knot_params(args)
-    max_degree = args.max_degree
-    if max_degree is None:
-        max_degree = required_degree(kp, args.max_index)
-    spec = ComplexSpec(kp, max_degree)
-    meta = _meta(kp, maxIndex=args.max_index, maxDegree=max_degree,
+    spec = _window_spec(args, kp)
+    meta = _meta(kp, maxIndex=args.max_index, maxDegree=spec.max_degree,
                  validatedWindow=f"indices 0..{args.max_index}")
     if args.check_d_squared:
-        meta["dSquaredZero"] = differential(spec).d_squared_is_zero()
-    ranks = homology(spec, args.max_index)
+        matrix = differential(spec)
+        meta["dSquaredZero"] = matrix.d_squared_is_zero()
+        ranks = matrix.homology(args.max_index)
+    else:
+        ranks = homology(spec, args.max_index)
     rows = [[str(i), str(ranks[i])] for i in range(args.max_index + 1)]
     _emit(args, ["index", "rank"], rows, meta)
 
@@ -160,17 +172,15 @@ def _cmd_knot_filtered(args) -> None:
         level = parse_infrat(args.filtration)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    max_degree = args.max_degree
-    if max_degree is None:
-        max_degree = required_degree(kp, args.max_index)
-    spec = ComplexSpec(kp, max_degree)
+    spec = _window_spec(args, kp)
     ranks = knot_filtered_homology(spec, level, args.max_index)
     rows = [[str(i), str(ranks[i])] for i in range(args.max_index + 1)]
     _emit(
         args,
         ["index", "rank"],
         rows,
-        _meta(kp, filtration=render(level), maxIndex=args.max_index, maxDegree=max_degree),
+        _meta(kp, filtration=render(level), maxIndex=args.max_index,
+              maxDegree=spec.max_degree),
     )
 
 

@@ -2,13 +2,17 @@
 
 The differential sends h*gamma to p^p*gamma + q^q*gamma for every gamma
 without the hyperbolic orbit and vanishes elsewhere; it preserves degree
-and drops the index by exactly one.  Homology is computed by the standard
-left-to-right column reduction over GF(2) with columns kept as int
-bitsets.
+and drops the index by exactly one.  Every nonzero boundary column
+therefore has exactly two ones, so a column is stored as the pair of row
+positions it hits.  Over GF(2) the rank of such a matrix is the rank of a
+graphic matroid: read each column as an edge between its two rows; the
+rank is the number of edges that join two different components, which
+one union-find pass over the generators counts for every grading at once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .currents import KnotParams, ReebCurrent, degree, knot_filtration
@@ -27,12 +31,13 @@ class ComplexSpec:
             raise ValueError("degree cutoff must be nonnegative")
 
 
-def enumerate_currents(spec: ComplexSpec) -> list[ReebCurrent]:
-    """All admissible currents of degree at most the cutoff, sorted by
-    (ech_index, canonical name)."""
+def _sorted_currents(spec: ComplexSpec) -> list[tuple[int, str, ReebCurrent]]:
+    """(ech_index, canonical name, current) for every admissible current of
+    degree at most the cutoff, in increasing order; names are unique, so
+    the currents themselves are never compared."""
     kp, max_d = spec.kp, spec.max_degree
     p, q, pq = kp.p, kp.q, kp.pq
-    out: list[ReebCurrent] = []
+    out: list[tuple[int, str, ReebCurrent]] = []
     for bh in range(max_d // pq + 1):
         for h in (0, 1):
             b = bh - h
@@ -42,9 +47,16 @@ def enumerate_currents(spec: ComplexSpec) -> list[ReebCurrent]:
             for P in range(rem_bh // q + 1):
                 rem = rem_bh - q * P
                 for Q in range(rem // p + 1):
-                    out.append(ReebCurrent(B=b, H=h, P=P, Q=Q))
-    out.sort(key=lambda c: (ech_index(c, kp), c.name()))
+                    c = ReebCurrent(B=b, H=h, P=P, Q=Q)
+                    out.append((ech_index(c, kp), c.name(), c))
+    out.sort()
     return out
+
+
+def enumerate_currents(spec: ComplexSpec) -> list[ReebCurrent]:
+    """All admissible currents of degree at most the cutoff, sorted by
+    (ech_index, canonical name)."""
+    return [c for _, _, c in _sorted_currents(spec)]
 
 
 class WindowError(ValueError):
@@ -63,6 +75,16 @@ def required_degree(kp: KnotParams, max_index: int) -> int:
     return nk(kp.p, kp.q, (max_index + 1) // 2)
 
 
+def _certify(spec: ComplexSpec, max_index: int) -> None:
+    """Refuse an index window the degree cutoff does not certify,
+    reporting the cutoff that would."""
+    if max_index < 0:
+        raise ValueError("max index must be nonnegative")
+    need = required_degree(spec.kp, max_index)
+    if spec.max_degree < need:
+        raise WindowError(max_index, need)
+
+
 @dataclass
 class BoundaryMatrix:
     """Sparse GF(2) boundary matrix with generator gradings attached."""
@@ -70,85 +92,81 @@ class BoundaryMatrix:
     spec: ComplexSpec
     generators: list[ReebCurrent]
     grading: list[int]
-    columns: list[int]  # int bitsets over row positions
+    columns: list[tuple[int, ...]]  # row positions: () or the two targets
     position: dict[ReebCurrent, int] = field(repr=False, default_factory=dict)
-    boundary_incomplete: set[int] = field(default_factory=set)
 
     def d_squared_is_zero(self) -> bool:
         for col in self.columns:
-            acc = 0
-            rows = col
-            while rows:
-                low = rows & -rows
-                acc ^= self.columns[low.bit_length() - 1]
-                rows ^= low
+            acc: set[int] = set()
+            for row in col:
+                acc.symmetric_difference_update(self.columns[row])
             if acc:
                 return False
         return True
 
+    def homology(self, max_index: int) -> dict[int, int]:
+        """Homology rank in each index 0..max_index; refuses a window the
+        cutoff does not certify."""
+        _certify(self.spec, max_index)
+        ranks = _reduce_ranks(self.grading, self.columns, [True] * len(self.grading))
+        return {g: ranks.get(g, 0) for g in range(max_index + 1)}
+
 
 def differential(spec: ComplexSpec) -> BoundaryMatrix:
-    gens = enumerate_currents(spec)
+    keyed = _sorted_currents(spec)
+    gens = [c for _, _, c in keyed]
     position = {c: i for i, c in enumerate(gens)}
-    grading = [ech_index(c, spec.kp) for c in gens]
-    columns = [0] * len(gens)
-    incomplete: set[int] = set()
     p, q = spec.kp.p, spec.kp.q
-    for j, c in enumerate(gens):
-        if c.H != 1:
-            continue
-        targets = (
-            ReebCurrent(B=c.B, H=0, P=c.P + p, Q=c.Q),
-            ReebCurrent(B=c.B, H=0, P=c.P, Q=c.Q + q),
+    # degree is preserved and enumeration is by degree, so both targets exist
+    columns = [
+        (
+            position[ReebCurrent(B=c.B, P=c.P + p, Q=c.Q)],
+            position[ReebCurrent(B=c.B, P=c.P, Q=c.Q + q)],
         )
-        col = 0
-        for t in targets:
-            pos = position.get(t)
-            if pos is None:
-                # cannot happen for this differential (degree is preserved)
-                incomplete.add(j)
-            else:
-                col |= 1 << pos
-        columns[j] = col
+        if c.H
+        else ()
+        for c in gens
+    ]
     return BoundaryMatrix(
         spec=spec,
         generators=gens,
-        grading=grading,
+        grading=[g for g, _, _ in keyed],
         columns=columns,
         position=position,
-        boundary_incomplete=incomplete,
     )
 
 
-def _reduce_ranks(grading: list[int], columns: list[int]) -> dict[int, int]:
-    """Persistence-style column reduction; returns rank of homology per
-    grading.  Columns must be ordered compatibly with the grading (the
-    enumeration order is)."""
-    columns = list(columns)
-    pivot_of: dict[int, int] = {}
-    n_cols_by_grade: dict[int, int] = {}
-    pivots_by_grade: dict[int, int] = {}
-    kills_by_grade: dict[int, int] = {}
+def _reduce_ranks(
+    grading: list[int], columns: list[tuple[int, ...]], keep: list[bool]
+) -> dict[int, int]:
+    """Homology rank per grading of the subcomplex of generators flagged
+    in ``keep``.
+
+    A column joins its two rows in a union-find forest; the rank r_g of
+    the grade-g boundary map is the number of grade-g columns that join
+    two different components, and the homology rank is n_g - r_g - r_{g+1}.
+    Rows of different gradings are never joined, so one pass covers all.
+    """
+    parent = list(range(len(grading)))
+    joins: Counter[int] = Counter()
     for j, col in enumerate(columns):
-        g = grading[j]
-        n_cols_by_grade[g] = n_cols_by_grade.get(g, 0) + 1
-        while col:
-            low = col.bit_length() - 1
-            other = pivot_of.get(low)
-            if other is None:
-                break
-            col ^= columns[other]
-        columns[j] = col
-        if col:
-            low = col.bit_length() - 1
-            pivot_of[low] = j
-            pivots_by_grade[g] = pivots_by_grade.get(g, 0) + 1
-            kills_by_grade[grading[low]] = kills_by_grade.get(grading[low], 0) + 1
-    ranks: dict[int, int] = {}
-    for g, n in n_cols_by_grade.items():
-        cycles = n - pivots_by_grade.get(g, 0)
-        ranks[g] = cycles - kills_by_grade.get(g, 0)
-    return ranks
+        if not (col and keep[j]):
+            continue
+        a, b = col
+        if not (keep[a] and keep[b]):
+            # the differential never raises the filtration, so a kept
+            # source cannot hit a dropped target
+            raise AssertionError("filtration is not respected by the differential")
+        # find both roots, halving the paths on the way
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            joins[grading[j]] += 1
+    sizes = Counter(g for g, flag in zip(grading, keep) if flag)
+    return {g: n - joins[g] - joins[g + 1] for g, n in sizes.items()}
 
 
 def homology(spec: ComplexSpec, max_index: int) -> dict[int, int]:
@@ -157,56 +175,19 @@ def homology(spec: ComplexSpec, max_index: int) -> dict[int, int]:
     Refuses when the degree cutoff does not certify the window, reporting
     the cutoff that would.
     """
-    if max_index < 0:
-        raise ValueError("max index must be nonnegative")
-    need = required_degree(spec.kp, max_index)
-    if spec.max_degree < need:
-        raise WindowError(max_index, need)
-    matrix = differential(spec)
-    if matrix.boundary_incomplete:
-        raise WindowError(max_index, need)
-    ranks = _reduce_ranks(matrix.grading, matrix.columns)
-    return {g: ranks.get(g, 0) for g in range(max_index + 1)}
+    _certify(spec, max_index)
+    return differential(spec).homology(max_index)
 
 
 def knot_filtered_homology(
     spec: ComplexSpec, filtration: InfRat | int, max_index: int
 ) -> dict[int, int]:
     """Homology of the subcomplex of currents with knot filtration <= K."""
-    if max_index < 0:
-        raise ValueError("max index must be nonnegative")
-    need = required_degree(spec.kp, max_index)
-    if spec.max_degree < need:
-        raise WindowError(max_index, need)
+    _certify(spec, max_index)
     cutoff = coerce(filtration)
     matrix = differential(spec)
-    keep = [
-        knot_filtration(c, spec.kp) <= cutoff for c in matrix.generators
-    ]
-    old_to_new = {}
-    grading: list[int] = []
-    for j, flag in enumerate(keep):
-        if flag:
-            old_to_new[j] = len(grading)
-            grading.append(matrix.grading[j])
-    columns: list[int] = []
-    for j, flag in enumerate(keep):
-        if not flag:
-            continue
-        col = matrix.columns[j]
-        new_col = 0
-        rows = col
-        while rows:
-            low = rows & -rows
-            row = low.bit_length() - 1
-            if not keep[row]:
-                # the differential never raises the filtration, so a kept
-                # source cannot hit a dropped target
-                raise AssertionError("filtration is not respected by the differential")
-            new_col |= 1 << old_to_new[row]
-            rows ^= low
-        columns.append(new_col)
-    ranks = _reduce_ranks(grading, columns)
+    keep = [knot_filtration(c, spec.kp) <= cutoff for c in matrix.generators]
+    ranks = _reduce_ranks(matrix.grading, matrix.columns, keep)
     return {g: ranks.get(g, 0) for g in range(max_index + 1)}
 
 

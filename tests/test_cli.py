@@ -100,6 +100,29 @@ def test_window_violation_surfaces(capsys):
     assert "max_degree >= 12" in err
 
 
+def test_homology_negative_window_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "homology", "--p", "3", "--q", "4", "--max-index", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --max-index must be nonnegative\n"
+    code, _, err = run(
+        capsys, "homology", "--p", "3", "--q", "4", "--max-index", "2", "--max-degree", "-1"
+    )
+    assert code == 2 and err == "error: --max-degree must be nonnegative\n"
+
+
+def test_knot_filtered_negative_window_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "knot-filtered", "--p", "3", "--q", "4", "--max-index", "-1", "--filtration", "12"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --max-index must be nonnegative\n"
+    code, _, err = run(
+        capsys, "knot-filtered", "--p", "3", "--q", "4", "--max-index", "2", "--filtration", "12",
+        "--max-degree", "-1",
+    )
+    assert code == 2 and err == "error: --max-degree must be nonnegative\n"
+
+
 def test_bounds_action_linking(capsys):
     code, out, _ = run(
         capsys, "bounds", "action-linking", "--p", "2", "--q", "3",

@@ -1,8 +1,11 @@
+from math import gcd
+
 import pytest
 
 from echtk.complexes import (
     ComplexSpec,
     WindowError,
+    _reduce_ranks,
     differential,
     enumerate_currents,
     homology,
@@ -15,6 +18,7 @@ from echtk.currents import KnotParams, ReebCurrent, degree, knot_filtration
 from echtk.exact import InfRat
 from echtk.indices import ech_index
 from echtk.nseq import nk, repeat_count
+from gf2_oracle import assert_ranks_match_oracle, bitset_columns, bitset_ranks
 
 KP = KnotParams(3, 4)
 
@@ -58,31 +62,30 @@ def test_differential_examples():
     matrix = differential(ComplexSpec(KP, 12))
     pos = matrix.position
     col_h = matrix.columns[pos[ReebCurrent(H=1)]]
-    targets = {matrix.generators[i].name() for i in _bits(col_h)}
-    assert targets == {"p^3", "q^4"}
-    assert matrix.columns[pos[ReebCurrent(B=1)]] == 0
+    assert len(col_h) == 2
+    assert {matrix.generators[i].name() for i in col_h} == {"p^3", "q^4"}
+    assert matrix.columns[pos[ReebCurrent(B=1)]] == ()
     matrix = differential(ComplexSpec(KP, 24))
     col_hq = matrix.columns[pos_of(matrix, "h q")]
-    assert {matrix.generators[i].name() for i in _bits(col_hq)} == {"p^3 q", "q^5"}
-    assert not matrix.boundary_incomplete
+    assert len(col_hq) == 2
+    assert {matrix.generators[i].name() for i in col_hq} == {"p^3 q", "q^5"}
 
 
 def pos_of(matrix, name):
     return matrix.position[ReebCurrent.from_name(name)]
 
 
-def _bits(col):
-    out = []
-    while col:
-        low = col & -col
-        out.append(low.bit_length() - 1)
-        col ^= low
-    return out
-
-
 def test_d_squared_zero_at_degree_120():
     for p, q in [(2, 3), (3, 4), (5, 7)]:
         assert differential(ComplexSpec(KnotParams(p, q), 120)).d_squared_is_zero()
+
+
+def test_d_squared_detects_a_nonzero_square():
+    matrix = differential(ComplexSpec(KP, 24))
+    j = pos_of(matrix, "h q")
+    target = matrix.columns[j][0]
+    matrix.columns[target] = matrix.columns[j]
+    assert not matrix.d_squared_is_zero()
 
 
 def test_differential_structure():
@@ -91,11 +94,10 @@ def test_differential_structure():
     for j, c in enumerate(matrix.generators):
         col = matrix.columns[j]
         if c.H == 0:
-            assert col == 0
+            assert col == ()
         else:
-            rows = _bits(col)
-            assert len(rows) == 2
-            for i in rows:
+            assert len(col) == 2 and col[0] != col[1]
+            for i in col:
                 t = matrix.generators[i]
                 assert matrix.grading[i] == matrix.grading[j] - 1
                 assert degree(t, KP) == degree(c, KP)
@@ -127,7 +129,7 @@ def test_equal_even_index_generators_are_homologous():
     # the difference of two index-2k cycles must reduce to zero
     matrix = differential(ComplexSpec(KP, 30))
     reduced = {}
-    for j, col in enumerate(matrix.columns):
+    for col in bitset_columns(matrix.columns):
         col0 = col
         while col0:
             low = col0.bit_length() - 1
@@ -160,6 +162,34 @@ def test_knot_filtered_homology_examples():
     assert knot_filtered_homology(spec, InfRat(12, 0), 20)[20] == 0
     assert knot_filtered_homology(spec, InfRat(12, 1), 20)[20] == 1
     assert knot_filtered_homology(ComplexSpec(KP, 0), InfRat(0, 0), 0)[0] == 1
+
+
+def test_union_find_ranks_count_cycles():
+    # the currents complex never closes a cycle (d is injective on h-currents),
+    # so a triangle checks the rank where a column joins one component
+    grading = [0, 0, 0, 1, 1, 1]
+    columns = [(), (), (), (0, 1), (1, 2), (0, 2)]
+    ranks = {0: 1, 1: 1}
+    assert _reduce_ranks(grading, columns, [True] * 6) == ranks
+    assert bitset_ranks(grading, bitset_columns(columns)) == ranks
+    assert _reduce_ranks(grading, columns, [True] * 5 + [False]) == {0: 1, 1: 0}
+    with pytest.raises(AssertionError):
+        _reduce_ranks(grading, columns, [False] + [True] * 5)
+
+
+def test_union_find_ranks_match_bitset_oracle():
+    for q in range(2, 9):
+        for p in range(1, q):
+            if gcd(p, q) != 1:
+                continue
+            kp = KnotParams(p, q)
+            for max_degree in (0, 7, 30, 60):
+                levels = (
+                    InfRat(max_degree // 3, 0),
+                    InfRat(max_degree // 2, 1),
+                    InfRat(max_degree, -1),
+                )
+                assert_ranks_match_oracle(kp, max_degree, levels)
 
 
 def test_linking_threshold_scan():
