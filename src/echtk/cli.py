@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from . import __version__
@@ -25,15 +26,16 @@ from .complexes import (
     required_degree,
 )
 from .currents import KnotParams, ReebCurrent, degree
-from .exact import parse as parse_infrat, render, render_fraction
+from .exact import delta_suffix, parse as parse_infrat, render, render_fraction
 from .indices import cz_table, ech_index
-from .nseq import nk_upto
+from .nseq import nk_upto, repeat_counts
 from .spectra import (
     action_linking_bound,
     action_spectrum,
     calabi_mean_action_bound,
     cobordism_obstruction,
     weyl_scan,
+    weyl_sup,
 )
 from .toric import current_to_path, path_index, svg as path_svg, vertices
 
@@ -78,14 +80,24 @@ def _threads() -> int:
     return n
 
 
-def _emit(args, header: list[str], rows: list[list[str]], meta: dict) -> None:
+def _k_max(args) -> int:
+    if args.k_max < 0:
+        raise UsageError("--k-max must be nonnegative")
+    return args.k_max
+
+
+def _emit(args, header: list[str], rows: Iterable[Sequence[str]], meta: dict) -> None:
+    """Write the rows in the chosen format.  CSV rows are written as the
+    iterable yields them; a table needs its column widths and JSON one
+    list, so those two read all rows first."""
     fmt = getattr(args, "format", "table")
     out = sys.stdout
     if fmt == "csv":
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
-    elif fmt == "json":
+        out.writelines(",".join(row) + "\n" for row in rows)
+        return
+    rows = list(rows)
+    if fmt == "json":
         doc = {"meta": meta, "columns": header, "rows": rows}
         json.dump(doc, out, indent=2)
         out.write("\n")
@@ -110,14 +122,17 @@ def _meta(kp: KnotParams, **extra) -> dict:
 
 def _cmd_nseq(args) -> None:
     kp = _knot_params(args)
-    values = nk_upto(kp.p, kp.q, args.k_max)
-    rows = []
-    run_start = 0
-    for k, v in enumerate(values):
-        if k and v != values[k - 1]:
-            run_start = k
-        rows.append([str(k), str(v), str(k - run_start + 1)])
-    _emit(args, ["k", "N_k", "repeats"], rows, _meta(kp, kMax=args.k_max))
+    values = nk_upto(kp.p, kp.q, _k_max(args))
+
+    def rows():
+        k = 0
+        for value, length in repeat_counts(values):
+            text = str(value)
+            for repeats in range(1, length + 1):
+                yield str(k), text, str(repeats)
+                k += 1
+
+    _emit(args, ["k", "N_k", "repeats"], rows(), _meta(kp, kMax=args.k_max))
 
 
 def _cmd_generators(args) -> None:
@@ -186,24 +201,30 @@ def _cmd_knot_filtered(args) -> None:
 
 def _cmd_spectrum(args) -> None:
     kp = _knot_params(args)
-    entries = action_spectrum(kp, args.k_max)
-    rows = [
-        [str(e.k), render_fraction(e.ck), render(e.ck_link), e.weyl_error]
-        for e in entries
-    ]
-    _emit(args, ["k", "c_k", "c_k_link", "e_k"], rows, _meta(kp, kMax=args.k_max))
+    entries = action_spectrum(kp, _k_max(args))
+
+    def rows():
+        # c_k is rendered once per run of equal N_k; c_k_link is N_k + (repeats-1)*d
+        for e in entries:
+            if e.repeats == 1:
+                ck, level = render_fraction(e.ck), str(e.value)
+            yield str(e.k), ck, level + delta_suffix(e.repeats - 1), e.weyl_error
+
+    _emit(args, ["k", "c_k", "c_k_link", "e_k"], rows(), _meta(kp, kMax=args.k_max))
 
 
 def _cmd_weyl(args) -> None:
     kp = _knot_params(args)
-    entries, sup = weyl_scan(kp, args.k_max)
-    meta = _meta(kp, kMax=args.k_max, supAbsError=sup)
+    k_max = _k_max(args)
     if args.plot_data:
-        rows = [[str(k), e] for k, e in entries]
+        entries, sup = weyl_scan(kp, k_max)
+        header = ["k", "e_k"]
+        rows = ((str(k), e) for k, e in entries)
     else:
-        rows = [["sup|e_k|", sup]]
-    header = ["k", "e_k"] if args.plot_data else ["quantity", "value"]
-    _emit(args, header, rows, meta)
+        sup = weyl_sup(kp, k_max)
+        header = ["quantity", "value"]
+        rows = [("sup|e_k|", sup)]
+    _emit(args, header, rows, _meta(kp, kMax=k_max, supAbsError=sup))
 
 
 def _cmd_obstruct(args) -> None:

@@ -44,6 +44,10 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
             + sum_q[Q]
         )
 
+    def where() -> str:
+        # built only when a check fails; reads the loop's current values
+        return f"(B,H,P,Q)=({B},{H},{P},{Q}), (p,q)=({p},{q})"
+
     checked = 0
     for bh in range(max_degree // pq + 1):
         for H in (0, 1):
@@ -56,10 +60,9 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
                 for Q in range(rem // p + 1):
                     w = pq * bh + q * P + p * Q
                     index = idx(B, H, P, Q)
-                    where = f"(B,H,P,Q)=({B},{H},{P},{Q}), (p,q)=({p},{q})"
                     # parity: even iff no hyperbolic orbit
                     if (index % 2) != H:
-                        raise AssertionError(f"parity failure at {where}: {index}")
+                        raise AssertionError(f"parity failure at {where()}: {index}")
                     # ledger route: zero Chern term plus the bilinear pairing
                     qterm = (
                         sl * (B * B + H * H)
@@ -72,19 +75,19 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
                     )
                     cz = s * B * B + (s + 1) * B + 2 * s * H + sum_p[P] + sum_q[Q]
                     if qterm + cz != index:
-                        raise AssertionError(f"component mismatch at {where}")
+                        raise AssertionError(f"component mismatch at {where()}")
                     # lattice-path index: 2(points under the path - 1) - H
                     if 2 * (strict[w] + bh) - H != index:
-                        raise AssertionError(f"path index mismatch at {where}")
+                        raise AssertionError(f"path index mismatch at {where()}")
                     # step relations on currents without the hyperbolic orbit
                     if H == 0 and w + pq <= max_degree:
                         h_idx = idx(B, 1, P, Q)
                         if h_idx != idx(B, 0, P + p, Q) + 1:
-                            raise AssertionError(f"I(h a) = I(p^p a) + 1 fails at {where}")
+                            raise AssertionError(f"I(h a) = I(p^p a) + 1 fails at {where()}")
                         if h_idx != idx(B, 0, P, Q + q) + 1:
-                            raise AssertionError(f"I(h a) = I(q^q a) + 1 fails at {where}")
+                            raise AssertionError(f"I(h a) = I(q^q a) + 1 fails at {where()}")
                         if idx(B + 1, 0, P, Q) != h_idx + 1:
-                            raise AssertionError(f"I(b a) = I(h a) + 1 fails at {where}")
+                            raise AssertionError(f"I(b a) = I(h a) + 1 fails at {where()}")
                     checked += 1
 
     for c in _sample_currents(kp, max_degree):

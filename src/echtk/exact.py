@@ -145,13 +145,17 @@ def render_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def delta_suffix(delta: int) -> str:
+    """The ``+c*d`` tail of a rendered value; empty when the coefficient is zero."""
+    if delta == 0:
+        return ""
+    sign = "+" if delta > 0 else "-"
+    return f"{sign}{abs(delta)}*d"
+
+
 def render(x: InfRat) -> str:
     """Exact text form ``a/b+c*d``; the delta term is dropped when zero."""
-    base = render_fraction(x.rat)
-    if x.delta == 0:
-        return base
-    sign = "+" if x.delta > 0 else "-"
-    return f"{base}{sign}{abs(x.delta)}*d"
+    return render_fraction(x.rat) + delta_suffix(x.delta)
 
 
 _INFRAT_RE = re.compile(

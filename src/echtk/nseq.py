@@ -9,7 +9,9 @@ deliberately independent brute-force path for cross-validation.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, isqrt
 
 from .exact import InfRat, ceil_inf, floor_inf
@@ -64,6 +66,16 @@ def nk_upto(p: int, q: int, k_max: int) -> list[int]:
     ]
     vals.sort()
     return vals[: k_max + 1]
+
+
+def repeat_counts(values: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(value, length) for each run of equal consecutive values, in order.
+
+    Over the sorted prefix N_0..N_k the j-th index of a run (from 1) is the
+    repeat count of that index, and the runs partition 0..k in order.
+    """
+    for value, run in groupby(values):
+        yield value, len(list(run))
 
 
 def repeat_count(p: int, q: int, k: int) -> int:

@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .currents import KnotParams
 from .exact import InfRat
-from .nseq import nk_upto
+from .nseq import nk_upto, repeat_counts
 
 _GUARD = 6  # extra decimal digits carried through fixed-point roots
 
@@ -32,12 +33,9 @@ def sqrt_decimal(value: Fraction | int, digits: int = 12) -> str:
 
 def _fixed_to_str(scaled: int, scale_digits: int, digits: int) -> str:
     """Round a fixed-point integer down from scale_digits to digits."""
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    drop = scale_digits - digits
-    scaled = (scaled + 5 * 10 ** (drop - 1)) // 10**drop if drop else scaled
-    unit = 10**digits
-    return f"{sign}{scaled // unit}.{scaled % unit:0{digits}d}"
+    drop = 10 ** (scale_digits - digits)
+    whole, frac = divmod((abs(scaled) + drop // 2) // drop, 10**digits)
+    return "%s%d.%0*d" % ("-" if scaled < 0 else "", whole, digits, frac)
 
 
 def _weyl_error_scaled(kp: KnotParams, k: int, value: int, digits: int) -> int:
@@ -65,12 +63,21 @@ def weyl_error_within(kp: KnotParams, k: int, value: int, bound: Fraction) -> bo
     return upper and lower
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
+    """Index k of the action spectrum, held as plain integers: ``value`` is
+    N_k and ``repeats`` the number of j <= k with N_j = N_k.  ``ck`` is one
+    Fraction N_k/pq shared by every index of a run."""
+
     k: int
-    ck: Fraction
-    ck_link: InfRat
+    value: int
+    repeats: int
     weyl_error: str
+    ck: Fraction
+
+    @property
+    def ck_link(self) -> InfRat:
+        """The linking level N_k + (repeats - 1)*d."""
+        return InfRat(self.value, self.repeats - 1)
 
 
 def action_spectrum(kp: KnotParams, k_max: int) -> list[SpectrumEntry]:
@@ -79,20 +86,14 @@ def action_spectrum(kp: KnotParams, k_max: int) -> list[SpectrumEntry]:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     values = nk_upto(kp.p, kp.q, k_max)
+    errors = _weyl_error_strs(kp, values, 12)
     entries: list[SpectrumEntry] = []
-    run_start = 0
-    for k, value in enumerate(values):
-        if k and value != values[k - 1]:
-            run_start = k
-        repeats = k - run_start + 1
-        entries.append(
-            SpectrumEntry(
-                k=k,
-                ck=Fraction(value, kp.pq),
-                ck_link=InfRat(value, repeats - 1),
-                weyl_error=weyl_error_str(kp, k, value),
-            )
-        )
+    k = 0
+    for value, length in repeat_counts(values):
+        ck = Fraction(value, kp.pq)
+        for repeats in range(1, length + 1):
+            entries.append(SpectrumEntry(k, value, repeats, errors[k], ck))
+            k += 1
     return entries
 
 
@@ -104,28 +105,58 @@ def linking_spectrum(kp: KnotParams, k_max: int, rot: str = "pq_plus_delta") -> 
     """
     if rot not in ("exact_pq", "pq_plus_delta"):
         raise ValueError(f"unknown rotation mode {rot!r}")
-    values = nk_upto(kp.p, kp.q, k_max)
     out: list[InfRat] = []
-    run_start = 0
-    for k, value in enumerate(values):
-        if k and value != values[k - 1]:
-            run_start = k
-        repeats = k - run_start + 1
-        out.append(InfRat(value, 0 if rot == "exact_pq" else repeats - 1))
+    for value, length in repeat_counts(nk_upto(kp.p, kp.q, k_max)):
+        out.extend(InfRat(value, 0 if rot == "exact_pq" else j) for j in range(length))
     return out
+
+
+def _weyl_error_strs(kp: KnotParams, values: list[int], digits: int) -> list[str]:
+    """e_k rendered to the given digits for each index of ``values`` = N_0..N_k."""
+    pq = kp.pq
+    scale_digits = digits + _GUARD
+    scale = 10**scale_digits
+    square = 2 * pq * scale * scale  # isqrt(square * k) is sqrt(2*k*pq) in fixed point
+    return [
+        _fixed_to_str((value * scale - isqrt(square * k)) // pq, scale_digits, digits)
+        for k, value in enumerate(values)
+    ]
+
+
+def _weyl_sup(kp: KnotParams, values: list[int], digits: int) -> str:
+    """max |e_k| rendered to the given digits over the indices of
+    ``values`` = N_0..N_k.
+
+    Only the two ends of each run of equal N_k are evaluated.  Within a run
+    N_k is fixed and the root grows with k, so the floored error does not
+    increase, and its largest absolute value sits at one of the ends.
+    """
+    pq = kp.pq
+    scale_digits = digits + _GUARD
+    scale = 10**scale_digits
+    square = 2 * pq * scale * scale
+    sup = 0
+    last = -1
+    for value, length in repeat_counts(values):
+        shifted = value * scale
+        first, last = last + 1, last + length
+        sup = max(
+            sup,
+            abs((shifted - isqrt(square * first)) // pq),
+            abs((shifted - isqrt(square * last)) // pq),
+        )
+    return _fixed_to_str(sup, scale_digits, digits)
+
+
+def weyl_sup(kp: KnotParams, k_max: int, digits: int = 12) -> str:
+    """The supremum of |e_k| over k = 0..k_max, without the per-k rows."""
+    return _weyl_sup(kp, nk_upto(kp.p, kp.q, k_max), digits)
 
 
 def weyl_scan(kp: KnotParams, k_max: int, digits: int = 12) -> tuple[list[tuple[int, str]], str]:
     """Error terms e_k for k = 0..k_max and the supremum of |e_k|."""
     values = nk_upto(kp.p, kp.q, k_max)
-    scale_digits = digits + _GUARD
-    entries: list[tuple[int, str]] = []
-    sup_scaled = 0
-    for k, value in enumerate(values):
-        scaled = _weyl_error_scaled(kp, k, value, scale_digits)
-        entries.append((k, _fixed_to_str(scaled, scale_digits, digits)))
-        sup_scaled = max(sup_scaled, abs(scaled))
-    return entries, _fixed_to_str(sup_scaled, scale_digits, digits)
+    return list(enumerate(_weyl_error_strs(kp, values, digits))), _weyl_sup(kp, values, digits)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 import json
 
+import pytest
+
+from echtk import cli
 from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
 from echtk.currents import KnotParams, degree
 from echtk.indices import ech_index
 from echtk.nseq import nk_upto
+from echtk.spectra import weyl_sup
 
 
 def run(capsys, *argv):
@@ -123,6 +127,13 @@ def test_knot_filtered_negative_window_is_a_usage_error(capsys):
     assert code == 2 and err == "error: --max-degree must be nonnegative\n"
 
 
+@pytest.mark.parametrize("command", [("nseq",), ("spectrum",), ("weyl",), ("weyl", "--plot-data")])
+def test_negative_k_max_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, *command, "--p", "2", "--q", "3", "--k-max", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --k-max must be nonnegative\n"
+
+
 def test_bounds_action_linking(capsys):
     code, out, _ = run(
         capsys, "bounds", "action-linking", "--p", "2", "--q", "3",
@@ -162,10 +173,12 @@ def test_toric_svg(tmp_path, capsys):
     assert target.read_text().startswith("<svg")
 
 
-def test_weyl_summary_and_rows(capsys):
+def test_weyl_summary_and_rows(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "weyl_scan", None)  # the summary needs no per-k rows
     code, out, _ = run(capsys, "weyl", "--p", "2", "--q", "3", "--k-max", "50", "--format", "csv")
     assert code == 0
-    assert out.splitlines()[0] == "quantity,value"
+    assert out.splitlines() == ["quantity,value", f"sup|e_k|,{weyl_sup(KnotParams(2, 3), 50)}"]
+    monkeypatch.undo()
     code, out, _ = run(
         capsys, "weyl", "--p", "2", "--q", "3", "--k-max", "5", "--plot-data", "--format", "csv"
     )

@@ -1,12 +1,17 @@
 import math
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from echtk.cli import main
 from echtk.currents import KnotParams
-from echtk.exact import InfRat
+from echtk.exact import InfRat, render, render_fraction
 from echtk.nseq import nk, nk_closed_form, nk_upto, repeat_count
 from echtk.spectra import (
+    _fixed_to_str,
+    _weyl_error_scaled,
+    _weyl_sup,
     action_linking_bound,
     action_spectrum,
     calabi_mean_action_bound,
@@ -16,9 +21,17 @@ from echtk.spectra import (
     weyl_error_str,
     weyl_error_within,
     weyl_scan,
+    weyl_sup,
 )
 
 KP = KnotParams(3, 4)
+COPRIME_UP_TO_8 = [(p, q) for q in range(2, 9) for p in range(1, q) if gcd(p, q) == 1]
+
+
+def brute_force_sup(kp, values):
+    """sup |e_k| from the 18-digit fixed-point error at every index."""
+    scaled = max(abs(_weyl_error_scaled(kp, k, v, 18)) for k, v in enumerate(values))
+    return _fixed_to_str(scaled, 18, 12)
 
 
 def test_action_spectrum_examples():
@@ -41,8 +54,11 @@ def test_action_spectrum_against_fraction_oracle():
 
 def test_spectrum_consistency():
     entries = action_spectrum(KP, 120)
-    for e in entries:
+    for k, e in enumerate(entries):
+        assert e.k == k
         assert e.ck * 12 == e.ck_link.rat
+        assert e.ck_link == InfRat(nk(3, 4, k), repeat_count(3, 4, k) - 1)
+        assert e.weyl_error == weyl_error_str(KP, k, nk(3, 4, k))
     cks = [e.ck for e in entries]
     assert cks == sorted(cks)
     links = [e.ck_link for e in entries]
@@ -95,6 +111,69 @@ def test_weyl_scan_reports_supremum():
     assert len(entries) == 51
     float_sup = max(abs(float(e)) for _, e in entries)
     assert abs(float(sup) - float_sup) < 1e-9
+
+
+def test_weyl_sup_matches_brute_force():
+    for p, q in COPRIME_UP_TO_8:
+        kp = KnotParams(p, q)
+        sup = weyl_sup(kp, 3000)
+        assert sup == brute_force_sup(kp, nk_upto(p, q, 3000)), (p, q)
+        assert weyl_scan(kp, 3000)[1] == sup
+    # on N_k the largest |e_k| has sat at the negative, last end of a run; in
+    # this nondecreasing sequence it sits at the first index of the run of 100
+    kp, values = KnotParams(2, 3), [0, 100, 100]
+    assert _weyl_sup(kp, values, 12) == brute_force_sup(kp, values) == weyl_error_str(kp, 1, 100)
+
+
+def test_weyl_sup_property_over_random_pairs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pairs = st.integers(2, 40).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q)))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(pq=pairs, k_max=st.integers(0, 1500))
+    def on_nk(pq, k_max):
+        p, q = pq
+        hypothesis.assume(gcd(p, q) == 1)
+        kp = KnotParams(p, q)
+        assert weyl_sup(kp, k_max) == brute_force_sup(kp, nk_upto(p, q, k_max))
+
+    # the endpoint argument needs only a nondecreasing sequence, not N_k itself
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(pq=pairs, values=st.lists(st.integers(0, 300), min_size=1, max_size=60))
+    def on_sorted_lists(pq, values):
+        p, q = pq
+        hypothesis.assume(gcd(p, q) == 1)
+        kp = KnotParams(p, q)
+        values.sort()
+        assert _weyl_sup(kp, values, 12) == brute_force_sup(kp, values)
+
+    on_nk()
+    on_sorted_lists()
+
+
+def cli_csv(capsys, *argv):
+    assert main([*argv, "--format", "csv"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("p,q,k_max", [(2, 3, 0), (2, 3, 150), (3, 4, 301), (1, 5, 40), (5, 7, 260)])
+def test_scan_commands_match_a_per_k_rendering(capsys, p, q, k_max):
+    kp = KnotParams(p, q)
+    window = ["--p", str(p), "--q", str(q), "--k-max", str(k_max)]
+    values = nk_upto(p, q, k_max)
+    repeats = [repeat_count(p, q, k) for k in range(k_max + 1)]
+    errors = [weyl_error_str(kp, k, v) for k, v in enumerate(values)]
+    assert cli_csv(capsys, "spectrum", *window) == ["k,c_k,c_k_link,e_k"] + [
+        f"{k},{render_fraction(Fraction(v, kp.pq))},{render(InfRat(v, r - 1))},{e}"
+        for k, (v, r, e) in enumerate(zip(values, repeats, errors))
+    ]
+    assert cli_csv(capsys, "nseq", *window) == ["k,N_k,repeats"] + [
+        f"{k},{v},{r}" for k, (v, r) in enumerate(zip(values, repeats))
+    ]
+    assert cli_csv(capsys, "weyl", *window, "--plot-data") == ["k,e_k"] + [
+        f"{k},{e}" for k, e in enumerate(errors)
+    ]
 
 
 def test_weyl_error_agrees_with_float_math():
