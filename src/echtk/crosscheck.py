@@ -44,8 +44,8 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
             + sum_q[Q]
         )
 
-    def where() -> str:
-        # built only when a check fails; reads the loop's current values
+    def where(B: int, H: int, P: int, Q: int) -> str:
+        # built only when a check fails
         return f"(B,H,P,Q)=({B},{H},{P},{Q}), (p,q)=({p},{q})"
 
     checked = 0
@@ -62,7 +62,7 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
                     index = idx(B, H, P, Q)
                     # parity: even iff no hyperbolic orbit
                     if (index % 2) != H:
-                        raise AssertionError(f"parity failure at {where()}: {index}")
+                        raise AssertionError(f"parity failure at {where(B, H, P, Q)}: {index}")
                     # ledger route: zero Chern term plus the bilinear pairing
                     qterm = (
                         sl * (B * B + H * H)
@@ -75,19 +75,19 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
                     )
                     cz = s * B * B + (s + 1) * B + 2 * s * H + sum_p[P] + sum_q[Q]
                     if qterm + cz != index:
-                        raise AssertionError(f"component mismatch at {where()}")
+                        raise AssertionError(f"component mismatch at {where(B, H, P, Q)}")
                     # lattice-path index: 2(points under the path - 1) - H
                     if 2 * (strict[w] + bh) - H != index:
-                        raise AssertionError(f"path index mismatch at {where()}")
+                        raise AssertionError(f"path index mismatch at {where(B, H, P, Q)}")
                     # step relations on currents without the hyperbolic orbit
                     if H == 0 and w + pq <= max_degree:
                         h_idx = idx(B, 1, P, Q)
                         if h_idx != idx(B, 0, P + p, Q) + 1:
-                            raise AssertionError(f"I(h a) = I(p^p a) + 1 fails at {where()}")
+                            raise AssertionError(f"I(h a) = I(p^p a) + 1 fails at {where(B, H, P, Q)}")
                         if h_idx != idx(B, 0, P, Q + q) + 1:
-                            raise AssertionError(f"I(h a) = I(q^q a) + 1 fails at {where()}")
+                            raise AssertionError(f"I(h a) = I(q^q a) + 1 fails at {where(B, H, P, Q)}")
                         if idx(B + 1, 0, P, Q) != h_idx + 1:
-                            raise AssertionError(f"I(b a) = I(h a) + 1 fails at {where()}")
+                            raise AssertionError(f"I(b a) = I(h a) + 1 fails at {where(B, H, P, Q)}")
                     checked += 1
 
     for c in _sample_currents(kp, max_degree):

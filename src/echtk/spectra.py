@@ -7,6 +7,7 @@ and tolerance claims never depend on floating-point rounding.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -38,16 +39,25 @@ def _fixed_to_str(scaled: int, scale_digits: int, digits: int) -> str:
     return "%s%d.%0*d" % ("-" if scaled < 0 else "", whole, digits, frac)
 
 
-def _weyl_error_scaled(kp: KnotParams, k: int, value: int, digits: int) -> int:
-    """(N_k - sqrt(2*k*p*q)) / (p*q) in fixed point with the given digits."""
-    scale = 10**digits
-    root = isqrt(2 * k * kp.pq * scale * scale)
-    return (value * scale - root) // kp.pq
+def _weyl_fixed(
+    kp: KnotParams, digits: int, points: Iterable[tuple[int, int]]
+) -> tuple[int, Iterator[int]]:
+    """The fixed-point Weyl error at each ``(k, N_k)`` of ``points``.
+
+    Returns ``(scale_digits, errors)``: ``errors`` yields
+    (N_k - sqrt(2*k*p*q)) / (p*q) floored to scale_digits = digits + _GUARD
+    decimals, ready for ``_fixed_to_str(e, scale_digits, digits)``.
+    """
+    pq = kp.pq
+    scale_digits = digits + _GUARD
+    scale = 10**scale_digits
+    square = 2 * pq * scale * scale  # isqrt(square * k) is sqrt(2*k*pq) in fixed point
+    return scale_digits, ((value * scale - isqrt(square * k)) // pq for k, value in points)
 
 
 def weyl_error_str(kp: KnotParams, k: int, value: int, digits: int = 12) -> str:
-    scaled = _weyl_error_scaled(kp, k, value, digits + _GUARD)
-    return _fixed_to_str(scaled, digits + _GUARD, digits)
+    scale_digits, (error,) = _weyl_fixed(kp, digits, [(k, value)])
+    return _fixed_to_str(error, scale_digits, digits)
 
 
 def weyl_error_within(kp: KnotParams, k: int, value: int, bound: Fraction) -> bool:
@@ -113,14 +123,17 @@ def linking_spectrum(kp: KnotParams, k_max: int, rot: str = "pq_plus_delta") -> 
 
 def _weyl_error_strs(kp: KnotParams, values: list[int], digits: int) -> list[str]:
     """e_k rendered to the given digits for each index of ``values`` = N_0..N_k."""
-    pq = kp.pq
-    scale_digits = digits + _GUARD
-    scale = 10**scale_digits
-    square = 2 * pq * scale * scale  # isqrt(square * k) is sqrt(2*k*pq) in fixed point
-    return [
-        _fixed_to_str((value * scale - isqrt(square * k)) // pq, scale_digits, digits)
-        for k, value in enumerate(values)
-    ]
+    scale_digits, errors = _weyl_fixed(kp, digits, enumerate(values))
+    return [_fixed_to_str(e, scale_digits, digits) for e in errors]
+
+
+def _run_ends(values: list[int]) -> Iterator[tuple[int, int]]:
+    """``(k, N_k)`` at the first and the last index of each run of equal N_k."""
+    last = -1
+    for value, length in repeat_counts(values):
+        first, last = last + 1, last + length
+        yield first, value
+        yield last, value
 
 
 def _weyl_sup(kp: KnotParams, values: list[int], digits: int) -> str:
@@ -131,26 +144,14 @@ def _weyl_sup(kp: KnotParams, values: list[int], digits: int) -> str:
     N_k is fixed and the root grows with k, so the floored error does not
     increase, and its largest absolute value sits at one of the ends.
     """
-    pq = kp.pq
-    scale_digits = digits + _GUARD
-    scale = 10**scale_digits
-    square = 2 * pq * scale * scale
-    sup = 0
-    last = -1
-    for value, length in repeat_counts(values):
-        shifted = value * scale
-        first, last = last + 1, last + length
-        sup = max(
-            sup,
-            abs((shifted - isqrt(square * first)) // pq),
-            abs((shifted - isqrt(square * last)) // pq),
-        )
-    return _fixed_to_str(sup, scale_digits, digits)
+    scale_digits, errors = _weyl_fixed(kp, digits, _run_ends(values))
+    return _fixed_to_str(max(map(abs, errors), default=0), scale_digits, digits)
 
 
-def weyl_sup(kp: KnotParams, k_max: int, digits: int = 12) -> str:
-    """The supremum of |e_k| over k = 0..k_max, without the per-k rows."""
-    return _weyl_sup(kp, nk_upto(kp.p, kp.q, k_max), digits)
+def weyl_sup(kp: KnotParams, k_max: int) -> str:
+    """The supremum of |e_k| over k = 0..k_max, to 12 digits, without the
+    per-k rows."""
+    return _weyl_sup(kp, nk_upto(kp.p, kp.q, k_max), 12)
 
 
 def weyl_scan(kp: KnotParams, k_max: int, digits: int = 12) -> tuple[list[tuple[int, str]], str]:

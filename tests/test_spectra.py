@@ -10,7 +10,7 @@ from echtk.exact import InfRat, render, render_fraction
 from echtk.nseq import nk, nk_closed_form, nk_upto, repeat_count
 from echtk.spectra import (
     _fixed_to_str,
-    _weyl_error_scaled,
+    _weyl_fixed,
     _weyl_sup,
     action_linking_bound,
     action_spectrum,
@@ -29,9 +29,9 @@ COPRIME_UP_TO_8 = [(p, q) for q in range(2, 9) for p in range(1, q) if gcd(p, q)
 
 
 def brute_force_sup(kp, values):
-    """sup |e_k| from the 18-digit fixed-point error at every index."""
-    scaled = max(abs(_weyl_error_scaled(kp, k, v, 18)) for k, v in enumerate(values))
-    return _fixed_to_str(scaled, 18, 12)
+    """sup |e_k| from the fixed-point error at every index."""
+    scale_digits, errors = _weyl_fixed(kp, 12, enumerate(values))
+    return _fixed_to_str(max(map(abs, errors)), scale_digits, 12)
 
 
 def test_action_spectrum_examples():
