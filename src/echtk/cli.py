@@ -3,14 +3,15 @@
 Every subcommand is a thin adapter over the library: it parses flags,
 calls one library entry point, and renders rows as an aligned table, CSV,
 or JSON.  JSON output carries a metadata block; table and CSV sections
-contain data only, so repeated runs are byte-identical.
+contain data only, so repeated runs are byte-identical.  Invalid input
+exits with status 2 and an index window the degree cutoff does not
+certify with status 1, each with one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -61,25 +62,6 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise UsageError(f"bad pair {text!r}") from exc
 
 
-def _knot_params(args) -> KnotParams:
-    try:
-        return KnotParams(args.p, args.q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _threads() -> int:
-    # reserved knob; computations are currently single-threaded
-    raw = os.environ.get("ECH_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"ECH_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError("ECH_THREADS must be at least 1")
-    return n
-
-
 def _k_max(args) -> int:
     if args.k_max < 0:
         raise UsageError("--k-max must be nonnegative")
@@ -112,7 +94,8 @@ def _emit(args, header: list[str], rows: Iterable[Sequence[str]], meta: dict) ->
 
 
 def _meta(kp: KnotParams, **extra) -> dict:
-    meta = {"p": kp.p, "q": kp.q, "deltaMode": kp.delta_mode, "toolVersion": __version__}
+    # "limit" is the only perturbation regime the library computes in
+    meta = {"p": kp.p, "q": kp.q, "deltaMode": "limit", "toolVersion": __version__}
     meta.update(extra)
     return meta
 
@@ -121,7 +104,7 @@ def _meta(kp: KnotParams, **extra) -> dict:
 
 
 def _cmd_nseq(args) -> None:
-    kp = _knot_params(args)
+    kp = KnotParams(args.p, args.q)
     values = nk_upto(kp.p, kp.q, _k_max(args))
 
     def rows():
@@ -136,7 +119,7 @@ def _cmd_nseq(args) -> None:
 
 
 def _cmd_generators(args) -> None:
-    kp = _knot_params(args)
+    kp = KnotParams(args.p, args.q)
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
     spec = ComplexSpec(kp, args.max_degree)
@@ -148,7 +131,7 @@ def _cmd_generators(args) -> None:
 
 
 def _cmd_cz_table(args) -> None:
-    kp = _knot_params(args)
+    kp = KnotParams(args.p, args.q)
     table = cz_table(kp, _parse_fraction(args.max_action))
     rows = [[label, render_fraction(act), str(cz)] for label, act, cz in table]
     _emit(args, ["orbit", "action", "cz_orb"], rows, _meta(kp, maxAction=args.max_action))
@@ -167,7 +150,7 @@ def _window_spec(args, kp: KnotParams) -> ComplexSpec:
 
 
 def _cmd_homology(args) -> None:
-    kp = _knot_params(args)
+    kp = KnotParams(args.p, args.q)
     spec = _window_spec(args, kp)
     meta = _meta(kp, maxIndex=args.max_index, maxDegree=spec.max_degree,
                  validatedWindow=f"indices 0..{args.max_index}")
@@ -182,11 +165,8 @@ def _cmd_homology(args) -> None:
 
 
 def _cmd_knot_filtered(args) -> None:
-    kp = _knot_params(args)
-    try:
-        level = parse_infrat(args.filtration)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    kp = KnotParams(args.p, args.q)
+    level = parse_infrat(args.filtration)
     spec = _window_spec(args, kp)
     ranks = knot_filtered_homology(spec, level, args.max_index)
     rows = [[str(i), str(ranks[i])] for i in range(args.max_index + 1)]
@@ -200,7 +180,7 @@ def _cmd_knot_filtered(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
-    kp = _knot_params(args)
+    kp = KnotParams(args.p, args.q)
     entries = action_spectrum(kp, _k_max(args))
 
     def rows():
@@ -214,7 +194,7 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_weyl(args) -> None:
-    kp = _knot_params(args)
+    kp = KnotParams(args.p, args.q)
     k_max = _k_max(args)
     if args.plot_data:
         entries, sup = weyl_scan(kp, k_max)
@@ -230,10 +210,7 @@ def _cmd_weyl(args) -> None:
 def _cmd_obstruct(args) -> None:
     frm = _parse_pair(getattr(args, "from"))
     to = _parse_pair(args.to)
-    try:
-        result = cobordism_obstruction(frm, to, args.k_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    result = cobordism_obstruction(frm, to, args.k_max)
     rows = [[result.describe()]]
     meta = {
         "from": list(frm),
@@ -245,31 +222,18 @@ def _cmd_obstruct(args) -> None:
 
 
 def _cmd_bounds(args) -> None:
-    kp = _knot_params(args)
+    kp = KnotParams(args.p, args.q)
     if args.which == "action-linking":
         if args.Delta is None or args.V is None:
             raise UsageError("action-linking needs --Delta and --V")
-        try:
-            result = action_linking_bound(
-                kp,
-                _parse_fraction(args.Delta),
-                _parse_fraction(args.V),
-                _parse_fraction(args.action_of_b),
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        result = action_linking_bound(kp, _parse_fraction(args.Delta), _parse_fraction(args.V))
         meta = _meta(kp, Delta=args.Delta, V=args.V)
     else:
         if args.d is None or args.calabi is None:
             raise UsageError("calabi needs --d and --calabi")
         if kp.p < 2 or kp.q < 2:
             raise UsageError("the mean-action bound needs p, q >= 2")
-        try:
-            result = calabi_mean_action_bound(
-                kp, _parse_fraction(args.d), _parse_fraction(args.calabi)
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        result = calabi_mean_action_bound(kp, _parse_fraction(args.d), _parse_fraction(args.calabi))
         meta = _meta(kp, d=args.d, calabi=args.calabi)
     rows = [
         ["hypothesis_met", str(result.hypothesis_met).lower()],
@@ -283,11 +247,8 @@ def _cmd_bounds(args) -> None:
 
 
 def _cmd_toric(args) -> None:
-    kp = _knot_params(args)
-    try:
-        current = ReebCurrent.from_name(args.current)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    kp = KnotParams(args.p, args.q)
+    current = ReebCurrent.from_name(args.current)
     path = current_to_path(current, kp)
     verts = vertices(path)
     rows = [[str(x), str(y)] for x, y in verts]
@@ -374,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--Delta", default=None, help="rotation offset (rational)")
     sp.add_argument("--V", default=None, help="contact volume (rational)")
-    sp.add_argument("--action-of-b", default="1")
     sp.add_argument("--d", default=None, help="boundary twist in (-1/pq, 0]")
     sp.add_argument("--calabi", default=None, help="Calabi invariant (rational)")
     sp.set_defaults(func=_cmd_bounds)
@@ -393,14 +353,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads()
         args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WindowError as exc:
+    except WindowError as exc:  # a ValueError, so caught first: exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (UsageError, ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .currents import KnotParams, ReebCurrent, degree, knot_filtration
+from .currents import KnotParams, ReebCurrent, admissible_exponents, degree, knot_filtration
 from .exact import InfRat, coerce
 from .indices import ech_index
 from .nseq import nk, repeat_count
@@ -35,20 +35,11 @@ def _sorted_currents(spec: ComplexSpec) -> list[tuple[int, str, ReebCurrent]]:
     """(ech_index, canonical name, current) for every admissible current of
     degree at most the cutoff, in increasing order; names are unique, so
     the currents themselves are never compared."""
-    kp, max_d = spec.kp, spec.max_degree
-    p, q, pq = kp.p, kp.q, kp.pq
+    kp = spec.kp
     out: list[tuple[int, str, ReebCurrent]] = []
-    for bh in range(max_d // pq + 1):
-        for h in (0, 1):
-            b = bh - h
-            if b < 0:
-                continue
-            rem_bh = max_d - pq * bh
-            for P in range(rem_bh // q + 1):
-                rem = rem_bh - q * P
-                for Q in range(rem // p + 1):
-                    c = ReebCurrent(B=b, H=h, P=P, Q=Q)
-                    out.append((ech_index(c, kp), c.name(), c))
+    for exponents in admissible_exponents(kp, spec.max_degree):
+        c = ReebCurrent(*exponents)
+        out.append((ech_index(c, kp), c.name(), c))
     out.sort()
     return out
 

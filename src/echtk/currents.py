@@ -9,6 +9,7 @@ formulas in these exponents.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -20,19 +21,16 @@ ORBITS = ("b", "h", "p", "q")
 
 @dataclass(frozen=True)
 class KnotParams:
-    """The coprime pair (p, q), plus the regime for the perturbation size."""
+    """The coprime pair (p, q)."""
 
     p: int
     q: int
-    delta_mode: str = "limit"
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.q < 1:
             raise ValueError(f"p and q must be positive, got ({self.p}, {self.q})")
         if gcd(self.p, self.q) != 1:
             raise ValueError(f"p and q must be coprime, got ({self.p}, {self.q})")
-        if self.delta_mode not in ("limit", "symbolic"):
-            raise ValueError(f"unknown delta mode {self.delta_mode!r}")
 
     @property
     def pq(self) -> int:
@@ -103,6 +101,18 @@ class ReebCurrent:
         return cls(mult["b"], mult["h"], mult["p"], mult["q"])
 
 
+def admissible_exponents(kp: KnotParams, max_degree: int) -> Iterator[tuple[int, int, int, int]]:
+    """Exponents (B, H, P, Q) of every admissible current of degree at most
+    the cutoff, ordered by B + H, then H, P and Q."""
+    p, q, pq = kp.p, kp.q, kp.pq
+    for bh in range(max_degree // pq + 1):
+        rem_bh = max_degree - pq * bh
+        for H in (0, 1) if bh else (0,):
+            for P in range(rem_bh // q + 1):
+                for Q in range((rem_bh - q * P) // p + 1):
+                    yield bh - H, H, P, Q
+
+
 def degree(c: ReebCurrent, kp: KnotParams) -> int:
     """Weighted fiber multiplicity pq(B+H) + qP + pQ."""
     return kp.pq * (c.B + c.H) + kp.q * c.P + kp.p * c.Q
@@ -110,8 +120,6 @@ def degree(c: ReebCurrent, kp: KnotParams) -> int:
 
 def action(c: ReebCurrent, kp: KnotParams) -> Fraction:
     """Symplectic action B + H + P/p + Q/q in the unperturbed limit."""
-    if kp.delta_mode != "limit":
-        raise ValueError("action is only defined in the limit delta mode")
     return Fraction(degree(c, kp), kp.pq)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .currents import KnotParams, ReebCurrent
 from .exact import InfRat, floor_inf
@@ -23,52 +24,37 @@ TRIVIALIZATIONS = (
     "surface_h",
 )
 
-# orbits each trivialization is defined on; surface trivializations on the
-# exceptional fibers exist only over full p- resp. q-fold covers
-_TRIV_ORBITS = {
-    "constant": ("b", "h"),
-    "orbibundle": ("b", "h", "p", "q"),
-    "page": ("b",),
-    "surface_p": ("b", "p"),
-    "surface_q": ("b", "q"),
-    "surface_h": ("b", "h"),
-}
-
 
 class _CZCache:
     """Prefix sums of cz_orb over iterates of the exceptional fibers."""
 
-    def __init__(self, kp: KnotParams):
-        self.kp = kp
+    def __init__(self, p: int, q: int):
+        self.p = p
+        self.q = q
         self._sum_p = [0]
         self._sum_q = [0]
 
     def _extend(self, sums: list[int], period: int, upto: int) -> None:
-        s = self.kp.p + self.kp.q
-        angle = InfRat(Fraction(s, period), -1)
+        angle = InfRat(Fraction(self.p + self.q, period), -1)
         while len(sums) <= upto:
             i = len(sums)
             sums.append(sums[-1] + 2 * floor_inf(angle * i) + 1)
 
     def cz_sum_p(self, upto: int) -> int:
         if upto >= len(self._sum_p):
-            self._extend(self._sum_p, self.kp.p, upto)
+            self._extend(self._sum_p, self.p, upto)
         return self._sum_p[upto]
 
     def cz_sum_q(self, upto: int) -> int:
         if upto >= len(self._sum_q):
-            self._extend(self._sum_q, self.kp.q, upto)
+            self._extend(self._sum_q, self.q, upto)
         return self._sum_q[upto]
 
 
-_CZ_CACHES: dict[tuple[int, int], _CZCache] = {}
-
-
-def _cache(kp: KnotParams) -> _CZCache:
-    key = (kp.p, kp.q)
-    if key not in _CZ_CACHES:
-        _CZ_CACHES[key] = _CZCache(kp)
-    return _CZ_CACHES[key]
+@cache
+def _cz_cache(p: int, q: int) -> _CZCache:
+    # keyed by plain ints: hashing KnotParams costs a Python-level call
+    return _CZCache(p, q)
 
 
 def cz_orb(orbit: str, iterate: int, kp: KnotParams) -> int:
@@ -132,18 +118,22 @@ class InvariantLedger:
             ("Z_q", "Z_h", "orbibundle"): p,
             ("Z_h", "Z_b", "orbibundle"): pq,
         }
-        # tau(x) - tau(y) along the given orbit (cover for p, q)
+        # tau(triv) - tau(orbibundle) on each orbit, keyed by the
+        # trivializations defined there; surface trivializations on the
+        # exceptional fibers exist only over full p- resp. q-fold covers
+        s = p + q
         offsets = {
-            ("b", "constant", "page"): pq,
-            ("b", "constant", "orbibundle"): p + q,
-            ("b", "orbibundle", "page"): pq - p - q,
-            ("b", "surface_p", "constant"): 0,
-            ("b", "surface_q", "constant"): 0,
-            ("b", "surface_h", "constant"): 0,
-            ("q", "surface_q", "orbibundle"): p + q,
-            ("p", "surface_p", "orbibundle"): p + q,
-            ("h", "surface_h", "orbibundle"): p + q,
-            ("h", "constant", "orbibundle"): p + q,
+            "b": {
+                "orbibundle": 0,
+                "constant": s,
+                "page": s - pq,
+                "surface_p": s,
+                "surface_q": s,
+                "surface_h": s,
+            },
+            "h": {"orbibundle": 0, "constant": s, "surface_h": s},
+            "p": {"orbibundle": 0, "surface_p": s},
+            "q": {"orbibundle": 0, "surface_q": s},
         }
         return cls(p=p, q=q, chern=chern, qpair=qpair, offsets=offsets)
 
@@ -156,32 +146,14 @@ class InvariantLedger:
         return self.qpair[(b, a, triv)]
 
     def offset(self, orbit: str, triv_from: str, triv_to: str) -> int:
-        """tau_from(orbit) - tau_to(orbit), closed under symmetry and
-        composition through the stored chain."""
+        """tau_from(orbit) - tau_to(orbit); KeyError when either
+        trivialization is not defined on the orbit."""
         if triv_from == triv_to:
             return 0
-        direct = self.offsets.get((orbit, triv_from, triv_to))
-        if direct is not None:
-            return direct
-        reverse = self.offsets.get((orbit, triv_to, triv_from))
-        if reverse is not None:
-            return -reverse
-        # compose through one intermediate trivialization
-        for mid in TRIVIALIZATIONS:
-            first = self.offsets.get((orbit, triv_from, mid))
-            if first is None:
-                two = self.offsets.get((orbit, mid, triv_from))
-                first = -two if two is not None else None
-            if first is None:
-                continue
-            second = self.offsets.get((orbit, mid, triv_to))
-            if second is None:
-                two = self.offsets.get((orbit, triv_to, mid))
-                second = -two if two is not None else None
-            if second is None:
-                continue
-            return first + second
-        raise KeyError(f"no offset between {triv_from} and {triv_to} on {orbit}")
+        table = self.offsets.get(orbit, {})
+        if triv_from not in table or triv_to not in table:
+            raise KeyError(f"no offset between {triv_from} and {triv_to} on {orbit}")
+        return table[triv_from] - table[triv_to]
 
     @property
     def self_linking(self) -> int:
@@ -189,21 +161,21 @@ class InvariantLedger:
         return self.p * self.q - self.p - self.q
 
 
-_LEDGERS: dict[tuple[int, int], InvariantLedger] = {}
-
-
 def ledger(kp: KnotParams) -> InvariantLedger:
-    key = (kp.p, kp.q)
-    if key not in _LEDGERS:
-        _LEDGERS[key] = InvariantLedger.for_params(kp)
-    return _LEDGERS[key]
+    return _ledger(kp.p, kp.q)
+
+
+@cache
+def _ledger(p: int, q: int) -> InvariantLedger:
+    return InvariantLedger.for_params(KnotParams(p, q))
 
 
 def cz_in_triv(orbit: str, iterate: int, triv: str, kp: KnotParams) -> int:
     """cz_orb shifted by twice the cover count times the ledger offset."""
     if triv not in TRIVIALIZATIONS:
         raise ValueError(f"unknown trivialization {triv!r}")
-    if orbit not in _TRIV_ORBITS[triv]:
+    led = ledger(kp)
+    if triv not in led.offsets.get(orbit, ()):
         raise ValueError(f"trivialization {triv!r} is not defined on orbit {orbit!r}")
     if iterate < 1:
         raise ValueError("iterate must be at least 1")
@@ -216,7 +188,6 @@ def cz_in_triv(orbit: str, iterate: int, triv: str, kp: KnotParams) -> int:
         if iterate % kp.q:
             raise ValueError("surface_q is defined only on q-fold covers of q")
         covers = iterate // kp.q
-    led = ledger(kp)
     return cz_orb(orbit, iterate, kp) + 2 * covers * led.offset(orbit, "orbibundle", triv)
 
 
@@ -224,7 +195,7 @@ def _cz_total(c: ReebCurrent, kp: KnotParams) -> int:
     """Total Conley-Zehnder term: full iterate sums for b, p, q plus the
     single hyperbolic contribution."""
     s = kp.p + kp.q
-    cache = _cache(kp)
+    cache = _cz_cache(kp.p, kp.q)
     return (
         s * c.B * c.B
         + (s + 1) * c.B

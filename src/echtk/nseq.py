@@ -8,7 +8,6 @@ deliberately independent brute-force path for cross-validation.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import groupby
@@ -119,8 +118,7 @@ class NSeq:
     """Materialized prefix of N(p,q), grown on demand.
 
     Generation is by nested loops plus a sort and shares no code with
-    :func:`nk`, so the two paths cross-validate each other.  Appends are
-    guarded by a lock; reads of the materialized prefix are safe.
+    :func:`nk`, so the two paths cross-validate each other.
     """
 
     def __init__(self, p: int, q: int):
@@ -129,22 +127,20 @@ class NSeq:
         self.q = q
         self._bound = 0
         self._vals: list[int] = [0]
-        self._lock = threading.Lock()
 
     def _grow(self, k: int) -> None:
-        with self._lock:
-            while len(self._vals) <= k:
-                self._bound = 2 * self._bound + max(self.p, self.q)
-                vals = []
-                a = 0
-                while a * self.p <= self._bound:
-                    b = 0
-                    while a * self.p + b * self.q <= self._bound:
-                        vals.append(a * self.p + b * self.q)
-                        b += 1
-                    a += 1
-                vals.sort()
-                self._vals = vals
+        while len(self._vals) <= k:
+            self._bound = 2 * self._bound + max(self.p, self.q)
+            vals = []
+            a = 0
+            while a * self.p <= self._bound:
+                b = 0
+                while a * self.p + b * self.q <= self._bound:
+                    vals.append(a * self.p + b * self.q)
+                    b += 1
+                a += 1
+            vals.sort()
+            self._vals = vals
 
     def value(self, k: int) -> int:
         if k < 0:

@@ -207,19 +207,17 @@ def action_linking_bound(
     kp: KnotParams,
     delta: Fraction,
     volume: Fraction,
-    action_of_b: Fraction | int = 1,
     digits: int = 12,
 ) -> BoundResult:
     """Mean action-per-linking bound sqrt(V/pq), available when the
-    contact volume satisfies V < pq/(pq + Delta)^2."""
+    contact volume satisfies V < pq/(pq + Delta)^2.  The action of the
+    binding b is normalized to 1."""
     delta = Fraction(delta)
     volume = Fraction(volume)
     if delta <= 0:
         raise ValueError("rotation offset Delta must be positive")
     if volume <= 0:
         raise ValueError("volume must be positive")
-    if Fraction(action_of_b) != 1:
-        raise ValueError("the binding action is normalized to 1")
     met = volume < kp.pq / (kp.pq + delta) ** 2
     if not met:
         return BoundResult(False, None, None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .currents import KnotParams, ReebCurrent
-from .nseq import lattice_count
+from .nseq import _hull, lattice_count
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,6 @@ def round_corner(path: LatticePath) -> tuple[LatticePath, LatticePath]:
     return rounded_q, rounded_p
 
 
-def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    chain: list[tuple[int, int]] = []
-    for pt in points:
-        while len(chain) >= 2:
-            (ox, oy), (ax, ay) = chain[-2], chain[-1]
-            if (ax - ox) * (pt[1] - oy) - (ay - oy) * (pt[0] - ox) >= 0:
-                chain.pop()
-            else:
-                break
-        chain.append(pt)
-    return chain
-
-
 def vertices(path: LatticePath) -> list[tuple[int, int]]:
     """Corner points of the full path, from the y-axis to the x-axis."""
     kp = path.kp
@@ -123,7 +110,7 @@ def vertices(path: LatticePath) -> list[tuple[int, int]]:
     for x in range(Q + 1):
         top = P if x == Q else (w - p * x - 1) // q
         left_pts.append((x, top))
-    chain = _upper_hull(left_pts)
+    chain = _hull(left_pts, upper=True)
 
     # middle segment endpoint
     if path.m > 0:
@@ -135,7 +122,7 @@ def vertices(path: LatticePath) -> list[tuple[int, int]]:
     for x in range(lowQ, x_end + 1):
         top = lowP if x == lowQ else (w - p * x - 1) // q
         right_pts.append((x, top))
-    right_chain = _upper_hull(right_pts)
+    right_chain = _hull(right_pts, upper=True)
 
     out = chain + right_chain[1:]
     deduped = [out[0]]

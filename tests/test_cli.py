@@ -134,6 +134,20 @@ def test_negative_k_max_is_a_usage_error(capsys, command):
     assert err == "error: --k-max must be nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cz-table", "--max-action", "0"), "max action must be positive"),
+        (("knot-filtered", "--max-index", "4", "--filtration", "1/0"), "Fraction(1, 0)"),
+    ],
+)
+def test_library_errors_are_usage_errors(capsys, argv, message):
+    # a ValueError or ZeroDivisionError from the library is one line, not a traceback
+    code, out, err = run(capsys, argv[0], "--p", "3", "--q", "4", *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_bounds_action_linking(capsys):
     code, out, _ = run(
         capsys, "bounds", "action-linking", "--p", "2", "--q", "3",
@@ -189,12 +203,3 @@ def test_cz_table_default_window(capsys):
     code, out, _ = run(capsys, "cz-table", "--p", "3", "--q", "4", "--format", "csv")
     assert code == 0
     assert len(out.splitlines()) == 19  # header + 18 rows
-
-
-def test_ech_threads_validation(capsys, monkeypatch):
-    monkeypatch.setenv("ECH_THREADS", "zero")
-    code, _, err = run(capsys, "nseq", "--p", "2", "--q", "3", "--k-max", "1")
-    assert code == 2 and "ECH_THREADS" in err
-    monkeypatch.setenv("ECH_THREADS", "4")
-    code, _, _ = run(capsys, "nseq", "--p", "2", "--q", "3", "--k-max", "1")
-    assert code == 0

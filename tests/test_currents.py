@@ -1,8 +1,17 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from echtk.currents import KnotParams, ReebCurrent, action, degree, knot_filtration, linking
+from echtk.currents import (
+    KnotParams,
+    ReebCurrent,
+    action,
+    admissible_exponents,
+    degree,
+    knot_filtration,
+    linking,
+)
 from echtk.exact import InfRat
 
 
@@ -20,12 +29,6 @@ def test_action_examples():
     assert action(ReebCurrent(B=1), KnotParams(5, 7)) == 1
     assert action(ReebCurrent(P=1), KP) == Fraction(1, 3)
     assert action(ReebCurrent(Q=4), KP) == 1
-
-
-def test_action_requires_limit_mode():
-    kp = KnotParams(3, 4, delta_mode="symbolic")
-    with pytest.raises(ValueError):
-        action(ReebCurrent(B=1), kp)
 
 
 def test_degree_is_pq_times_action():
@@ -117,5 +120,25 @@ def test_knot_params_validation():
         KnotParams(2, 4)
     with pytest.raises(ValueError):
         KnotParams(0, 3)
-    with pytest.raises(ValueError):
-        KnotParams(2, 3, delta_mode="exact")
+
+
+@pytest.mark.parametrize("max_degree", [0, 7, 30, 60])
+def test_admissible_exponents_enumerate_each_current_once_in_order(max_degree):
+    for q in range(2, 9):
+        for p in range(1, q):
+            if gcd(p, q) != 1:
+                continue
+            kp = KnotParams(p, q)
+            got = list(admissible_exponents(kp, max_degree))
+            box = [
+                (B, H, P, Q)
+                for B in range(max_degree // kp.pq + 1)
+                for H in (0, 1)
+                for P in range(max_degree // q + 1)
+                for Q in range(max_degree // p + 1)
+                if degree(ReebCurrent(B, H, P, Q), kp) <= max_degree
+            ]
+            assert len(got) == len(set(got))
+            assert set(got) == set(box)
+            # by B + H, then H, P, Q
+            assert got == sorted(got, key=lambda e: (e[0] + e[1], e[1], e[2], e[3]))

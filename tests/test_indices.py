@@ -2,6 +2,7 @@ import pytest
 
 from echtk.currents import KnotParams, ReebCurrent
 from echtk.indices import (
+    TRIVIALIZATIONS,
     cz_in_triv,
     cz_orb,
     cz_table,
@@ -99,6 +100,63 @@ def test_ledger_values():
     assert led.offset("p", "surface_p", "orbibundle") == p + q
     assert led.offset("h", "surface_h", "orbibundle") == p + q
     assert led.self_linking == pq - p - q
+
+
+X = None  # KeyError: a trivialization that is not defined on the orbit
+
+
+def _offset_matrices(s, pq):
+    """offset(orbit, from, to) with rows `from` and columns `to`, both in
+    the order constant, orbibundle, page, surface_p, surface_q, surface_h."""
+    return {
+        "b": [
+            [0, s, pq, 0, 0, 0],
+            [-s, 0, pq - s, -s, -s, -s],
+            [-pq, s - pq, 0, -pq, -pq, -pq],
+            [0, s, pq, 0, 0, 0],
+            [0, s, pq, 0, 0, 0],
+            [0, s, pq, 0, 0, 0],
+        ],
+        "h": [
+            [0, s, X, X, X, 0],
+            [-s, 0, X, X, X, -s],
+            [X, X, 0, X, X, X],
+            [X, X, X, 0, X, X],
+            [X, X, X, X, 0, X],
+            [0, s, X, X, X, 0],
+        ],
+        "p": [
+            [0, X, X, X, X, X],
+            [X, 0, X, -s, X, X],
+            [X, X, 0, X, X, X],
+            [X, s, X, 0, X, X],
+            [X, X, X, X, 0, X],
+            [X, X, X, X, X, 0],
+        ],
+        "q": [
+            [0, X, X, X, X, X],
+            [X, 0, X, X, -s, X],
+            [X, X, 0, X, X, X],
+            [X, X, X, 0, X, X],
+            [X, s, X, X, 0, X],
+            [X, X, X, X, X, 0],
+        ],
+    }
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 3), (3, 4), (2, 7), (5, 8)])
+def test_ledger_offsets_on_every_triple(p, q):
+    led = ledger(KnotParams(p, q))
+    for orbit, matrix in _offset_matrices(p + q, p * q).items():
+        for triv_from, row in zip(TRIVIALIZATIONS, matrix):
+            for triv_to, expected in zip(TRIVIALIZATIONS, row):
+                if expected is X:
+                    with pytest.raises(KeyError):
+                        led.offset(orbit, triv_from, triv_to)
+                else:
+                    assert led.offset(orbit, triv_from, triv_to) == expected
+    with pytest.raises(KeyError):
+        led.offset("x", "constant", "orbibundle")
 
 
 def test_ech_index_examples():

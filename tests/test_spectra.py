@@ -226,8 +226,6 @@ def test_action_linking_bound_validation():
         action_linking_bound(KP, Fraction(0), Fraction(1, 10))
     with pytest.raises(ValueError):
         action_linking_bound(KP, Fraction(1, 10), Fraction(-1))
-    with pytest.raises(ValueError):
-        action_linking_bound(KP, Fraction(1, 10), Fraction(1, 10), action_of_b=2)
 
 
 def test_calabi_bound_examples():
