@@ -20,15 +20,15 @@ from . import __version__
 from .complexes import (
     ComplexSpec,
     WindowError,
+    _sorted_currents,
     differential,
-    enumerate_currents,
     homology,
     knot_filtered_homology,
     required_degree,
 )
 from .currents import KnotParams, ReebCurrent, degree
 from .exact import delta_suffix, parse as parse_infrat, render, render_fraction
-from .indices import cz_table, ech_index
+from .indices import cz_table
 from .nseq import nk_upto, repeat_counts
 from .spectra import (
     action_linking_bound,
@@ -122,11 +122,10 @@ def _cmd_generators(args) -> None:
     kp = KnotParams(args.p, args.q)
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
-    spec = ComplexSpec(kp, args.max_degree)
-    rows = [
-        [str(degree(c, kp)), c.name(), str(ech_index(c, kp))]
-        for c in enumerate_currents(spec)
-    ]
+    rows = (
+        (str(degree(c, kp)), name, str(index))
+        for index, name, c in _sorted_currents(ComplexSpec(kp, args.max_degree))
+    )
     _emit(args, ["degree", "generator", "index"], rows, _meta(kp, maxDegree=args.max_degree))
 
 
@@ -210,7 +209,7 @@ def _cmd_weyl(args) -> None:
 def _cmd_obstruct(args) -> None:
     frm = _parse_pair(getattr(args, "from"))
     to = _parse_pair(args.to)
-    result = cobordism_obstruction(frm, to, args.k_max)
+    result = cobordism_obstruction(frm, to, _k_max(args))
     rows = [[result.describe()]]
     meta = {
         "from": list(frm),
@@ -327,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", required=True, metavar="P,Q")
     sp.add_argument("--to", required=True, metavar="P,Q")
     sp.add_argument("--k-max", type=int, required=True)
-    sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    add_common(sp, pq=False)
     sp.set_defaults(func=_cmd_obstruct)
 
     sp = sub.add_parser("bounds", help="quantitative dynamics bounds")

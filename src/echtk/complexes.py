@@ -13,7 +13,7 @@ one union-find pass over the generators counts for every grading at once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .currents import KnotParams, ReebCurrent, admissible_exponents, degree, knot_filtration
 from .exact import InfRat, coerce
@@ -78,13 +78,15 @@ def _certify(spec: ComplexSpec, max_index: int) -> None:
 
 @dataclass
 class BoundaryMatrix:
-    """Sparse GF(2) boundary matrix with generator gradings attached."""
+    """Sparse GF(2) boundary matrix with generator gradings attached.
+
+    Rows follow the order of ``admissible_exponents``; the ranks do not
+    depend on it, and no map from current to row is kept."""
 
     spec: ComplexSpec
     generators: list[ReebCurrent]
     grading: list[int]
     columns: list[tuple[int, ...]]  # row positions: () or the two targets
-    position: dict[ReebCurrent, int] = field(repr=False, default_factory=dict)
 
     def d_squared_is_zero(self) -> bool:
         for col in self.columns:
@@ -104,27 +106,18 @@ class BoundaryMatrix:
 
 
 def differential(spec: ComplexSpec) -> BoundaryMatrix:
-    keyed = _sorted_currents(spec)
-    gens = [c for _, _, c in keyed]
-    position = {c: i for i, c in enumerate(gens)}
-    p, q = spec.kp.p, spec.kp.q
-    # degree is preserved and enumeration is by degree, so both targets exist
+    kp = spec.kp
+    p, q = kp.p, kp.q
+    exponents = list(admissible_exponents(kp, spec.max_degree))
+    row = {e: i for i, e in enumerate(exponents)}
+    # degree is preserved and every current of a degree is enumerated, so both targets exist
     columns = [
-        (
-            position[ReebCurrent(B=c.B, P=c.P + p, Q=c.Q)],
-            position[ReebCurrent(B=c.B, P=c.P, Q=c.Q + q)],
-        )
-        if c.H
-        else ()
-        for c in gens
+        (row[B, 0, P + p, Q], row[B, 0, P, Q + q]) if H else ()
+        for B, H, P, Q in exponents
     ]
-    return BoundaryMatrix(
-        spec=spec,
-        generators=gens,
-        grading=[g for g, _, _ in keyed],
-        columns=columns,
-        position=position,
-    )
+    del row  # freed before the currents are built, to keep the peak down
+    gens = [ReebCurrent(*e) for e in exponents]
+    return BoundaryMatrix(spec, gens, [ech_index(c, kp) for c in gens], columns)
 
 
 def _reduce_ranks(

@@ -171,6 +171,8 @@ def parse(text: str) -> InfRat:
         raise ValueError(f"cannot parse infinitesimal-rational value: {text!r}")
     num = int(m.group("num"))
     den = int(m.group("den") or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in infinitesimal-rational value: {text!r}")
     delta = 0
     if m.group("coef") is not None:
         delta = int(m.group("coef"))

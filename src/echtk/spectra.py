@@ -18,6 +18,7 @@ from .exact import InfRat
 from .nseq import nk_upto, repeat_counts
 
 _GUARD = 6  # extra decimal digits carried through fixed-point roots
+_WEYL_DIGITS = 12  # decimals of every rendered Weyl error
 
 
 def sqrt_decimal(value: Fraction | int, digits: int = 12) -> str:
@@ -40,24 +41,25 @@ def _fixed_to_str(scaled: int, scale_digits: int, digits: int) -> str:
 
 
 def _weyl_fixed(
-    kp: KnotParams, digits: int, points: Iterable[tuple[int, int]]
+    kp: KnotParams, points: Iterable[tuple[int, int]]
 ) -> tuple[int, Iterator[int]]:
     """The fixed-point Weyl error at each ``(k, N_k)`` of ``points``.
 
     Returns ``(scale_digits, errors)``: ``errors`` yields
-    (N_k - sqrt(2*k*p*q)) / (p*q) floored to scale_digits = digits + _GUARD
-    decimals, ready for ``_fixed_to_str(e, scale_digits, digits)``.
+    (N_k - sqrt(2*k*p*q)) / (p*q) floored to scale_digits =
+    _WEYL_DIGITS + _GUARD decimals, ready for
+    ``_fixed_to_str(e, scale_digits, _WEYL_DIGITS)``.
     """
     pq = kp.pq
-    scale_digits = digits + _GUARD
+    scale_digits = _WEYL_DIGITS + _GUARD
     scale = 10**scale_digits
     square = 2 * pq * scale * scale  # isqrt(square * k) is sqrt(2*k*pq) in fixed point
     return scale_digits, ((value * scale - isqrt(square * k)) // pq for k, value in points)
 
 
-def weyl_error_str(kp: KnotParams, k: int, value: int, digits: int = 12) -> str:
-    scale_digits, (error,) = _weyl_fixed(kp, digits, [(k, value)])
-    return _fixed_to_str(error, scale_digits, digits)
+def weyl_error_str(kp: KnotParams, k: int, value: int) -> str:
+    scale_digits, (error,) = _weyl_fixed(kp, [(k, value)])
+    return _fixed_to_str(error, scale_digits, _WEYL_DIGITS)
 
 
 def weyl_error_within(kp: KnotParams, k: int, value: int, bound: Fraction) -> bool:
@@ -96,7 +98,7 @@ def action_spectrum(kp: KnotParams, k_max: int) -> list[SpectrumEntry]:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     values = nk_upto(kp.p, kp.q, k_max)
-    errors = _weyl_error_strs(kp, values, 12)
+    errors = _weyl_error_strs(kp, values)
     entries: list[SpectrumEntry] = []
     k = 0
     for value, length in repeat_counts(values):
@@ -121,10 +123,10 @@ def linking_spectrum(kp: KnotParams, k_max: int, rot: str = "pq_plus_delta") -> 
     return out
 
 
-def _weyl_error_strs(kp: KnotParams, values: list[int], digits: int) -> list[str]:
-    """e_k rendered to the given digits for each index of ``values`` = N_0..N_k."""
-    scale_digits, errors = _weyl_fixed(kp, digits, enumerate(values))
-    return [_fixed_to_str(e, scale_digits, digits) for e in errors]
+def _weyl_error_strs(kp: KnotParams, values: list[int]) -> list[str]:
+    """e_k rendered for each index of ``values`` = N_0..N_k."""
+    scale_digits, errors = _weyl_fixed(kp, enumerate(values))
+    return [_fixed_to_str(e, scale_digits, _WEYL_DIGITS) for e in errors]
 
 
 def _run_ends(values: list[int]) -> Iterator[tuple[int, int]]:
@@ -136,28 +138,27 @@ def _run_ends(values: list[int]) -> Iterator[tuple[int, int]]:
         yield last, value
 
 
-def _weyl_sup(kp: KnotParams, values: list[int], digits: int) -> str:
-    """max |e_k| rendered to the given digits over the indices of
-    ``values`` = N_0..N_k.
+def _weyl_sup(kp: KnotParams, values: list[int]) -> str:
+    """max |e_k| rendered over the indices of ``values`` = N_0..N_k.
 
     Only the two ends of each run of equal N_k are evaluated.  Within a run
     N_k is fixed and the root grows with k, so the floored error does not
     increase, and its largest absolute value sits at one of the ends.
     """
-    scale_digits, errors = _weyl_fixed(kp, digits, _run_ends(values))
-    return _fixed_to_str(max(map(abs, errors), default=0), scale_digits, digits)
+    scale_digits, errors = _weyl_fixed(kp, _run_ends(values))
+    return _fixed_to_str(max(map(abs, errors), default=0), scale_digits, _WEYL_DIGITS)
 
 
 def weyl_sup(kp: KnotParams, k_max: int) -> str:
     """The supremum of |e_k| over k = 0..k_max, to 12 digits, without the
     per-k rows."""
-    return _weyl_sup(kp, nk_upto(kp.p, kp.q, k_max), 12)
+    return _weyl_sup(kp, nk_upto(kp.p, kp.q, k_max))
 
 
-def weyl_scan(kp: KnotParams, k_max: int, digits: int = 12) -> tuple[list[tuple[int, str]], str]:
-    """Error terms e_k for k = 0..k_max and the supremum of |e_k|."""
+def weyl_scan(kp: KnotParams, k_max: int) -> tuple[list[tuple[int, str]], str]:
+    """Error terms e_k for k = 0..k_max, to 12 digits, and the supremum of |e_k|."""
     values = nk_upto(kp.p, kp.q, k_max)
-    return list(enumerate(_weyl_error_strs(kp, values, digits))), _weyl_sup(kp, values, digits)
+    return list(enumerate(_weyl_error_strs(kp, values))), _weyl_sup(kp, values)
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,8 @@ def cobordism_obstruction(
     """Scan for a violation of N_k(p,q) >= N_k(p',q')."""
     kp_from = KnotParams(*frm)
     kp_to = KnotParams(*to)
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     if kp_from.pq < kp_to.pq:
         return CobordismResult(False, False, None, k_max)
     src = nk_upto(kp_from.p, kp_from.q, k_max)
@@ -207,7 +210,6 @@ def action_linking_bound(
     kp: KnotParams,
     delta: Fraction,
     volume: Fraction,
-    digits: int = 12,
 ) -> BoundResult:
     """Mean action-per-linking bound sqrt(V/pq), available when the
     contact volume satisfies V < pq/(pq + Delta)^2.  The action of the
@@ -222,12 +224,10 @@ def action_linking_bound(
     if not met:
         return BoundResult(False, None, None)
     squared = volume / kp.pq
-    return BoundResult(True, squared, sqrt_decimal(squared, digits))
+    return BoundResult(True, squared, sqrt_decimal(squared))
 
 
-def calabi_mean_action_bound(
-    kp: KnotParams, d: Fraction, calabi: Fraction, digits: int = 12
-) -> BoundResult:
+def calabi_mean_action_bound(kp: KnotParams, d: Fraction, calabi: Fraction) -> BoundResult:
     """Mean action bound sqrt(V(psi)/pq) for twist parameter d in
     (-1/pq, 0], available when V(psi) < pq*theta_0^2 with
     theta_0 = 1/pq + d."""
@@ -242,4 +242,4 @@ def calabi_mean_action_bound(
     if not met:
         return BoundResult(False, None, None)
     squared = calabi / kp.pq
-    return BoundResult(True, squared, sqrt_decimal(squared, digits))
+    return BoundResult(True, squared, sqrt_decimal(squared))

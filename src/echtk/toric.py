@@ -132,19 +132,6 @@ def vertices(path: LatticePath) -> list[tuple[int, int]]:
     return deduped
 
 
-def lattice_points_under_vertices(path: LatticePath) -> int:
-    """Column-sum count under the explicit polyline; slow cross-check for
-    :func:`lattice_points_under`."""
-    verts = vertices(path)
-    total = 0
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
-        for x in range(x1, x2):
-            # floor of the height of the edge at integer x
-            total += (y1 * (x2 - x1) + (y2 - y1) * (x - x1)) // (x2 - x1) + 1
-    total += verts[-1][1] + 1
-    return total
-
-
 def svg(path: LatticePath, size: int = 480) -> str:
     """A small static figure: lattice dots, the path, and the dashed line
     of slope -p/q through the middle segment."""

@@ -1,11 +1,12 @@
 import json
+from math import gcd
 
 import pytest
 
 from echtk import cli
 from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
-from echtk.currents import KnotParams, degree
+from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 from echtk.indices import ech_index
 from echtk.nseq import nk_upto
 from echtk.spectra import weyl_sup
@@ -28,6 +29,24 @@ def test_generators_csv_is_a_thin_adapter(capsys):
         for c in enumerate_currents(ComplexSpec(kp, 20))
     ]
     assert out.splitlines() == expected
+
+
+def test_generators_csv_matches_exponent_reference(capsys):
+    # rows sorted by (index, name), each recomputed from its exponents
+    for q in range(2, 7):
+        for p in range(1, q):
+            if gcd(p, q) != 1:
+                continue
+            kp = KnotParams(p, q)
+            code, out, _ = run(
+                capsys, "generators", "--p", str(p), "--q", str(q), "--max-degree", "60",
+                "--format", "csv",
+            )
+            assert code == 0
+            currents = [ReebCurrent(*e) for e in admissible_exponents(kp, 60)]
+            keyed = sorted((ech_index(c, kp), c.name(), degree(c, kp)) for c in currents)
+            expected = ["degree,generator,index"] + [f"{d},{n},{i}" for i, n, d in keyed]
+            assert out.splitlines() == expected
 
 
 def test_outputs_are_deterministic(capsys):
@@ -134,11 +153,22 @@ def test_negative_k_max_is_a_usage_error(capsys, command):
     assert err == "error: --k-max must be nonnegative\n"
 
 
+@pytest.mark.parametrize("frm, to", [("2,3", "3,4"), ("3,4", "2,3")])
+def test_obstruct_negative_k_max_is_a_usage_error(capsys, frm, to):
+    # refused whether or not the pair is applicable
+    code, out, err = run(capsys, "obstruct", "--from", frm, "--to", to, "--k-max", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --k-max must be nonnegative\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (("cz-table", "--max-action", "0"), "max action must be positive"),
-        (("knot-filtered", "--max-index", "4", "--filtration", "1/0"), "Fraction(1, 0)"),
+        (
+            ("knot-filtered", "--max-index", "4", "--filtration", "1/0"),
+            "zero denominator in infinitesimal-rational value: '1/0'",
+        ),
     ],
 )
 def test_library_errors_are_usage_errors(capsys, argv, message):

@@ -60,7 +60,7 @@ def test_enumerate_sorted_by_index_then_name():
 
 def test_differential_examples():
     matrix = differential(ComplexSpec(KP, 12))
-    pos = matrix.position
+    pos = {c: i for i, c in enumerate(matrix.generators)}
     col_h = matrix.columns[pos[ReebCurrent(H=1)]]
     assert len(col_h) == 2
     assert {matrix.generators[i].name() for i in col_h} == {"p^3", "q^4"}
@@ -72,7 +72,8 @@ def test_differential_examples():
 
 
 def pos_of(matrix, name):
-    return matrix.position[ReebCurrent.from_name(name)]
+    position = {c: i for i, c in enumerate(matrix.generators)}
+    return position[ReebCurrent.from_name(name)]
 
 
 def test_d_squared_zero_at_degree_120():

@@ -76,6 +76,8 @@ def test_render_parse_roundtrip():
     assert parse("12") == InfRat(12, 0)
     with pytest.raises(ValueError):
         parse("one plus delta")
+    with pytest.raises(ValueError, match="'1/0'"):
+        parse("1/0")
 
 
 def test_json_form():

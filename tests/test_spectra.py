@@ -30,7 +30,7 @@ COPRIME_UP_TO_8 = [(p, q) for q in range(2, 9) for p in range(1, q) if gcd(p, q)
 
 def brute_force_sup(kp, values):
     """sup |e_k| from the fixed-point error at every index."""
-    scale_digits, errors = _weyl_fixed(kp, 12, enumerate(values))
+    scale_digits, errors = _weyl_fixed(kp, enumerate(values))
     return _fixed_to_str(max(map(abs, errors)), scale_digits, 12)
 
 
@@ -122,7 +122,7 @@ def test_weyl_sup_matches_brute_force():
     # on N_k the largest |e_k| has sat at the negative, last end of a run; in
     # this nondecreasing sequence it sits at the first index of the run of 100
     kp, values = KnotParams(2, 3), [0, 100, 100]
-    assert _weyl_sup(kp, values, 12) == brute_force_sup(kp, values) == weyl_error_str(kp, 1, 100)
+    assert _weyl_sup(kp, values) == brute_force_sup(kp, values) == weyl_error_str(kp, 1, 100)
 
 
 def test_weyl_sup_property_over_random_pairs():
@@ -146,7 +146,7 @@ def test_weyl_sup_property_over_random_pairs():
         hypothesis.assume(gcd(p, q) == 1)
         kp = KnotParams(p, q)
         values.sort()
-        assert _weyl_sup(kp, values, 12) == brute_force_sup(kp, values)
+        assert _weyl_sup(kp, values) == brute_force_sup(kp, values)
 
     on_nk()
     on_sorted_lists()
@@ -196,6 +196,10 @@ def test_cobordism_not_applicable_and_validation():
     assert not res.applicable
     with pytest.raises(ValueError):
         cobordism_obstruction((2, 4), (2, 3), 10)
+    # a negative k_max is refused in both directions, applicable or not
+    for frm, to in [((2, 3), (3, 4)), ((3, 4), (2, 3))]:
+        with pytest.raises(ValueError, match="k_max must be nonnegative"):
+            cobordism_obstruction(frm, to, -1)
 
 
 def test_sqrt_decimal():

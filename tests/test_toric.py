@@ -7,7 +7,6 @@ from echtk.toric import (
     LatticePath,
     current_to_path,
     lattice_points_under,
-    lattice_points_under_vertices,
     path_index,
     path_to_current,
     round_corner,
@@ -16,6 +15,19 @@ from echtk.toric import (
 )
 
 KP = KnotParams(3, 4)
+
+
+def lattice_points_under_vertices(path: LatticePath) -> int:
+    """Column-sum count under the explicit polyline; slow cross-check for
+    :func:`lattice_points_under`."""
+    verts = vertices(path)
+    total = 0
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
+        for x in range(x1, x2):
+            # floor of the height of the edge at integer x
+            total += (y1 * (x2 - x1) + (y2 - y1) * (x - x1)) // (x2 - x1) + 1
+    total += verts[-1][1] + 1
+    return total
 
 
 def test_path_current_correspondence_examples():
