@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .currents import KnotParams, ReebCurrent, admissible_exponents, degree, knot_filtration
+from .currents import KnotParams, ReebCurrent, admissible_exponents, degree
 from .exact import InfRat, coerce
-from .indices import ech_index
+from .indices import _window_evaluator, ech_index
 from .nseq import nk, repeat_count
 
 
@@ -36,10 +36,11 @@ def _sorted_currents(spec: ComplexSpec) -> list[tuple[int, str, ReebCurrent]]:
     degree at most the cutoff, in increasing order; names are unique, so
     the currents themselves are never compared."""
     kp = spec.kp
+    index = _window_evaluator(kp.p, kp.q, spec.max_degree).index
     out: list[tuple[int, str, ReebCurrent]] = []
     for exponents in admissible_exponents(kp, spec.max_degree):
         c = ReebCurrent(*exponents)
-        out.append((ech_index(c, kp), c.name(), c))
+        out.append((index(*exponents), c.name(), c))
     out.sort()
     return out
 
@@ -116,8 +117,9 @@ def differential(spec: ComplexSpec) -> BoundaryMatrix:
         for B, H, P, Q in exponents
     ]
     del row  # freed before the currents are built, to keep the peak down
+    index = _window_evaluator(p, q, spec.max_degree).index
     gens = [ReebCurrent(*e) for e in exponents]
-    return BoundaryMatrix(spec, gens, [ech_index(c, kp) for c in gens], columns)
+    return BoundaryMatrix(spec, gens, [index(*e) for e in exponents], columns)
 
 
 def _reduce_ranks(
@@ -168,11 +170,19 @@ def knot_filtered_homology(
 ) -> dict[int, int]:
     """Homology of the subcomplex of currents with knot filtration <= K."""
     _certify(spec, max_index)
-    cutoff = coerce(filtration)
     matrix = differential(spec)
-    keep = [knot_filtration(c, spec.kp) <= cutoff for c in matrix.generators]
+    keep = _filtration_mask(spec.kp, matrix.generators, coerce(filtration))
     ranks = _reduce_ranks(matrix.grading, matrix.columns, keep)
     return {g: ranks.get(g, 0) for g in range(max_index + 1)}
+
+
+def _filtration_mask(kp: KnotParams, currents: list[ReebCurrent], cutoff: InfRat) -> list[bool]:
+    """``knot_filtration(c, kp) <= cutoff`` for each current, on integers:
+    degree + B*d <= num/den + e*d is the lexicographic order of the pairs
+    (degree * den, B) and (num, e)."""
+    p, q, pq = kp.p, kp.q, kp.pq
+    num, den, e = cutoff.rat.numerator, cutoff.rat.denominator, cutoff.delta
+    return [((pq * (c.B + c.H) + q * c.P + p * c.Q) * den, c.B) <= (num, e) for c in currents]
 
 
 def linking_threshold(kp: KnotParams, k: int) -> InfRat:

@@ -1,18 +1,19 @@
 """Exhaustive index cross-checks over a degree window.
 
-One fused pass per (p, q) verifies, on every admissible current up to the
-cutoff: the closed-form index against the ledger expansion, the lattice
-path index, index parity, and the h/b step relations.  The object API
-(path round trips, component recomputation with its internal consistency
-guard) is exercised on a deterministic sample of the same window.  Raw
-integer arithmetic on the exponent tuples keeps the sweep fast enough for
+One fused pass per (p, q) compares, on every admissible current up to the
+cutoff, the closed-form index of :mod:`echtk.indices` with two independent
+routes, the ledger's bilinear expansion and the lattice-path count, and
+checks index parity and the h/b step relations.  The object API (path
+round trips, component recomputation with its internal consistency guard)
+is exercised on a deterministic sample of the same window.  Raw integer
+arithmetic on the exponent tuples keeps the sweep fast enough for
 six-figure generator counts.
 """
 
 from __future__ import annotations
 
 from .currents import KnotParams, ReebCurrent, admissible_exponents
-from .indices import _cz_cache, ech_index, ech_index_from_components
+from .indices import _window_evaluator, ech_index, ech_index_from_components
 from .nseq import lattice_count
 from .toric import current_to_path, path_index, path_to_current
 
@@ -22,28 +23,11 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
     kp = KnotParams(p, q)
     pq = p * q
     s = p + q
-    cache = _cz_cache(p, q)
-    cache.cz_sum_p(max_degree // q + p)
-    cache.cz_sum_q(max_degree // p + q)
-    sum_p = cache._sum_p
-    sum_q = cache._sum_q
+    evaluator = _window_evaluator(p, q, max_degree)
+    idx, sum_p, sum_q = evaluator.index, evaluator.sum_p, evaluator.sum_q
     # strict lattice counts T[w] = #{(x,y) >= 0 : px + qy < w}
     strict = [lattice_count(p, q, w - 1) for w in range(max_degree + 1)]
     sl = pq - p - q  # the shared Q-pairing constant
-
-    def idx(B: int, H: int, P: int, Q: int) -> int:
-        return (
-            -((P - Q) ** 2)
-            + 2 * q * P * (H + B)
-            + 2 * p * Q * (H + B)
-            + sl * (H * H + B * B)
-            + 2 * H * B * pq
-            + s * B * B
-            + (s + 1) * B
-            + 2 * s * H
-            + sum_p[P]
-            + sum_q[Q]
-        )
 
     def where(B: int, H: int, P: int, Q: int) -> str:
         # built only when a check fails

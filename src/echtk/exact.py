@@ -11,7 +11,6 @@ against plain rational scalars.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,9 +127,9 @@ def floor_inf(x: "InfRat | Scalar") -> int:
     an integer: a negative offset then pulls the value just below it.
     """
     x = coerce(x)
-    if x.rat.denominator != 1:
-        return math.floor(x.rat)
-    n = x.rat.numerator
+    n, den = x.rat.numerator, x.rat.denominator
+    if den != 1:
+        return n // den
     return n if x.delta >= 0 else n - 1
 
 

@@ -4,6 +4,10 @@ All grading arithmetic runs in the orbibundle trivialization, where the
 relative Chern numbers of the relevant classes vanish and the index is
 the relative intersection pairing plus summed Conley-Zehnder terms.  The
 other trivializations live only in :func:`cz_in_triv` and the ledger.
+
+The closed-form index is written once, in the per-(p,q) evaluator on
+exponent tuples (B, H, P, Q); :mod:`echtk.crosscheck` compares it with the
+ledger's bilinear expansion and the lattice-path count.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from fractions import Fraction
 from functools import cache
 
 from .currents import KnotParams, ReebCurrent
-from .exact import InfRat, floor_inf
 
 TRIVIALIZATIONS = (
     "constant",
@@ -25,36 +28,61 @@ TRIVIALIZATIONS = (
 )
 
 
-class _CZCache:
-    """Prefix sums of cz_orb over iterates of the exceptional fibers."""
+def _cz_elliptic(s: int, period: int, i: int) -> int:
+    """cz_orb of the i-th iterate of an exceptional fiber of the given
+    period: 2*floor(((p+q)/period - d)*i) + 1 with d infinitesimal, whose
+    floor drops by one exactly when period divides (p+q)*i."""
+    return 2 * ((s * i - 1) // period) + 1
+
+
+class _IndexEvaluator:
+    """The closed-form ECH index on the exponents (B, H, P, Q) of an
+    admissible current for one (p, q), and the prefix sums of cz_orb over
+    the iterates of p and q that it reads.  ``index`` does not bounds-check:
+    :meth:`grow` must first cover the largest P and Q it is called with."""
 
     def __init__(self, p: int, q: int):
-        self.p = p
-        self.q = q
-        self._sum_p = [0]
-        self._sum_q = [0]
+        self.p, self.q = p, q
+        pq, s = p * q, p + q
+        sum_p = self.sum_p = [0]
+        sum_q = self.sum_q = [0]
 
-    def _extend(self, sums: list[int], period: int, upto: int) -> None:
-        angle = InfRat(Fraction(self.p + self.q, period), -1)
-        while len(sums) <= upto:
-            i = len(sums)
-            sums.append(sums[-1] + 2 * floor_inf(angle * i) + 1)
+        def index(B: int, H: int, P: int, Q: int) -> int:
+            # relative intersection pairing (zero Chern term in the
+            # orbibundle trivialization) plus the summed CZ terms of
+            # b^B h^H p^P q^Q, collected with H*H = H
+            bh = B + H
+            return (
+                -((P - Q) ** 2)
+                + 2 * (q * P + p * Q) * bh
+                + pq * bh * bh
+                + s * H
+                + (s + 1) * B
+                + sum_p[P]
+                + sum_q[Q]
+            )
 
-    def cz_sum_p(self, upto: int) -> int:
-        if upto >= len(self._sum_p):
-            self._extend(self._sum_p, self.p, upto)
-        return self._sum_p[upto]
+        self.index = index
 
-    def cz_sum_q(self, upto: int) -> int:
-        if upto >= len(self._sum_q):
-            self._extend(self._sum_q, self.q, upto)
-        return self._sum_q[upto]
+    def grow(self, max_p: int, max_q: int) -> None:
+        """Extend the prefix sums through iterate max_p of p and max_q of q."""
+        if max_p >= len(self.sum_p) or max_q >= len(self.sum_q):
+            s = self.p + self.q
+            for sums, period, upto in ((self.sum_p, self.p, max_p), (self.sum_q, self.q, max_q)):
+                for i in range(len(sums), upto + 1):
+                    sums.append(sums[-1] + _cz_elliptic(s, period, i))
 
 
-@cache
-def _cz_cache(p: int, q: int) -> _CZCache:
-    # keyed by plain ints: hashing KnotParams costs a Python-level call
-    return _CZCache(p, q)
+# one per (p, q), keyed by plain ints: hashing KnotParams costs a Python-level call
+_index_evaluator = cache(_IndexEvaluator)
+
+
+def _window_evaluator(p: int, q: int, max_degree: int) -> _IndexEvaluator:
+    """The evaluator for (p, q), grown for every admissible current of
+    degree at most the cutoff."""
+    evaluator = _index_evaluator(p, q)
+    evaluator.grow(max_degree // q, max_degree // p)
+    return evaluator
 
 
 def cz_orb(orbit: str, iterate: int, kp: KnotParams) -> int:
@@ -71,10 +99,8 @@ def cz_orb(orbit: str, iterate: int, kp: KnotParams) -> int:
         return 2 * s * iterate + 1
     if orbit == "h":
         return 2 * s * iterate
-    if orbit == "p":
-        return 2 * floor_inf(InfRat(Fraction(s, kp.p), -1) * iterate) + 1
-    if orbit == "q":
-        return 2 * floor_inf(InfRat(Fraction(s, kp.q), -1) * iterate) + 1
+    if orbit in ("p", "q"):
+        return _cz_elliptic(s, kp.p if orbit == "p" else kp.q, iterate)
     raise ValueError(f"unknown orbit {orbit!r}")
 
 
@@ -191,32 +217,12 @@ def cz_in_triv(orbit: str, iterate: int, triv: str, kp: KnotParams) -> int:
     return cz_orb(orbit, iterate, kp) + 2 * covers * led.offset(orbit, "orbibundle", triv)
 
 
-def _cz_total(c: ReebCurrent, kp: KnotParams) -> int:
-    """Total Conley-Zehnder term: full iterate sums for b, p, q plus the
-    single hyperbolic contribution."""
-    s = kp.p + kp.q
-    cache = _cz_cache(kp.p, kp.q)
-    return (
-        s * c.B * c.B
-        + (s + 1) * c.B
-        + 2 * s * c.H
-        + cache.cz_sum_p(c.P)
-        + cache.cz_sum_q(c.Q)
-    )
-
-
 def ech_index(c: ReebCurrent, kp: KnotParams) -> int:
     """Closed-form ECH index of an admissible current."""
-    p, q, pq = kp.p, kp.q, kp.pq
     B, H, P, Q = c.exponents()
-    return (
-        -((P - Q) ** 2)
-        + 2 * q * P * (H + B)
-        + 2 * p * Q * (H + B)
-        + (pq - p - q) * (H * H + B * B)
-        + 2 * H * B * pq
-        + _cz_total(c, kp)
-    )
+    evaluator = _index_evaluator(kp.p, kp.q)
+    evaluator.grow(P, Q)
+    return evaluator.index(B, H, P, Q)
 
 
 def ech_index_from_components(c: ReebCurrent, kp: KnotParams) -> int:
@@ -236,7 +242,11 @@ def ech_index_from_components(c: ReebCurrent, kp: KnotParams) -> int:
             if mult_j:
                 qterm += 2 * mult_i * mult_j * led.q_pairing(name_i, name_j)
     chern = 0  # every class in scope has vanishing orbibundle Chern number
-    total = chern + qterm + _cz_total(c, kp)
+    evaluator = _index_evaluator(kp.p, kp.q)
+    evaluator.grow(P, Q)
+    s = kp.p + kp.q  # cz_orb is 2si + 1 on b^i and 2s on h
+    cz = s * B * (B + 1) + B + 2 * s * H + evaluator.sum_p[P] + evaluator.sum_q[Q]
+    total = chern + qterm + cz
     direct = ech_index(c, kp)
     if total != direct:
         raise RuntimeError(

@@ -109,17 +109,12 @@ def action_spectrum(kp: KnotParams, k_max: int) -> list[SpectrumEntry]:
     return entries
 
 
-def linking_spectrum(kp: KnotParams, k_max: int, rot: str = "pq_plus_delta") -> list[InfRat]:
-    """Threshold levels of the knot filtration per index.
-
-    ``rot='exact_pq'`` gives the rational levels N_k; ``'pq_plus_delta'``
-    adds the infinitesimal repeat correction delta*(repeats - 1).
-    """
-    if rot not in ("exact_pq", "pq_plus_delta"):
-        raise ValueError(f"unknown rotation mode {rot!r}")
+def linking_spectrum(kp: KnotParams, k_max: int) -> list[InfRat]:
+    """Threshold levels of the knot filtration per index: N_k plus the
+    infinitesimal repeat correction d*(repeats - 1)."""
     out: list[InfRat] = []
     for value, length in repeat_counts(nk_upto(kp.p, kp.q, k_max)):
-        out.extend(InfRat(value, 0 if rot == "exact_pq" else j) for j in range(length))
+        out.extend(InfRat(value, j) for j in range(length))
     return out
 
 

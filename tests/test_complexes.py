@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from echtk.complexes import (
     ComplexSpec,
     WindowError,
+    _filtration_mask,
     _reduce_ranks,
     differential,
     enumerate_currents,
@@ -163,6 +165,25 @@ def test_knot_filtered_homology_examples():
     assert knot_filtered_homology(spec, InfRat(12, 0), 20)[20] == 0
     assert knot_filtered_homology(spec, InfRat(12, 1), 20)[20] == 1
     assert knot_filtered_homology(ComplexSpec(KP, 0), InfRat(0, 0), 0)[0] == 1
+
+
+def test_integer_filtration_mask_matches_infrat_comparison():
+    # integer, non-integer and negative rational parts, each with a
+    # negative, zero and positive d coefficient
+    rationals = [Fraction(-1), Fraction(0), Fraction(30), Fraction(61, 2), Fraction(22, 3),
+                 Fraction(-1, 2)]
+    for q in range(2, 7):
+        for p in range(1, q):
+            if gcd(p, q) != 1:
+                continue
+            kp = KnotParams(p, q)
+            gens = differential(ComplexSpec(kp, 60)).generators
+            levels = [knot_filtration(c, kp) for c in gens]
+            for r in rationals:
+                for e in (-1, 0, 2):
+                    cutoff = InfRat(r, e)
+                    expected = [level <= cutoff for level in levels]
+                    assert _filtration_mask(kp, gens, cutoff) == expected, (p, q, cutoff)
 
 
 def test_union_find_ranks_count_cycles():

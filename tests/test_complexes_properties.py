@@ -1,6 +1,10 @@
-"""Property tests: the union-find homology ranks equal those of the bitset
-column reduction in gf2_oracle.py, on windows of the currents complex over
-random coprime (p,q) and on random two-entry complexes that close cycles."""
+"""Property tests over random coprime (p,q).
+
+The union-find homology ranks equal those of the bitset column reduction
+in gf2_oracle.py, on windows of the currents complex and on random
+two-entry complexes that close cycles.  The closed-form index evaluator
+on exponent tuples equals the ledger expansion and the lattice-path
+index, has the parity of H, and satisfies the h/b step relations."""
 
 from math import gcd
 
@@ -10,8 +14,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from echtk.complexes import _reduce_ranks  # noqa: E402
-from echtk.currents import KnotParams  # noqa: E402
+from echtk.currents import KnotParams, ReebCurrent  # noqa: E402
 from echtk.exact import InfRat  # noqa: E402
+from echtk.indices import _index_evaluator, ech_index_from_components  # noqa: E402
+from echtk.toric import current_to_path, path_index  # noqa: E402
 from gf2_oracle import (  # noqa: E402
     assert_ranks_match_oracle,
     bitset_columns,
@@ -61,3 +67,33 @@ def test_union_find_ranks_match_oracle_on_random_graphs(complex_):
         grading, bitset_columns(columns)
     )
     assert _reduce_ranks(grading, columns, keep) == subcomplex_ranks(grading, columns, keep)
+
+
+COPRIME_UP_TO_30 = st.tuples(st.integers(1, 30), st.integers(1, 30)).filter(
+    lambda pq: gcd(*pq) == 1
+)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    pq=COPRIME_UP_TO_30,
+    B=st.integers(0, 6),
+    H=st.integers(0, 1),
+    P=st.integers(0, 60),
+    Q=st.integers(0, 60),
+)
+def test_index_evaluator_matches_independent_routes(pq, B, H, P, Q):
+    p, q = pq
+    kp = KnotParams(p, q)
+    evaluator = _index_evaluator(p, q)
+    evaluator.grow(P + p, Q + q)  # covers the p^p and q^q steps
+    index = evaluator.index
+    c = ReebCurrent(B, H, P, Q)
+    value = index(B, H, P, Q)
+    assert value == ech_index_from_components(c, kp)
+    assert value == path_index(current_to_path(c, kp))
+    assert value % 2 == H
+    h_idx = index(B, 1, P, Q)
+    assert h_idx == index(B, 0, P + p, Q) + 1
+    assert h_idx == index(B, 0, P, Q + q) + 1
+    assert h_idx == index(B + 1, 0, P, Q) - 1

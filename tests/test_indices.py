@@ -1,8 +1,13 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from echtk.currents import KnotParams, ReebCurrent
+from echtk.exact import InfRat, floor_inf
 from echtk.indices import (
     TRIVIALIZATIONS,
+    _index_evaluator,
     cz_in_triv,
     cz_orb,
     cz_table,
@@ -38,6 +43,25 @@ def test_cz_parity():
     for orbit, parity in [("b", 1), ("p", 1), ("q", 1), ("h", 0)]:
         for i in range(1, 12):
             assert cz_orb(orbit, i, KP) % 2 == parity
+
+
+def test_exceptional_cz_on_integers_matches_the_infinitesimal_floor():
+    # oracle: 2*floor(((p+q)/period - d)*i) + 1 evaluated on InfRat
+    for p in range(1, 13):
+        for q in range(1, 13):
+            if gcd(p, q) != 1:
+                continue
+            kp = KnotParams(p, q)
+            evaluator = _index_evaluator(p, q)
+            evaluator.grow(199, 199)
+            for orbit, period, sums in (("p", p, evaluator.sum_p), ("q", q, evaluator.sum_q)):
+                angle = InfRat(Fraction(p + q, period), -1)
+                total = 0
+                for i in range(1, 200):
+                    expected = 2 * floor_inf(angle * i) + 1
+                    total += expected
+                    assert cz_orb(orbit, i, kp) == expected, (p, q, orbit, i)
+                    assert sums[i] == total, (p, q, orbit, i)
 
 
 def test_cz_table_golden():

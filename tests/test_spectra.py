@@ -66,16 +66,10 @@ def test_spectrum_consistency():
 
 
 def test_linking_spectrum_examples():
-    exact = linking_spectrum(KP, 10, "exact_pq")
-    withd = linking_spectrum(KP, 10, "pq_plus_delta")
-    assert exact[0] == InfRat(0, 0)
-    assert exact[1] == InfRat(3, 0)
+    withd = linking_spectrum(KP, 10)
     assert withd[10] == InfRat(12, 1)
     for k in range(11):
-        assert exact[k] == InfRat(nk(3, 4, k), 0)
         assert withd[k] == InfRat(nk(3, 4, k), repeat_count(3, 4, k) - 1)
-    with pytest.raises(ValueError):
-        linking_spectrum(KP, 4, "other")
 
 
 def test_weyl_error_zero_at_origin():
