@@ -15,6 +15,7 @@ import json
 import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import repeat
 
 from . import __version__
 from .complexes import (
@@ -29,8 +30,9 @@ from .complexes import (
 from .currents import KnotParams, ReebCurrent, degree
 from .exact import delta_suffix, parse as parse_infrat, render, render_fraction
 from .indices import cz_table
-from .nseq import nk_upto, repeat_counts
+from .nseq import runs
 from .spectra import (
+    _error_runs,
     action_linking_bound,
     action_spectrum,
     calabi_mean_action_bound,
@@ -105,15 +107,14 @@ def _meta(kp: KnotParams, **extra) -> dict:
 
 def _cmd_nseq(args) -> None:
     kp = KnotParams(args.p, args.q)
-    values = nk_upto(kp.p, kp.q, _k_max(args))
+    spans = runs(kp.p, kp.q, _k_max(args))
 
     def rows():
         k = 0
-        for value, length in repeat_counts(values):
-            text = str(value)
-            for repeats in range(1, length + 1):
-                yield str(k), text, str(repeats)
-                k += 1
+        for value, length in spans:
+            yield from zip(map(str, range(k, k + length)), repeat(str(value)),
+                           map(str, range(1, length + 1)))
+            k += length
 
     _emit(args, ["k", "N_k", "repeats"], rows(), _meta(kp, kMax=args.k_max))
 
@@ -180,14 +181,15 @@ def _cmd_knot_filtered(args) -> None:
 
 def _cmd_spectrum(args) -> None:
     kp = KnotParams(args.p, args.q)
-    entries = action_spectrum(kp, _k_max(args))
+    scan = _error_runs(kp, _k_max(args))
 
     def rows():
         # c_k is rendered once per run of equal N_k; c_k_link is N_k + (repeats-1)*d
-        for e in entries:
-            if e.repeats == 1:
-                ck, level = render_fraction(e.ck), str(e.value)
-            yield str(e.k), ck, level + delta_suffix(e.repeats - 1), e.weyl_error
+        for k, value, errors in scan:
+            level = str(value)
+            yield from zip(map(str, range(k, k + len(errors))),
+                           repeat(render_fraction(Fraction(value, kp.pq))),
+                           [level + delta_suffix(j) for j in range(len(errors))], errors)
 
     _emit(args, ["k", "c_k", "c_k_link", "e_k"], rows(), _meta(kp, kMax=args.k_max))
 

@@ -20,6 +20,8 @@ from .exact import InfRat, coerce
 from .indices import _window_evaluator, ech_index
 from .nseq import nk, repeat_count
 
+Exponents = tuple[int, int, int, int]  # (B, H, P, Q) of b^B h^H p^P q^Q
+
 
 @dataclass(frozen=True)
 class ComplexSpec:
@@ -106,7 +108,10 @@ class BoundaryMatrix:
         return {g: ranks.get(g, 0) for g in range(max_index + 1)}
 
 
-def differential(spec: ComplexSpec) -> BoundaryMatrix:
+def _complex(spec: ComplexSpec) -> tuple[list[Exponents], list[int], list[tuple[int, ...]]]:
+    """``(exponents, grading, columns)`` of the complex: the (B, H, P, Q)
+    tuples in the order of ``admissible_exponents``, their ECH indices, and
+    the boundary columns as row positions."""
     kp = spec.kp
     p, q = kp.p, kp.q
     exponents = list(admissible_exponents(kp, spec.max_degree))
@@ -116,10 +121,14 @@ def differential(spec: ComplexSpec) -> BoundaryMatrix:
         (row[B, 0, P + p, Q], row[B, 0, P, Q + q]) if H else ()
         for B, H, P, Q in exponents
     ]
-    del row  # freed before the currents are built, to keep the peak down
+    del row  # freed before the grading is built, to keep the peak down
     index = _window_evaluator(p, q, spec.max_degree).index
-    gens = [ReebCurrent(*e) for e in exponents]
-    return BoundaryMatrix(spec, gens, [index(*e) for e in exponents], columns)
+    return exponents, [index(*e) for e in exponents], columns
+
+
+def differential(spec: ComplexSpec) -> BoundaryMatrix:
+    exponents, grading, columns = _complex(spec)
+    return BoundaryMatrix(spec, [ReebCurrent(*e) for e in exponents], grading, columns)
 
 
 def _reduce_ranks(
@@ -162,7 +171,9 @@ def homology(spec: ComplexSpec, max_index: int) -> dict[int, int]:
     the cutoff that would.
     """
     _certify(spec, max_index)
-    return differential(spec).homology(max_index)
+    _, grading, columns = _complex(spec)
+    ranks = _reduce_ranks(grading, columns, [True] * len(grading))
+    return {g: ranks.get(g, 0) for g in range(max_index + 1)}
 
 
 def knot_filtered_homology(
@@ -170,19 +181,19 @@ def knot_filtered_homology(
 ) -> dict[int, int]:
     """Homology of the subcomplex of currents with knot filtration <= K."""
     _certify(spec, max_index)
-    matrix = differential(spec)
-    keep = _filtration_mask(spec.kp, matrix.generators, coerce(filtration))
-    ranks = _reduce_ranks(matrix.grading, matrix.columns, keep)
+    exponents, grading, columns = _complex(spec)
+    keep = _filtration_mask(spec.kp, exponents, coerce(filtration))
+    ranks = _reduce_ranks(grading, columns, keep)
     return {g: ranks.get(g, 0) for g in range(max_index + 1)}
 
 
-def _filtration_mask(kp: KnotParams, currents: list[ReebCurrent], cutoff: InfRat) -> list[bool]:
-    """``knot_filtration(c, kp) <= cutoff`` for each current, on integers:
+def _filtration_mask(kp: KnotParams, exponents: list[Exponents], cutoff: InfRat) -> list[bool]:
+    """``knot_filtration <= cutoff`` for each (B, H, P, Q), on integers:
     degree + B*d <= num/den + e*d is the lexicographic order of the pairs
     (degree * den, B) and (num, e)."""
     p, q, pq = kp.p, kp.q, kp.pq
     num, den, e = cutoff.rat.numerator, cutoff.rat.denominator, cutoff.delta
-    return [((pq * (c.B + c.H) + q * c.P + p * c.Q) * den, c.B) <= (num, e) for c in currents]
+    return [((pq * (B + H) + q * P + p * Q) * den, B) <= (num, e) for B, H, P, Q in exponents]
 
 
 def linking_threshold(kp: KnotParams, k: int) -> InfRat:

@@ -1,16 +1,17 @@
 """The N(p,q) sequence and its lattice-point machinery.
 
 ``N_k(p,q)`` is the k-th smallest nonnegative integer combination
-``a*p + b*q`` counted with multiplicity.  The production path computes it
-by binary search on triangle lattice-point counts; :class:`NSeq` keeps a
-deliberately independent brute-force path for cross-validation.
+``a*p + b*q`` counted with multiplicity.  One value is found by binary
+search on triangle lattice-point counts; a whole prefix comes as runs of
+equal values from the closed representation count (:func:`runs`).
+:class:`NSeq` keeps a deliberately independent brute-force path for
+cross-validation.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import groupby
 from math import gcd, isqrt
 
 from .exact import InfRat, ceil_inf, floor_inf
@@ -54,27 +55,35 @@ def nk(p: int, q: int, k: int) -> int:
     return lo
 
 
-def nk_upto(p: int, q: int, k_max: int) -> list[int]:
-    """The values N_0 .. N_{k_max} in one pass (bulk form used by scans)."""
-    _check_pq(p, q)
-    bound = nk(p, q, k_max)
-    vals = [
-        a * p + b * q
-        for a in range(bound // p + 1)
-        for b in range((bound - a * p) // q + 1)
-    ]
-    vals.sort()
-    return vals[: k_max + 1]
+def runs(p: int, q: int, k_max: int) -> Iterator[tuple[int, int]]:
+    """(value, length) for each run of equal values in N_0 .. N_{k_max}, in
+    order, the last run cut at k_max; bad arguments are refused at the call.
 
-
-def repeat_counts(values: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """(value, length) for each run of equal consecutive values, in order.
-
-    Over the sorted prefix N_0..N_k the j-th index of a run (from 1) is the
-    repeat count of that index, and the runs partition 0..k in order.
+    The run of n has one index per representation n = a*p + b*q: with
+    a0 = n * p^-1 mod q there are (n - a0*p) // pq + 1 when a0*p <= n, and
+    none otherwise (Popoviciu).  So the runs come from n = 0, 1, 2, ...
     """
-    for value, run in groupby(values):
-        yield value, len(list(run))
+    _check_pq(p, q)
+    if k_max < 0:
+        raise ValueError("k must be nonnegative")
+    return _runs(p, q, k_max)
+
+
+def _runs(p: int, q: int, k_max: int) -> Iterator[tuple[int, int]]:
+    pq, step, left = p * q, pow(p, -1, q), k_max + 1  # a0 grows by p^-1 mod q per n
+    n = a0 = 0
+    while left:
+        if a0 * p <= n:
+            length = min((n - a0 * p) // pq + 1, left)
+            yield n, length
+            left -= length
+        n += 1
+        a0 = (a0 + step) % q
+
+
+def nk_upto(p: int, q: int, k_max: int) -> list[int]:
+    """The values N_0 .. N_{k_max} as one list, expanded from :func:`runs`."""
+    return [value for value, length in runs(p, q, k_max) for _ in range(length)]
 
 
 def repeat_count(p: int, q: int, k: int) -> int:
@@ -118,7 +127,7 @@ class NSeq:
     """Materialized prefix of N(p,q), grown on demand.
 
     Generation is by nested loops plus a sort and shares no code with
-    :func:`nk`, so the two paths cross-validate each other.
+    :func:`nk` or :func:`runs`, so the paths cross-validate each other.
     """
 
     def __init__(self, p: int, q: int):

@@ -10,12 +10,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
 from typing import NamedTuple
 
 from .currents import KnotParams
 from .exact import InfRat
-from .nseq import nk_upto, repeat_counts
+from .nseq import runs
 
 _GUARD = 6  # extra decimal digits carried through fixed-point roots
 _WEYL_DIGITS = 12  # decimals of every rendered Weyl error
@@ -92,68 +93,63 @@ class SpectrumEntry(NamedTuple):
         return InfRat(self.value, self.repeats - 1)
 
 
+def _error_runs(kp: KnotParams, k_max: int) -> Iterator[tuple[int, int, list[str]]]:
+    """``(k, N_k, errors)`` for each run of equal N_k in k = 0..k_max: the
+    first index of the run, its value, and e_k rendered at each of its indices."""
+    k = 0
+    for value, length in runs(kp.p, kp.q, k_max):
+        scale_digits, errors = _weyl_fixed(kp, zip(range(k, k + length), repeat(value)))
+        yield k, value, [_fixed_to_str(e, scale_digits, _WEYL_DIGITS) for e in errors]
+        k += length
+
+
 def action_spectrum(kp: KnotParams, k_max: int) -> list[SpectrumEntry]:
     """c_k = N_k(p,q)/pq for k = 0..k_max, with linking levels and Weyl
     error terms attached."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    values = nk_upto(kp.p, kp.q, k_max)
-    errors = _weyl_error_strs(kp, values)
     entries: list[SpectrumEntry] = []
-    k = 0
-    for value, length in repeat_counts(values):
+    for k, value, errors in _error_runs(kp, k_max):
         ck = Fraction(value, kp.pq)
-        for repeats in range(1, length + 1):
-            entries.append(SpectrumEntry(k, value, repeats, errors[k], ck))
-            k += 1
+        entries += [SpectrumEntry(k + j, value, j + 1, e, ck) for j, e in enumerate(errors)]
     return entries
 
 
 def linking_spectrum(kp: KnotParams, k_max: int) -> list[InfRat]:
     """Threshold levels of the knot filtration per index: N_k plus the
     infinitesimal repeat correction d*(repeats - 1)."""
-    out: list[InfRat] = []
-    for value, length in repeat_counts(nk_upto(kp.p, kp.q, k_max)):
-        out.extend(InfRat(value, j) for j in range(length))
-    return out
+    return [InfRat(value, j) for value, length in runs(kp.p, kp.q, k_max) for j in range(length)]
 
 
-def _weyl_error_strs(kp: KnotParams, values: list[int]) -> list[str]:
-    """e_k rendered for each index of ``values`` = N_0..N_k."""
-    scale_digits, errors = _weyl_fixed(kp, enumerate(values))
-    return [_fixed_to_str(e, scale_digits, _WEYL_DIGITS) for e in errors]
+def _weyl_sup(kp: KnotParams, spans: Iterable[tuple[int, int]]) -> str:
+    """max |e_k| rendered over the indices of ``spans``, the ``(N_k, length)``
+    runs of N_0..N_k.
 
-
-def _run_ends(values: list[int]) -> Iterator[tuple[int, int]]:
-    """``(k, N_k)`` at the first and the last index of each run of equal N_k."""
-    last = -1
-    for value, length in repeat_counts(values):
-        first, last = last + 1, last + length
-        yield first, value
-        yield last, value
-
-
-def _weyl_sup(kp: KnotParams, values: list[int]) -> str:
-    """max |e_k| rendered over the indices of ``values`` = N_0..N_k.
-
-    Only the two ends of each run of equal N_k are evaluated.  Within a run
-    N_k is fixed and the root grows with k, so the floored error does not
-    increase, and its largest absolute value sits at one of the ends.
+    Only the two ends of each run are evaluated.  Within a run N_k is fixed
+    and the root grows with k, so the floored error does not increase, and
+    its largest absolute value sits at one of the ends.
     """
-    scale_digits, errors = _weyl_fixed(kp, _run_ends(values))
+
+    def ends() -> Iterator[tuple[int, int]]:
+        last = -1
+        for value, length in spans:
+            yield from ((last + 1, value), (last + length, value))
+            last += length
+
+    scale_digits, errors = _weyl_fixed(kp, ends())
     return _fixed_to_str(max(map(abs, errors), default=0), scale_digits, _WEYL_DIGITS)
 
 
 def weyl_sup(kp: KnotParams, k_max: int) -> str:
     """The supremum of |e_k| over k = 0..k_max, to 12 digits, without the
-    per-k rows."""
-    return _weyl_sup(kp, nk_upto(kp.p, kp.q, k_max))
+    per-k rows; its cost grows with the number of runs, not with k_max."""
+    return _weyl_sup(kp, runs(kp.p, kp.q, k_max))
 
 
 def weyl_scan(kp: KnotParams, k_max: int) -> tuple[list[tuple[int, str]], str]:
     """Error terms e_k for k = 0..k_max, to 12 digits, and the supremum of |e_k|."""
-    values = nk_upto(kp.p, kp.q, k_max)
-    return list(enumerate(_weyl_error_strs(kp, values))), _weyl_sup(kp, values)
+    scan = _error_runs(kp, k_max)
+    return [(k + j, e) for k, _, errors in scan for j, e in enumerate(errors)], weyl_sup(kp, k_max)
 
 
 @dataclass(frozen=True)
@@ -174,18 +170,26 @@ class CobordismResult:
 def cobordism_obstruction(
     frm: tuple[int, int], to: tuple[int, int], k_max: int
 ) -> CobordismResult:
-    """Scan for a violation of N_k(p,q) >= N_k(p',q')."""
+    """Scan for a violation of N_k(p,q) >= N_k(p',q'), stopping at the first."""
     kp_from = KnotParams(*frm)
     kp_to = KnotParams(*to)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if kp_from.pq < kp_to.pq:
         return CobordismResult(False, False, None, k_max)
-    src = nk_upto(kp_from.p, kp_from.q, k_max)
-    dst = nk_upto(kp_to.p, kp_to.q, k_max)
-    for k, (a, b) in enumerate(zip(src, dst)):
+    # merge the two run streams: the order of N_k can change only where a run starts
+    src, dst = runs(kp_from.p, kp_from.q, k_max), runs(kp_to.p, kp_to.q, k_max)
+    k = src_end = dst_end = 0  # first index past the current run of each stream
+    while k <= k_max:
+        if k == src_end:
+            a, length = next(src)
+            src_end += length
+        if k == dst_end:
+            b, length = next(dst)
+            dst_end += length
         if a < b:
             return CobordismResult(True, False, k, k_max)
+        k = min(src_end, dst_end)
     return CobordismResult(True, True, None, k_max)
 
 

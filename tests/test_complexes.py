@@ -16,7 +16,7 @@ from echtk.complexes import (
     linking_threshold,
     required_degree,
 )
-from echtk.currents import KnotParams, ReebCurrent, degree, knot_filtration
+from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree, knot_filtration
 from echtk.exact import InfRat
 from echtk.indices import ech_index
 from echtk.nseq import nk, repeat_count
@@ -177,13 +177,13 @@ def test_integer_filtration_mask_matches_infrat_comparison():
             if gcd(p, q) != 1:
                 continue
             kp = KnotParams(p, q)
-            gens = differential(ComplexSpec(kp, 60)).generators
-            levels = [knot_filtration(c, kp) for c in gens]
+            exponents = list(admissible_exponents(kp, 60))
+            levels = [knot_filtration(ReebCurrent(*e), kp) for e in exponents]
             for r in rationals:
                 for e in (-1, 0, 2):
                     cutoff = InfRat(r, e)
                     expected = [level <= cutoff for level in levels]
-                    assert _filtration_mask(kp, gens, cutoff) == expected, (p, q, cutoff)
+                    assert _filtration_mask(kp, exponents, cutoff) == expected, (p, q, cutoff)
 
 
 def test_union_find_ranks_count_cycles():

@@ -1,4 +1,7 @@
+import random
+import re
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 import pytest
@@ -12,6 +15,7 @@ from echtk.nseq import (
     nk_upto,
     partition,
     repeat_count,
+    runs,
 )
 
 
@@ -27,6 +31,11 @@ def brute_sequence(p, q, k_max):
             if a * p + b * q <= bound
         )
     return vals[: k_max + 1]
+
+
+def brute_runs(p, q, k_max):
+    """(value, length) runs of the sorted brute-force prefix."""
+    return [(value, len(list(run))) for value, run in groupby(brute_sequence(p, q, k_max))]
 
 
 def test_nk_examples():
@@ -64,6 +73,52 @@ def test_oracle_equivalence_at_scale():
         assert nk_upto(p, q, 10**4) == NSeq(p, q).prefix(10**4)
 
 
+def test_runs_examples():
+    # 0, 3, 4, 6, 7, 8, 9, 10, 11, 12, 12: the run of 12 is (4, 0) and (0, 3)
+    assert list(runs(3, 4, 10)) == [(v, 1) for v in (0, 3, 4, 6, 7, 8, 9, 10, 11)] + [(12, 2)]
+    assert list(runs(3, 4, 9))[-1] == (12, 1)  # the last run is cut at k_max
+    assert list(runs(1, 1, 5)) == [(0, 1), (1, 2), (2, 3)]
+    assert list(runs(7, 1, 0)) == list(runs(1, 7, 0)) == [(0, 1)]
+
+
+def test_runs_equal_the_sorted_brute_force():
+    for p, q in [(1, 1), (1, 2), (2, 1), (5, 1), (2, 3), (3, 4), (4, 7), (9, 4)]:
+        for k_max in (0, 1, 2, 7, 100, 1001):
+            assert list(runs(p, q, k_max)) == brute_runs(p, q, k_max), (p, q, k_max)
+
+
+def test_runs_property_over_random_pairs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(p=st.integers(1, 30), q=st.integers(1, 30), k_max=st.integers(0, 3000))
+    def check(p, q, k_max):
+        hypothesis.assume(gcd(p, q) == 1)
+        assert list(runs(p, q, k_max)) == brute_runs(p, q, k_max)
+
+    check()
+
+
+def test_runs_at_a_billion():
+    # no brute force reaches k = 10^9; the binary-search route checks the ends
+    rng = random.Random(1)
+    k_max = 10**9
+    for p, q in [(2, 3), (3, 4), (5, 7)]:
+        spans = list(runs(p, q, k_max))
+        assert sum(length for _, length in spans) == k_max + 1
+        assert spans[-1][0] == nk(p, q, k_max)
+        values = [value for value, _ in spans]
+        assert values == sorted(set(values))
+        ends, last = [], -1
+        for _, length in spans:
+            last += length
+            ends.append(last)
+        for i in [0, 1, len(spans) - 2, len(spans) - 1] + rng.sample(range(len(spans)), 12):
+            value = spans[i][0]
+            assert ends[i] == min(lattice_count(p, q, value), k_max + 1) - 1, (p, q, value)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         nk(2, 4, 3)
@@ -71,6 +126,12 @@ def test_validation():
         nk(0, 1, 3)
     with pytest.raises(ValueError):
         nk(2, 3, -1)
+    # runs refuses at the call, before the first value is read, as nk_upto does
+    for args in [(2, 4, 3), (0, 1, 3), (2, 3, -1)]:
+        with pytest.raises(ValueError) as want:
+            nk_upto(*args)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            runs(*args)
 
 
 def test_closed_form_examples():

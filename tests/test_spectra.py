@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from echtk.cli import main
 from echtk.currents import KnotParams
 from echtk.exact import InfRat, render, render_fraction
-from echtk.nseq import nk, nk_closed_form, nk_upto, repeat_count
+from echtk.nseq import NSeq, nk, nk_closed_form, nk_upto, repeat_count
 from echtk.spectra import (
     _fixed_to_str,
     _weyl_fixed,
@@ -32,6 +34,10 @@ def brute_force_sup(kp, values):
     """sup |e_k| from the fixed-point error at every index."""
     scale_digits, errors = _weyl_fixed(kp, enumerate(values))
     return _fixed_to_str(max(map(abs, errors)), scale_digits, 12)
+
+
+def to_runs(values):
+    return [(value, len(list(run))) for value, run in groupby(values)]
 
 
 def test_action_spectrum_examples():
@@ -116,7 +122,8 @@ def test_weyl_sup_matches_brute_force():
     # on N_k the largest |e_k| has sat at the negative, last end of a run; in
     # this nondecreasing sequence it sits at the first index of the run of 100
     kp, values = KnotParams(2, 3), [0, 100, 100]
-    assert _weyl_sup(kp, values) == brute_force_sup(kp, values) == weyl_error_str(kp, 1, 100)
+    assert _weyl_sup(kp, [(0, 1), (100, 2)]) == brute_force_sup(kp, values)
+    assert brute_force_sup(kp, values) == weyl_error_str(kp, 1, 100)
 
 
 def test_weyl_sup_property_over_random_pairs():
@@ -140,7 +147,7 @@ def test_weyl_sup_property_over_random_pairs():
         hypothesis.assume(gcd(p, q) == 1)
         kp = KnotParams(p, q)
         values.sort()
-        assert _weyl_sup(kp, values) == brute_force_sup(kp, values)
+        assert _weyl_sup(kp, to_runs(values)) == brute_force_sup(kp, values)
 
     on_nk()
     on_sorted_lists()
@@ -151,7 +158,11 @@ def cli_csv(capsys, *argv):
     return capsys.readouterr().out.splitlines()
 
 
-@pytest.mark.parametrize("p,q,k_max", [(2, 3, 0), (2, 3, 150), (3, 4, 301), (1, 5, 40), (5, 7, 260)])
+@pytest.mark.parametrize("p,q,k_max", [
+    (2, 3, 0), (2, 3, 150), (3, 4, 301), (1, 5, 40), (5, 7, 260),
+    # q = 1 (p^-1 mod 1), a window of one index, and a last run cut short
+    (1, 1, 0), (1, 1, 60), (1, 5, 0), (1, 5, 13), (3, 4, 9), (5, 7, 0),
+])
 def test_scan_commands_match_a_per_k_rendering(capsys, p, q, k_max):
     kp = KnotParams(p, q)
     window = ["--p", str(p), "--q", str(q), "--k-max", str(k_max)]
@@ -183,6 +194,35 @@ def test_cobordism_examples():
     assert res.applicable and res.consistent
     same = cobordism_obstruction((3, 4), (3, 4), 500)
     assert same.consistent
+
+
+def zip_scan(frm, to, k_max):
+    """The obstruction scan over two whole brute-force prefixes."""
+    if frm[0] * frm[1] < to[0] * to[1]:
+        return False, False, None
+    src, dst = NSeq(*frm).prefix(k_max), NSeq(*to).prefix(k_max)
+    for k, (a, b) in enumerate(zip(src, dst)):
+        if a < b:
+            return True, False, k
+    return True, True, None
+
+
+def test_cobordism_run_merge_equals_the_zip_scan():
+    rng = random.Random(5)
+    pairs = [(p, q) for q in range(1, 13) for p in range(1, 13) if gcd(p, q) == 1]
+    for _ in range(50):
+        frm, to, k_max = rng.choice(pairs), rng.choice(pairs), rng.randint(0, 3000)
+        if frm[0] * frm[1] < to[0] * to[1] and rng.random() < 0.8:
+            frm, to = to, frm  # mostly applicable pairs, where the merge runs
+        res = cobordism_obstruction(frm, to, k_max)
+        assert (res.applicable, res.consistent, res.obstructed_at) == zip_scan(frm, to, k_max)
+        assert res.k_max == k_max
+
+
+def test_cobordism_at_a_billion():
+    res = cobordism_obstruction((2, 7), (3, 4), 10**9)
+    assert (res.applicable, res.obstructed_at) == (True, 1)
+    assert cobordism_obstruction((3, 4), (3, 4), 10**9).consistent
 
 
 def test_cobordism_not_applicable_and_validation():
