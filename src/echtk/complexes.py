@@ -179,10 +179,18 @@ def homology(spec: ComplexSpec, max_index: int) -> dict[int, int]:
 def knot_filtered_homology(
     spec: ComplexSpec, filtration: InfRat | int, max_index: int
 ) -> dict[int, int]:
-    """Homology of the subcomplex of currents with knot filtration <= K."""
+    """Homology of the subcomplex of currents with knot filtration <= K.
+
+    A current of degree above K is never kept and the differential keeps
+    the degree, so the subcomplex is read from the complex cut at
+    min(max_degree, floor(K)); below degree 0 it is empty."""
     _certify(spec, max_index)
-    exponents, grading, columns = _complex(spec)
-    keep = _filtration_mask(spec.kp, exponents, coerce(filtration))
+    cutoff = coerce(filtration)
+    top = min(spec.max_degree, cutoff.rat.numerator // cutoff.rat.denominator)
+    if top < 0:
+        return dict.fromkeys(range(max_index + 1), 0)
+    exponents, grading, columns = _complex(ComplexSpec(spec.kp, top))
+    keep = _filtration_mask(spec.kp, exponents, cutoff)
     ranks = _reduce_ranks(grading, columns, keep)
     return {g: ranks.get(g, 0) for g in range(max_index + 1)}
 

@@ -7,10 +7,9 @@ and tolerance claims never depend on floating-point rounding.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import isqrt
 from typing import NamedTuple
 
@@ -20,6 +19,8 @@ from .nseq import runs
 
 _GUARD = 6  # extra decimal digits carried through fixed-point roots
 _WEYL_DIGITS = 12  # decimals of every rendered Weyl error
+_WEYL_SCALE = _WEYL_DIGITS + _GUARD  # decimals of the fixed-point Weyl errors
+_WEYL_ONE = 10**_WEYL_SCALE
 
 
 def sqrt_decimal(value: Fraction | int, digits: int = 12) -> str:
@@ -27,40 +28,42 @@ def sqrt_decimal(value: Fraction | int, digits: int = 12) -> str:
     value = Fraction(value)
     if value < 0:
         raise ValueError("square root of a negative value")
+    if digits < 1:
+        raise ValueError("digits must be positive")
     a, b = value.numerator, value.denominator
     scale = 10 ** (digits + _GUARD)
     # sqrt(a/b) = sqrt(a*b)/b
     root = isqrt(a * b * scale * scale) // b
-    return _fixed_to_str(root, digits + _GUARD, digits)
+    return _fixed_strs([root], digits + _GUARD, digits)[0]
 
 
-def _fixed_to_str(scaled: int, scale_digits: int, digits: int) -> str:
-    """Round a fixed-point integer down from scale_digits to digits."""
+def _fixed_strs(values: Sequence[int], scale_digits: int, digits: int) -> list[str]:
+    """Round fixed-point integers half up in absolute value from
+    scale_digits to digits >= 1 decimals, as text.  The sign is that of the
+    unrounded value, so a small negative value renders as -0.000..."""
     drop = 10 ** (scale_digits - digits)
-    whole, frac = divmod((abs(scaled) + drop // 2) // drop, 10**digits)
-    return "%s%d.%0*d" % ("-" if scaled < 0 else "", whole, digits, frac)
+    half = drop // 2
+    padded = [str((abs(x) + half) // drop).zfill(digits + 1) for x in values]
+    return [f"{'-' if x < 0 else ''}{s[:-digits]}.{s[-digits:]}" for x, s in zip(values, padded)]
 
 
-def _weyl_fixed(
-    kp: KnotParams, points: Iterable[tuple[int, int]]
-) -> tuple[int, Iterator[int]]:
-    """The fixed-point Weyl error at each ``(k, N_k)`` of ``points``.
-
-    Returns ``(scale_digits, errors)``: ``errors`` yields
-    (N_k - sqrt(2*k*p*q)) / (p*q) floored to scale_digits =
-    _WEYL_DIGITS + _GUARD decimals, ready for
-    ``_fixed_to_str(e, scale_digits, _WEYL_DIGITS)``.
-    """
+def _weyl_fixed(kp: KnotParams) -> Callable[[int, Iterable[int]], list[int]]:
+    """``errors(value, ks)``: the fixed-point Weyl error at each k of ``ks``,
+    all with N_k = value, that is (N_k - sqrt(2*k*p*q)) / (p*q) floored to
+    _WEYL_SCALE decimals, ready for
+    ``_fixed_strs(errors, _WEYL_SCALE, _WEYL_DIGITS)``."""
     pq = kp.pq
-    scale_digits = _WEYL_DIGITS + _GUARD
-    scale = 10**scale_digits
-    square = 2 * pq * scale * scale  # isqrt(square * k) is sqrt(2*k*pq) in fixed point
-    return scale_digits, ((value * scale - isqrt(square * k)) // pq for k, value in points)
+    square = 2 * pq * _WEYL_ONE * _WEYL_ONE  # isqrt(square * k) is sqrt(2*k*pq) in fixed point
+
+    def errors(value: int, ks: Iterable[int]) -> list[int]:
+        top = value * _WEYL_ONE
+        return [(top - isqrt(square * k)) // pq for k in ks]
+
+    return errors
 
 
 def weyl_error_str(kp: KnotParams, k: int, value: int) -> str:
-    scale_digits, (error,) = _weyl_fixed(kp, [(k, value)])
-    return _fixed_to_str(error, scale_digits, _WEYL_DIGITS)
+    return _fixed_strs(_weyl_fixed(kp)(value, [k]), _WEYL_SCALE, _WEYL_DIGITS)[0]
 
 
 def weyl_error_within(kp: KnotParams, k: int, value: int, bound: Fraction) -> bool:
@@ -96,10 +99,10 @@ class SpectrumEntry(NamedTuple):
 def _error_runs(kp: KnotParams, k_max: int) -> Iterator[tuple[int, int, list[str]]]:
     """``(k, N_k, errors)`` for each run of equal N_k in k = 0..k_max: the
     first index of the run, its value, and e_k rendered at each of its indices."""
+    errors = _weyl_fixed(kp)
     k = 0
     for value, length in runs(kp.p, kp.q, k_max):
-        scale_digits, errors = _weyl_fixed(kp, zip(range(k, k + length), repeat(value)))
-        yield k, value, [_fixed_to_str(e, scale_digits, _WEYL_DIGITS) for e in errors]
+        yield k, value, _fixed_strs(errors(value, range(k, k + length)), _WEYL_SCALE, _WEYL_DIGITS)
         k += length
 
 
@@ -129,15 +132,13 @@ def _weyl_sup(kp: KnotParams, spans: Iterable[tuple[int, int]]) -> str:
     and the root grows with k, so the floored error does not increase, and
     its largest absolute value sits at one of the ends.
     """
-
-    def ends() -> Iterator[tuple[int, int]]:
-        last = -1
-        for value, length in spans:
-            yield from ((last + 1, value), (last + length, value))
-            last += length
-
-    scale_digits, errors = _weyl_fixed(kp, ends())
-    return _fixed_to_str(max(map(abs, errors), default=0), scale_digits, _WEYL_DIGITS)
+    errors = _weyl_fixed(kp)
+    top = first = 0
+    for value, length in spans:
+        head, tail = errors(value, (first, first + length - 1))
+        top = max(top, head, -tail)  # head >= tail, so |e| peaks at head or -tail
+        first += length
+    return _fixed_strs([top], _WEYL_SCALE, _WEYL_DIGITS)[0]
 
 
 def weyl_sup(kp: KnotParams, k_max: int) -> str:

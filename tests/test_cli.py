@@ -217,8 +217,22 @@ def test_toric_svg(tmp_path, capsys):
     assert target.read_text().startswith("<svg")
 
 
+def test_toric_svg_unwritable_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "path.svg"
+    code, out, err = run(
+        capsys, "toric", "path", "--p", "3", "--q", "4", "--current", "h", "--svg", str(target)
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --svg file {target}: No such file or directory\n"
+    code, out, err = run(
+        capsys, "toric", "path", "--p", "3", "--q", "4", "--current", "h", "--svg", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --svg file {tmp_path}: ") and err.count("\n") == 1
+
+
 def test_weyl_summary_and_rows(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "weyl_scan", None)  # the summary needs no per-k rows
+    monkeypatch.setattr(cli, "_error_runs", None)  # the summary needs no per-k rows
     code, out, _ = run(capsys, "weyl", "--p", "2", "--q", "3", "--k-max", "50", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["quantity,value", f"sup|e_k|,{weyl_sup(KnotParams(2, 3), 50)}"]

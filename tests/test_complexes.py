@@ -6,6 +6,7 @@ import pytest
 from echtk.complexes import (
     ComplexSpec,
     WindowError,
+    _complex,
     _filtration_mask,
     _reduce_ranks,
     differential,
@@ -184,6 +185,34 @@ def test_integer_filtration_mask_matches_infrat_comparison():
                     cutoff = InfRat(r, e)
                     expected = [level <= cutoff for level in levels]
                     assert _filtration_mask(kp, exponents, cutoff) == expected, (p, q, cutoff)
+
+
+def test_knot_filtered_cut_matches_the_full_window_mask():
+    # knot_filtered_homology reads the complex cut at floor(K); the oracle
+    # masks the whole degree-60 window.  Negative, non-integer, inside and
+    # above-the-window rational parts, each with e in {-1, 0, 2}
+    rationals = [Fraction(-5, 2), Fraction(-1), Fraction(-1, 3), Fraction(0), Fraction(22, 3),
+                 Fraction(30), Fraction(61, 2), Fraction(60), Fraction(121, 2), Fraction(200)]
+    for q in range(2, 7):
+        for p in range(1, q):
+            if gcd(p, q) != 1:
+                continue
+            kp = KnotParams(p, q)
+            spec = ComplexSpec(kp, 60)
+            max_index = 0
+            while required_degree(kp, max_index + 1) <= 60:
+                max_index += 1
+            exponents, grading, columns = _complex(spec)
+            for r in rationals:
+                for e in (-1, 0, 2):
+                    cutoff = InfRat(r, e)
+                    mask = _filtration_mask(kp, exponents, cutoff)
+                    ranks = _reduce_ranks(grading, columns, mask)
+                    expected = {g: ranks.get(g, 0) for g in range(max_index + 1)}
+                    got = knot_filtered_homology(spec, cutoff, max_index)
+                    assert got == expected, (p, q, cutoff)
+                    if r < 0:
+                        assert not any(got.values())
 
 
 def test_union_find_ranks_count_cycles():

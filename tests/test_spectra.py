@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from echtk.currents import KnotParams
 from echtk.exact import InfRat, render, render_fraction
 from echtk.nseq import NSeq, nk, nk_closed_form, nk_upto, repeat_count
 from echtk.spectra import (
-    _fixed_to_str,
+    _fixed_strs,
     _weyl_fixed,
     _weyl_sup,
     action_linking_bound,
@@ -32,8 +33,9 @@ COPRIME_UP_TO_8 = [(p, q) for q in range(2, 9) for p in range(1, q) if gcd(p, q)
 
 def brute_force_sup(kp, values):
     """sup |e_k| from the fixed-point error at every index."""
-    scale_digits, errors = _weyl_fixed(kp, enumerate(values))
-    return _fixed_to_str(max(map(abs, errors)), scale_digits, 12)
+    errors = _weyl_fixed(kp)
+    top = max(abs(e) for k, value in enumerate(values) for e in errors(value, [k]))
+    return _fixed_strs([top], 18, 12)[0]
 
 
 def to_runs(values):
@@ -153,9 +155,15 @@ def test_weyl_sup_property_over_random_pairs():
     on_sorted_lists()
 
 
-def cli_csv(capsys, *argv):
-    assert main([*argv, "--format", "csv"]) == 0
-    return capsys.readouterr().out.splitlines()
+def cli_out(capsys, fmt, *argv):
+    assert main([*argv, "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def table_lines(header, rows):
+    """The aligned table: each column padded to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in [header, *rows]]
 
 
 @pytest.mark.parametrize("p,q,k_max", [
@@ -169,16 +177,25 @@ def test_scan_commands_match_a_per_k_rendering(capsys, p, q, k_max):
     values = nk_upto(p, q, k_max)
     repeats = [repeat_count(p, q, k) for k in range(k_max + 1)]
     errors = [weyl_error_str(kp, k, v) for k, v in enumerate(values)]
-    assert cli_csv(capsys, "spectrum", *window) == ["k,c_k,c_k_link,e_k"] + [
-        f"{k},{render_fraction(Fraction(v, kp.pq))},{render(InfRat(v, r - 1))},{e}"
-        for k, (v, r, e) in enumerate(zip(values, repeats, errors))
-    ]
-    assert cli_csv(capsys, "nseq", *window) == ["k,N_k,repeats"] + [
-        f"{k},{v},{r}" for k, (v, r) in enumerate(zip(values, repeats))
-    ]
-    assert cli_csv(capsys, "weyl", *window, "--plot-data") == ["k,e_k"] + [
-        f"{k},{e}" for k, e in enumerate(errors)
-    ]
+    scans = {
+        ("spectrum",): (["k", "c_k", "c_k_link", "e_k"], [
+            [str(k), render_fraction(Fraction(v, kp.pq)), render(InfRat(v, r - 1)), e]
+            for k, (v, r, e) in enumerate(zip(values, repeats, errors))
+        ]),
+        ("nseq",): (["k", "N_k", "repeats"], [
+            [str(k), str(v), str(r)] for k, (v, r) in enumerate(zip(values, repeats))
+        ]),
+        ("weyl", "--plot-data"): (["k", "e_k"], [[str(k), e] for k, e in enumerate(errors)]),
+    }
+    for command, (header, rows) in scans.items():
+        argv = [*command[:1], *window, *command[1:]]
+        csv = cli_out(capsys, "csv", *argv)
+        assert csv.splitlines() == [",".join(row) for row in [header, *rows]], command
+        assert csv.endswith("\n")
+        assert cli_out(capsys, "table", *argv).splitlines() == table_lines(header, rows), command
+        doc = json.loads(cli_out(capsys, "json", *argv))
+        assert (doc["columns"], doc["rows"]) == (header, rows), command
+        assert (doc["meta"]["p"], doc["meta"]["q"], doc["meta"]["kMax"]) == (p, q, k_max)
 
 
 def test_weyl_error_agrees_with_float_math():
@@ -234,6 +251,62 @@ def test_cobordism_not_applicable_and_validation():
     for frm, to in [((2, 3), (3, 4)), ((3, 4), (2, 3))]:
         with pytest.raises(ValueError, match="k_max must be nonnegative"):
             cobordism_obstruction(frm, to, -1)
+
+
+def divmod_fixed(scaled, scale_digits, digits):
+    """The fixed-point rendering as a divmod of the rounded magnitude."""
+    drop = 10 ** (scale_digits - digits)
+    whole, frac = divmod((abs(scaled) + drop // 2) // drop, 10**digits)
+    return "%s%d.%0*d" % ("-" if scaled < 0 else "", whole, digits, frac)
+
+
+def test_fixed_strs_matches_the_divmod_rendering():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # every digit count, with the guard digits sqrt_decimal carries
+    digit_counts = st.integers(1, 40)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(digits=digit_counts, values=st.lists(st.integers(-(10**60), 10**60)))
+    def any_values(digits, values):
+        expected = [divmod_fixed(x, digits + 6, digits) for x in values]
+        assert _fixed_strs(values, digits + 6, digits) == expected
+
+    # values next to a rounding edge: tiny negatives, carries into the whole part
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(digits=digit_counts, whole=st.integers(0, 10**6),
+                      offset=st.integers(-3, 3), sign=st.sampled_from([1, -1]))
+    def near_edges(digits, whole, offset, sign):
+        drop = 10**6
+        for x in (whole * 10 ** (digits + 6) - drop // 2 + offset, offset, drop // 2 + offset):
+            x *= sign
+            assert _fixed_strs([x], digits + 6, digits) == [divmod_fixed(x, digits + 6, digits)]
+
+    any_values()
+    near_edges()
+    assert _fixed_strs([-1, 0, -499_999], 18, 12) == [
+        "-0.000000000000", "0.000000000000", "-0.000000000000"]
+    assert _fixed_strs([999_999_999_999_500_000, -999_999_999_999_500_000], 18, 12) == [
+        "1.000000000000", "-1.000000000000"]
+    assert _fixed_strs([-500_000, 9_499_999], 18, 12) == ["-0.000000000001", "0.000000000009"]
+    assert _fixed_strs([], 18, 12) == []
+
+
+def test_sqrt_decimal_over_digit_counts():
+    for digits in range(1, 41):
+        for value in (Fraction(1, 60), Fraction(2), Fraction(10**9 + 7, 3), 0):
+            root = sqrt_decimal(value, digits)
+            whole, frac = root.split(".")
+            assert len(frac) == digits
+            # within half a unit of the last place of the root floored to
+            # digits + 6 places
+            unit, guard = Fraction(1, 10**digits), Fraction(1, 10 ** (digits + 6))
+            approx = Fraction(int(whole + frac), 10**digits)
+            low = max(approx - unit / 2, 0)
+            assert low**2 <= value < (approx + unit / 2 + guard) ** 2, (value, digits)
+    for digits in (0, -1):
+        with pytest.raises(ValueError):
+            sqrt_decimal(2, digits)
 
 
 def test_sqrt_decimal():
