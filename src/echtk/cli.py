@@ -27,7 +27,7 @@ from .complexes import (
     knot_filtered_homology,
     required_degree,
 )
-from .currents import KnotParams, ReebCurrent, degree
+from .currents import KnotParams, ReebCurrent
 from .exact import delta_suffix, parse as parse_infrat, render, render_fraction
 from .indices import cz_table
 from .nseq import runs
@@ -130,9 +130,10 @@ def _cmd_generators(args) -> None:
     kp = KnotParams(args.p, args.q)
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
+    p, q, pq = kp.p, kp.q, kp.pq
     rows = (
-        (str(degree(c, kp)), name, str(index))
-        for index, name, c in _sorted_currents(ComplexSpec(kp, args.max_degree))
+        (str(pq * (B + H) + q * P + p * Q), name, str(index))
+        for index, name, (B, H, P, Q) in _sorted_currents(ComplexSpec(kp, args.max_degree))
     )
     _emit(args, ["degree", "generator", "index"], rows, _meta(kp, maxDegree=args.max_degree))
 

@@ -8,14 +8,23 @@ positions it hits.  Over GF(2) the rank of such a matrix is the rank of a
 graphic matroid: read each column as an edge between its two rows; the
 rank is the number of edges that join two different components, which
 one union-find pass over the generators counts for every grading at once.
+
+A source h*b^B*p^P*q^Q and both of its targets share B, so the complex is
+the direct sum of its b-blocks, one per B; the knot filtration compares
+(degree, B), so each filtered subcomplex splits the same way.  Homology is
+reduced one b-block at a time and the ranks of the blocks add.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, groupby
+from operator import itemgetter
 
-from .currents import KnotParams, ReebCurrent, admissible_exponents, degree
+from .currents import KnotParams, ReebCurrent, _namer, admissible_exponents, degree
 from .exact import InfRat, coerce
 from .indices import _window_evaluator, ech_index
 from .nseq import nk, repeat_count
@@ -33,16 +42,14 @@ class ComplexSpec:
             raise ValueError("degree cutoff must be nonnegative")
 
 
-def _sorted_currents(spec: ComplexSpec) -> list[tuple[int, str, ReebCurrent]]:
-    """(ech_index, canonical name, current) for every admissible current of
-    degree at most the cutoff, in increasing order; names are unique, so
-    the currents themselves are never compared."""
-    kp = spec.kp
-    index = _window_evaluator(kp.p, kp.q, spec.max_degree).index
-    out: list[tuple[int, str, ReebCurrent]] = []
-    for exponents in admissible_exponents(kp, spec.max_degree):
-        c = ReebCurrent(*exponents)
-        out.append((index(*exponents), c.name(), c))
+def _sorted_currents(spec: ComplexSpec) -> list[tuple[int, str, Exponents]]:
+    """(ech_index, canonical name, exponents) for every admissible current
+    of degree at most the cutoff, in increasing order; names are unique, so
+    the exponents are never compared."""
+    kp, top = spec.kp, spec.max_degree
+    index = _window_evaluator(kp.p, kp.q, top).index
+    name = _namer(kp, top)
+    out = [(index(*e), name(*e), e) for e in admissible_exponents(kp, top)]
     out.sort()
     return out
 
@@ -50,7 +57,7 @@ def _sorted_currents(spec: ComplexSpec) -> list[tuple[int, str, ReebCurrent]]:
 def enumerate_currents(spec: ComplexSpec) -> list[ReebCurrent]:
     """All admissible currents of degree at most the cutoff, sorted by
     (ech_index, canonical name)."""
-    return [c for _, _, c in _sorted_currents(spec)]
+    return [ReebCurrent(*e) for _, _, e in _sorted_currents(spec)]
 
 
 class WindowError(ValueError):
@@ -83,13 +90,18 @@ def _certify(spec: ComplexSpec, max_index: int) -> None:
 class BoundaryMatrix:
     """Sparse GF(2) boundary matrix with generator gradings attached.
 
-    Rows follow the order of ``admissible_exponents``; the ranks do not
-    depend on it, and no map from current to row is kept."""
+    Rows are the exponent tuples in the order of ``admissible_exponents``;
+    the ranks do not depend on it, and no map from current to row is kept.
+    ``generators``, the rows as currents, is built on first read."""
 
     spec: ComplexSpec
-    generators: list[ReebCurrent]
+    exponents: list[Exponents]
     grading: list[int]
     columns: list[tuple[int, ...]]  # row positions: () or the two targets
+
+    @cached_property
+    def generators(self) -> list[ReebCurrent]:
+        return [ReebCurrent(*e) for e in self.exponents]
 
     def d_squared_is_zero(self) -> bool:
         for col in self.columns:
@@ -108,27 +120,55 @@ class BoundaryMatrix:
         return {g: ranks.get(g, 0) for g in range(max_index + 1)}
 
 
+def _columns(exponents: list[Exponents], p: int, q: int) -> list[tuple[int, ...]]:
+    """Boundary columns as positions in ``exponents``: h*b^B*p^P*q^Q hits
+    b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q), of the same degree and B, so both
+    are listed when every current of that degree and B is."""
+    row = {e: i for i, e in enumerate(exponents)}
+    return [(row[B, 0, P + p, Q], row[B, 0, P, Q + q]) if H else () for B, H, P, Q in exponents]
+
+
 def _complex(spec: ComplexSpec) -> tuple[list[Exponents], list[int], list[tuple[int, ...]]]:
     """``(exponents, grading, columns)`` of the complex: the (B, H, P, Q)
     tuples in the order of ``admissible_exponents``, their ECH indices, and
     the boundary columns as row positions."""
     kp = spec.kp
-    p, q = kp.p, kp.q
     exponents = list(admissible_exponents(kp, spec.max_degree))
-    row = {e: i for i, e in enumerate(exponents)}
-    # degree is preserved and every current of a degree is enumerated, so both targets exist
-    columns = [
-        (row[B, 0, P + p, Q], row[B, 0, P, Q + q]) if H else ()
-        for B, H, P, Q in exponents
-    ]
-    del row  # freed before the grading is built, to keep the peak down
-    index = _window_evaluator(p, q, spec.max_degree).index
+    columns = _columns(exponents, kp.p, kp.q)
+    index = _window_evaluator(kp.p, kp.q, spec.max_degree).index
     return exponents, [index(*e) for e in exponents], columns
 
 
 def differential(spec: ComplexSpec) -> BoundaryMatrix:
-    exponents, grading, columns = _complex(spec)
-    return BoundaryMatrix(spec, [ReebCurrent(*e) for e in exponents], grading, columns)
+    return BoundaryMatrix(spec, *_complex(spec))
+
+
+def _b_blocks(kp: KnotParams, max_degree: int) -> Iterator[list[Exponents]]:
+    """The exponents of each b-block in increasing B: first the currents
+    b^B*p^P*q^Q, then the currents h*b^B*p^P*q^Q.  ``admissible_exponents``
+    lists them as two runs, the second after the first run of B + 1."""
+    waiting: dict[int, list[Exponents]] = {}
+    for (B, H), run in groupby(admissible_exponents(kp, max_degree), itemgetter(0, 1)):
+        if H:
+            block = waiting.pop(B)
+            block += run
+            yield block
+        else:
+            waiting[B] = list(run)
+    yield from waiting.values()  # the top B, which has no h-currents
+
+
+def _blocked_ranks(kp: KnotParams, max_degree: int, cutoff: InfRat | None) -> Counter[int]:
+    """Homology rank per grading of the complex cut at ``max_degree``, or of
+    its subcomplex of knot filtration <= ``cutoff``: the sum over the
+    b-blocks of one ``_reduce_ranks`` pass each."""
+    p, q = kp.p, kp.q
+    index = _window_evaluator(p, q, max_degree).index
+    ranks: Counter[int] = Counter()
+    for block in _b_blocks(kp, max_degree):
+        keep = [True] * len(block) if cutoff is None else _filtration_mask(kp, block, cutoff)
+        ranks.update(_reduce_ranks([index(*e) for e in block], _columns(block, p, q), keep))
+    return ranks
 
 
 def _reduce_ranks(
@@ -143,7 +183,7 @@ def _reduce_ranks(
     Rows of different gradings are never joined, so one pass covers all.
     """
     parent = list(range(len(grading)))
-    joins: Counter[int] = Counter()
+    joins: dict[int, int] = {}
     for j, col in enumerate(columns):
         if not (col and keep[j]):
             continue
@@ -159,9 +199,11 @@ def _reduce_ranks(
             parent[b] = b = parent[parent[b]]
         if a != b:
             parent[a] = b
-            joins[grading[j]] += 1
-    sizes = Counter(g for g, flag in zip(grading, keep) if flag)
-    return {g: n - joins[g] - joins[g + 1] for g, n in sizes.items()}
+            g = grading[j]
+            joins[g] = joins.get(g, 0) + 1
+    joined = joins.get
+    sizes = Counter(compress(grading, keep))
+    return {g: n - joined(g, 0) - joined(g + 1, 0) for g, n in sizes.items()}
 
 
 def homology(spec: ComplexSpec, max_index: int) -> dict[int, int]:
@@ -171,8 +213,7 @@ def homology(spec: ComplexSpec, max_index: int) -> dict[int, int]:
     the cutoff that would.
     """
     _certify(spec, max_index)
-    _, grading, columns = _complex(spec)
-    ranks = _reduce_ranks(grading, columns, [True] * len(grading))
+    ranks = _blocked_ranks(spec.kp, spec.max_degree, None)
     return {g: ranks.get(g, 0) for g in range(max_index + 1)}
 
 
@@ -189,9 +230,7 @@ def knot_filtered_homology(
     top = min(spec.max_degree, cutoff.rat.numerator // cutoff.rat.denominator)
     if top < 0:
         return dict.fromkeys(range(max_index + 1), 0)
-    exponents, grading, columns = _complex(ComplexSpec(spec.kp, top))
-    keep = _filtration_mask(spec.kp, exponents, cutoff)
-    ranks = _reduce_ranks(grading, columns, keep)
+    ranks = _blocked_ranks(spec.kp, top, cutoff)
     return {g: ranks.get(g, 0) for g in range(max_index + 1)}
 
 

@@ -9,7 +9,7 @@ formulas in these exponents.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -64,15 +64,7 @@ class ReebCurrent:
 
     def name(self) -> str:
         """Canonical text form, zero exponents omitted; the empty current is "1"."""
-        if self.is_empty:
-            return "1"
-        parts = []
-        for orbit, mult in zip(ORBITS, self.exponents()):
-            if mult == 1:
-                parts.append(orbit)
-            elif mult > 1:
-                parts.append(f"{orbit}^{mult}")
-        return " ".join(parts)
+        return _join(*map(_power, ORBITS, self.exponents()))
 
     def __str__(self) -> str:
         return self.name()
@@ -99,6 +91,25 @@ class ReebCurrent:
                 raise ValueError(f"orbit {orbit!r} repeated in {text!r}")
             mult[orbit] = e
         return cls(mult["b"], mult["h"], mult["p"], mult["q"])
+
+
+def _power(orbit: str, mult: int) -> str:
+    """One factor of a canonical name: "" for mult 0, the bare orbit for 1."""
+    return "" if mult == 0 else orbit if mult == 1 else f"{orbit}^{mult}"
+
+
+def _join(b: str, h: str, p: str, q: str) -> str:
+    """The canonical name from the four rendered factors."""
+    return " ".join([s for s in (b, h, p, q) if s]) or "1"
+
+
+def _namer(kp: KnotParams, max_degree: int) -> Callable[[int, int, int, int], str]:
+    """``name(B, H, P, Q)``, equal to ``ReebCurrent(B, H, P, Q).name()``, for
+    the exponents of a current of degree at most the cutoff; each power is
+    rendered once per window."""
+    tops = (max_degree // kp.pq, 1, max_degree // kp.q, max_degree // kp.p)
+    bs, hs, ps, qs = ([_power(orbit, m) for m in range(top + 1)] for orbit, top in zip(ORBITS, tops))
+    return lambda B, H, P, Q: _join(bs[B], hs[H], ps[P], qs[Q])
 
 
 def admissible_exponents(kp: KnotParams, max_degree: int) -> Iterator[tuple[int, int, int, int]]:

@@ -10,6 +10,7 @@ from echtk.complexes import (
     ComplexSpec,
     _reduce_ranks,
     differential,
+    homology,
     knot_filtered_homology,
 )
 from echtk.currents import knot_filtration
@@ -70,7 +71,9 @@ def subcomplex_ranks(grading, columns, keep):
 def assert_ranks_match_oracle(kp, max_degree, levels):
     """The library's ranks equal the oracle's for the whole complex and for
     the knot-filtered subcomplex at each level: in every grading, and over
-    the largest index window the cutoff certifies."""
+    the largest index window the cutoff certifies.  ``homology`` and
+    ``knot_filtered_homology`` reduce one b-block at a time; the oracle and
+    ``_reduce_ranks`` here read the whole window."""
     spec = ComplexSpec(kp, max_degree)
     matrix = differential(spec)
     top = 2 * (lattice_count(kp.p, kp.q, max_degree) - 1)
@@ -78,6 +81,7 @@ def assert_ranks_match_oracle(kp, max_degree, levels):
     everything = [True] * len(matrix.generators)
     assert _reduce_ranks(matrix.grading, matrix.columns, everything) == oracle
     assert matrix.homology(top) == {g: oracle.get(g, 0) for g in range(top + 1)}
+    assert homology(spec, top) == {g: oracle.get(g, 0) for g in range(top + 1)}
     for level in levels:
         keep = [knot_filtration(c, kp) <= level for c in matrix.generators]
         oracle = subcomplex_ranks(matrix.grading, matrix.columns, keep)

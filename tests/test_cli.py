@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from echtk import cli
+from echtk import __version__, cli
 from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
@@ -47,6 +47,35 @@ def test_generators_csv_matches_exponent_reference(capsys):
             keyed = sorted((ech_index(c, kp), c.name(), degree(c, kp)) for c in currents)
             expected = ["degree,generator,index"] + [f"{d},{n},{i}" for i, n, d in keyed]
             assert out.splitlines() == expected
+
+
+def table_text(header, rows):
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+                   for row in [header, *rows])
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (1, 5), (2, 3), (3, 4)])
+@pytest.mark.parametrize("max_degree", [0, 7, 30])
+def test_generators_match_a_per_current_rendering(capsys, p, q, max_degree, fmt):
+    kp = KnotParams(p, q)
+    code, out, _ = run(capsys, "generators", "--p", str(p), "--q", str(q),
+                       "--max-degree", str(max_degree), "--format", fmt)
+    assert code == 0
+    currents = sorted((ReebCurrent(*e) for e in admissible_exponents(kp, max_degree)),
+                      key=lambda c: (ech_index(c, kp), c.name()))
+    header = ["degree", "generator", "index"]
+    rows = [[str(degree(c, kp)), c.name(), str(ech_index(c, kp))] for c in currents]
+    if fmt == "csv":
+        expected = "".join(",".join(row) + "\n" for row in [header, *rows])
+    elif fmt == "json":
+        meta = {"p": p, "q": q, "deltaMode": "limit", "toolVersion": __version__,
+                "maxDegree": max_degree}
+        expected = json.dumps({"meta": meta, "columns": header, "rows": rows}, indent=2) + "\n"
+    else:
+        expected = table_text(header, rows)
+    assert out == expected
 
 
 def test_outputs_are_deterministic(capsys):

@@ -3,9 +3,11 @@ from math import gcd
 
 import pytest
 
+from echtk.cli import main
 from echtk.complexes import (
     ComplexSpec,
     WindowError,
+    _b_blocks,
     _complex,
     _filtration_mask,
     _reduce_ranks,
@@ -229,18 +231,78 @@ def test_union_find_ranks_count_cycles():
 
 
 def test_union_find_ranks_match_bitset_oracle():
-    for q in range(2, 9):
-        for p in range(1, q):
-            if gcd(p, q) != 1:
-                continue
-            kp = KnotParams(p, q)
-            for max_degree in (0, 7, 30, 60):
-                levels = (
-                    InfRat(max_degree // 3, 0),
-                    InfRat(max_degree // 2, 1),
-                    InfRat(max_degree, -1),
-                )
-                assert_ranks_match_oracle(kp, max_degree, levels)
+    # (1, 1) and every coprime p < q <= 8; the last two levels cut inside
+    # the degree pq*B_top, B_top = max_degree // pq: at K = pq*B_top + e*d
+    # the currents of that degree with B > e are dropped, the rest kept
+    pairs = [(1, 1)] + [(p, q) for q in range(2, 9) for p in range(1, q) if gcd(p, q) == 1]
+    for p, q in pairs:
+        kp = KnotParams(p, q)
+        for max_degree in (0, 7, 30, 60):
+            b_top = max_degree // kp.pq
+            levels = (
+                InfRat(max_degree // 3, 0),
+                InfRat(max_degree // 2, 1),
+                InfRat(max_degree, -1),
+                InfRat(kp.pq * b_top, 0),
+                InfRat(kp.pq * b_top, b_top - 1),
+            )
+            assert_ranks_match_oracle(kp, max_degree, levels)
+
+
+def test_b_blocks_partition_the_enumeration():
+    for p, q in [(1, 1), (1, 2), (2, 3), (3, 4), (5, 7)]:
+        kp = KnotParams(p, q)
+        for max_degree in (0, 11, 12, 40, 70):
+            blocks = list(_b_blocks(kp, max_degree))
+            assert [block[0][0] for block in blocks] == list(range(max_degree // kp.pq + 1))
+            for block in blocks:
+                assert {B for B, _, _, _ in block} == {block[0][0]}
+                hs = [H for _, H, _, _ in block]
+                assert hs == sorted(hs)  # the rows, then the sources of the columns
+            listed = [e for block in blocks for e in block]
+            assert sorted(listed) == sorted(admissible_exponents(kp, max_degree))
+
+
+def count_currents(monkeypatch):
+    """A list that grows by one entry per ReebCurrent constructed from here on."""
+    built = []
+    check = ReebCurrent.__post_init__
+
+    def counted(self):
+        built.append(None)
+        check(self)
+
+    monkeypatch.setattr(ReebCurrent, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command", [
+    ["generators", "--max-degree", "40"],
+    ["homology", "--max-index", "160", "--max-degree", "40"],
+    ["homology", "--max-index", "160", "--max-degree", "40", "--check-d-squared"],
+    ["homology", "--max-index", "30"],
+    ["knot-filtered", "--max-index", "160", "--max-degree", "40", "--filtration", "20+1*d"],
+    ["knot-filtered", "--max-index", "30", "--filtration", "13/2"],
+])
+def test_complex_commands_build_no_current(capsys, monkeypatch, command, fmt):
+    built = count_currents(monkeypatch)
+    assert main([*command, "--p", "3", "--q", "4", "--format", fmt]) == 0
+    assert capsys.readouterr().out
+    assert not built
+
+
+def test_boundary_matrix_builds_generators_on_first_read(monkeypatch):
+    built = count_currents(monkeypatch)
+    matrix = differential(ComplexSpec(KP, 40))
+    assert matrix.d_squared_is_zero()
+    assert matrix.homology(20) == homology(ComplexSpec(KP, 40), 20)
+    assert not built
+    generators = matrix.generators
+    assert len(built) == len(matrix.exponents) == len(generators)
+    assert matrix.generators is generators
+    assert len(built) == len(generators)
+    assert generators == [ReebCurrent(*e) for e in admissible_exponents(KP, 40)]
 
 
 def test_linking_threshold_scan():

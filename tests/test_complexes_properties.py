@@ -4,8 +4,11 @@ The union-find homology ranks equal those of the bitset column reduction
 in gf2_oracle.py, on windows of the currents complex and on random
 two-entry complexes that close cycles.  The closed-form index evaluator
 on exponent tuples equals the ledger expansion and the lattice-path
-index, has the parity of H, and satisfies the h/b step relations."""
+index, has the parity of H, and satisfies the h/b step relations.  Every
+b-block of the complex is a union of path graphs, so the union-find joins
+every nonzero column."""
 
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -13,7 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from echtk.complexes import _reduce_ranks  # noqa: E402
+from echtk.complexes import ComplexSpec, _complex, _reduce_ranks  # noqa: E402
 from echtk.currents import KnotParams, ReebCurrent  # noqa: E402
 from echtk.exact import InfRat  # noqa: E402
 from echtk.indices import _index_evaluator, ech_index_from_components  # noqa: E402
@@ -97,3 +100,40 @@ def test_index_evaluator_matches_independent_routes(pq, B, H, P, Q):
     assert h_idx == index(B, 0, P + p, Q) + 1
     assert h_idx == index(B, 0, P, Q + q) + 1
     assert h_idx == index(B + 1, 0, P, Q) - 1
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(pq=COPRIME_UP_TO_30, b_top=st.integers(0, 3), extra=st.integers(0, 40))
+def test_blocks_are_path_graphs(pq, b_top, extra):
+    """Within one (degree, B) the H = 0 rows are the lattice points of
+    qP + pQ = degree - pqB, one step (p, -q) apart, and each nonzero column
+    joins two neighbours on that line, each pair once.  A path has no
+    cycle, so every column joins two components: the join count of
+    ``_reduce_ranks`` is the number of nonzero columns."""
+    p, q = pq
+    exponents, grading, columns = _complex(ComplexSpec(KnotParams(p, q), b_top * p * q + extra))
+    lines: dict[tuple[int, int], set[int]] = {}  # (degree, B) -> P of the rows on its line
+    for B, H, P, Q in exponents:
+        if not H:
+            lines.setdefault((p * q * B + q * P + p * Q, B), set()).add(P)
+    for (deg, B), ps in lines.items():
+        rest = deg - p * q * B
+        assert ps == {P for P in range(rest // q + 1) if (rest - q * P) % p == 0}
+        ordered = sorted(ps)
+        assert all(b - a == p for a, b in zip(ordered, ordered[1:]))
+    edges = set()
+    for j, col in enumerate(columns):
+        if not col:
+            continue
+        B, H, P, Q = exponents[j]
+        (B1, H1, P1, Q1), (B2, H2, P2, Q2) = (exponents[i] for i in col)
+        assert H == 1 and H1 == H2 == 0 and B1 == B2 == B
+        assert q * P1 + p * Q1 == q * P2 + p * Q2 == q * P + p * Q + p * q
+        assert (P1 - P2, Q1 - Q2) == (p, -q)
+        edges.add(col)
+    n_columns = sum(1 for col in columns if col)
+    assert len(edges) == n_columns
+    # the columns are the odd-index generators and odd ranks read n_g - joins_g
+    ranks = _reduce_ranks(grading, columns, [True] * len(grading))
+    sizes = Counter(grading)
+    assert sum(sizes[g] - ranks[g] for g in sizes if g % 2) == n_columns

@@ -6,6 +6,7 @@ import pytest
 from echtk.currents import (
     KnotParams,
     ReebCurrent,
+    _namer,
     action,
     admissible_exponents,
     degree,
@@ -142,3 +143,22 @@ def test_admissible_exponents_enumerate_each_current_once_in_order(max_degree):
             assert set(got) == set(box)
             # by B + H, then H, P, Q
             assert got == sorted(got, key=lambda e: (e[0] + e[1], e[1], e[2], e[3]))
+
+
+def loop_name(B, H, P, Q):
+    """The canonical name written out factor by factor."""
+    parts = []
+    for orbit, mult in zip("bhpq", (B, H, P, Q)):
+        if mult == 1:
+            parts.append(orbit)
+        elif mult > 1:
+            parts.append(f"{orbit}^{mult}")
+    return " ".join(parts) or "1"
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (1, 5), (2, 3), (3, 4), (5, 7), (2, 9)])
+def test_window_names_match_current_names(p, q):
+    kp = KnotParams(p, q)
+    name = _namer(kp, 60)
+    for e in admissible_exponents(kp, 60):
+        assert name(*e) == ReebCurrent(*e).name() == loop_name(*e), e
