@@ -4,25 +4,26 @@ The differential sends h*gamma to p^p*gamma + q^q*gamma for every gamma
 without the hyperbolic orbit and vanishes elsewhere; it preserves degree
 and drops the index by exactly one.  Every nonzero boundary column
 therefore has exactly two ones, so a column is stored as the pair of row
-positions it hits.  Over GF(2) the rank of such a matrix is the rank of a
-graphic matroid: read each column as an edge between its two rows; the
-rank is the number of edges that join two different components, which
-one union-find pass over the generators counts for every grading at once.
+positions it hits.
 
-A source h*b^B*p^P*q^Q and both of its targets share B, so the complex is
-the direct sum of its b-blocks, one per B; the knot filtration compares
-(degree, B), so each filtered subcomplex splits the same way.  Homology is
-reduced one b-block at a time and the ranks of the blocks add.
+The two targets of h*b^B*p^P*q^Q share B and lie on the line
+qP' + pQ' = degree - pq*B, one step (p, -q) apart, and each pair of
+neighbours on that line is joined by one column.  Read as edges, the
+columns form paths, which have no cycle, so the nonzero columns are
+independent over GF(2): the rank r_g of the grade-g boundary map is the
+number of grade-g generators with a boundary, and the homology rank is
+H_g = n_g - r_g - r_{g+1}.  One counting pass gives it: a generator
+without boundary adds 1 to its grade, one with a boundary subtracts 1 from
+the grade below.  A source and both of its targets also share the knot
+filtration key (degree, B), so every filtered subcomplex is closed under
+the differential, its columns form paths too, and the same count holds.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, groupby
-from operator import itemgetter
 
 from .currents import KnotParams, ReebCurrent, _namer, admissible_exponents, degree
 from .exact import InfRat, coerce
@@ -116,26 +117,20 @@ class BoundaryMatrix:
         """Homology rank in each index 0..max_index; refuses a window the
         cutoff does not certify."""
         _certify(self.spec, max_index)
-        ranks = _reduce_ranks(self.grading, self.columns, [True] * len(self.grading))
-        return {g: ranks.get(g, 0) for g in range(max_index + 1)}
-
-
-def _columns(exponents: list[Exponents], p: int, q: int) -> list[tuple[int, ...]]:
-    """Boundary columns as positions in ``exponents``: h*b^B*p^P*q^Q hits
-    b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q), of the same degree and B, so both
-    are listed when every current of that degree and B is."""
-    row = {e: i for i, e in enumerate(exponents)}
-    return [(row[B, 0, P + p, Q], row[B, 0, P, Q + q]) if H else () for B, H, P, Q in exponents]
+        return _ranks(zip(self.grading, self.columns), max_index)
 
 
 def _complex(spec: ComplexSpec) -> tuple[list[Exponents], list[int], list[tuple[int, ...]]]:
     """``(exponents, grading, columns)`` of the complex: the (B, H, P, Q)
     tuples in the order of ``admissible_exponents``, their ECH indices, and
-    the boundary columns as row positions."""
-    kp = spec.kp
-    exponents = list(admissible_exponents(kp, spec.max_degree))
-    columns = _columns(exponents, kp.p, kp.q)
-    index = _window_evaluator(kp.p, kp.q, spec.max_degree).index
+    the boundary columns as row positions.  h*b^B*p^P*q^Q hits
+    b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q), of the same degree, so both are
+    listed."""
+    p, q, top = spec.kp.p, spec.kp.q, spec.max_degree
+    exponents = list(admissible_exponents(spec.kp, top))
+    row = {e: i for i, e in enumerate(exponents)}
+    columns = [(row[B, 0, P + p, Q], row[B, 0, P, Q + q]) if H else () for B, H, P, Q in exponents]
+    index = _window_evaluator(p, q, top).index
     return exponents, [index(*e) for e in exponents], columns
 
 
@@ -143,78 +138,34 @@ def differential(spec: ComplexSpec) -> BoundaryMatrix:
     return BoundaryMatrix(spec, *_complex(spec))
 
 
-def _b_blocks(kp: KnotParams, max_degree: int) -> Iterator[list[Exponents]]:
-    """The exponents of each b-block in increasing B: first the currents
-    b^B*p^P*q^Q, then the currents h*b^B*p^P*q^Q.  ``admissible_exponents``
-    lists them as two runs, the second after the first run of B + 1."""
-    waiting: dict[int, list[Exponents]] = {}
-    for (B, H), run in groupby(admissible_exponents(kp, max_degree), itemgetter(0, 1)):
-        if H:
-            block = waiting.pop(B)
-            block += run
-            yield block
+def _ranks(graded: Iterable[tuple[int, object]], max_index: int) -> dict[int, int]:
+    """Homology rank in each index 0..max_index from ``(grade, boundary)``
+    per generator, the boundary read for whether it is nonzero.  The
+    nonzero columns are independent, so a generator without boundary adds 1
+    to its grade and one with a boundary subtracts 1 from the grade below:
+    its own n_g and r_g cancel, and r_g lowers H_(g-1)."""
+    ranks: dict[int, int] = {}
+    get = ranks.get
+    for g, boundary in graded:
+        if boundary:
+            g -= 1
+            ranks[g] = get(g, 0) - 1
         else:
-            waiting[B] = list(run)
-    yield from waiting.values()  # the top B, which has no h-currents
-
-
-def _blocked_ranks(kp: KnotParams, max_degree: int, cutoff: InfRat | None) -> Counter[int]:
-    """Homology rank per grading of the complex cut at ``max_degree``, or of
-    its subcomplex of knot filtration <= ``cutoff``: the sum over the
-    b-blocks of one ``_reduce_ranks`` pass each."""
-    p, q = kp.p, kp.q
-    index = _window_evaluator(p, q, max_degree).index
-    ranks: Counter[int] = Counter()
-    for block in _b_blocks(kp, max_degree):
-        keep = [True] * len(block) if cutoff is None else _filtration_mask(kp, block, cutoff)
-        ranks.update(_reduce_ranks([index(*e) for e in block], _columns(block, p, q), keep))
-    return ranks
-
-
-def _reduce_ranks(
-    grading: list[int], columns: list[tuple[int, ...]], keep: list[bool]
-) -> dict[int, int]:
-    """Homology rank per grading of the subcomplex of generators flagged
-    in ``keep``.
-
-    A column joins its two rows in a union-find forest; the rank r_g of
-    the grade-g boundary map is the number of grade-g columns that join
-    two different components, and the homology rank is n_g - r_g - r_{g+1}.
-    Rows of different gradings are never joined, so one pass covers all.
-    """
-    parent = list(range(len(grading)))
-    joins: dict[int, int] = {}
-    for j, col in enumerate(columns):
-        if not (col and keep[j]):
-            continue
-        a, b = col
-        if not (keep[a] and keep[b]):
-            # the differential never raises the filtration, so a kept
-            # source cannot hit a dropped target
-            raise AssertionError("filtration is not respected by the differential")
-        # find both roots, halving the paths on the way
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            g = grading[j]
-            joins[g] = joins.get(g, 0) + 1
-    joined = joins.get
-    sizes = Counter(compress(grading, keep))
-    return {g: n - joined(g, 0) - joined(g + 1, 0) for g, n in sizes.items()}
+            ranks[g] = get(g, 0) + 1
+    return {g: get(g, 0) for g in range(max_index + 1)}
 
 
 def homology(spec: ComplexSpec, max_index: int) -> dict[int, int]:
     """Homology rank in each index 0..max_index.
 
     Refuses when the degree cutoff does not certify the window, reporting
-    the cutoff that would.
+    the cutoff that would.  A current has a nonzero boundary exactly when
+    it contains h.
     """
     _certify(spec, max_index)
-    ranks = _blocked_ranks(spec.kp, spec.max_degree, None)
-    return {g: ranks.get(g, 0) for g in range(max_index + 1)}
+    kp, top = spec.kp, spec.max_degree
+    index = _window_evaluator(kp.p, kp.q, top).index
+    return _ranks(((index(*e), e[1]) for e in admissible_exponents(kp, top)), max_index)
 
 
 def knot_filtered_homology(
@@ -224,23 +175,25 @@ def knot_filtered_homology(
 
     A current of degree above K is never kept and the differential keeps
     the degree, so the subcomplex is read from the complex cut at
-    min(max_degree, floor(K)); below degree 0 it is empty."""
+    min(max_degree, floor(K)); below degree 0 that cut has no current."""
     _certify(spec, max_index)
     cutoff = coerce(filtration)
+    kp = spec.kp
     top = min(spec.max_degree, cutoff.rat.numerator // cutoff.rat.denominator)
-    if top < 0:
-        return dict.fromkeys(range(max_index + 1), 0)
-    ranks = _blocked_ranks(spec.kp, top, cutoff)
-    return {g: ranks.get(g, 0) for g in range(max_index + 1)}
+    index = _window_evaluator(kp.p, kp.q, top).index
+    kept = _kept(kp, cutoff)
+    graded = ((index(*e), e[1]) for e in admissible_exponents(kp, top) if kept(*e))
+    return _ranks(graded, max_index)
 
 
-def _filtration_mask(kp: KnotParams, exponents: list[Exponents], cutoff: InfRat) -> list[bool]:
-    """``knot_filtration <= cutoff`` for each (B, H, P, Q), on integers:
-    degree + B*d <= num/den + e*d is the lexicographic order of the pairs
-    (degree * den, B) and (num, e)."""
+def _kept(kp: KnotParams, cutoff: InfRat) -> Callable[[int, int, int, int], bool]:
+    """``kept(B, H, P, Q)``: whether ``knot_filtration <= cutoff``, on
+    integers: degree + B*d <= num/den + e*d is the lexicographic order of
+    the pairs (degree * den, B) and (num, e).  A source and both of its
+    targets share the pair, so the kept currents form a subcomplex."""
     p, q, pq = kp.p, kp.q, kp.pq
     num, den, e = cutoff.rat.numerator, cutoff.rat.denominator, cutoff.delta
-    return [((pq * (B + H) + q * P + p * Q) * den, B) <= (num, e) for B, H, P, Q in exponents]
+    return lambda B, H, P, Q: ((pq * (B + H) + q * P + p * Q) * den, B) <= (num, e)
 
 
 def linking_threshold(kp: KnotParams, k: int) -> InfRat:

@@ -7,10 +7,8 @@ from echtk.cli import main
 from echtk.complexes import (
     ComplexSpec,
     WindowError,
-    _b_blocks,
     _complex,
-    _filtration_mask,
-    _reduce_ranks,
+    _kept,
     differential,
     enumerate_currents,
     homology,
@@ -23,7 +21,7 @@ from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 from echtk.exact import InfRat
 from echtk.indices import ech_index
 from echtk.nseq import nk, repeat_count
-from gf2_oracle import assert_ranks_match_oracle, bitset_columns, bitset_ranks
+from gf2_oracle import assert_ranks_match_oracle, bitset_columns, bitset_ranks, subcomplex_ranks
 
 KP = KnotParams(3, 4)
 
@@ -186,7 +184,8 @@ def test_integer_filtration_mask_matches_infrat_comparison():
                 for e in (-1, 0, 2):
                     cutoff = InfRat(r, e)
                     expected = [level <= cutoff for level in levels]
-                    assert _filtration_mask(kp, exponents, cutoff) == expected, (p, q, cutoff)
+                    kept = _kept(kp, cutoff)
+                    assert [kept(*x) for x in exponents] == expected, (p, q, cutoff)
 
 
 def test_knot_filtered_cut_matches_the_full_window_mask():
@@ -208,8 +207,8 @@ def test_knot_filtered_cut_matches_the_full_window_mask():
             for r in rationals:
                 for e in (-1, 0, 2):
                     cutoff = InfRat(r, e)
-                    mask = _filtration_mask(kp, exponents, cutoff)
-                    ranks = _reduce_ranks(grading, columns, mask)
+                    kept = _kept(kp, cutoff)
+                    ranks = subcomplex_ranks(grading, columns, [kept(*x) for x in exponents])
                     expected = {g: ranks.get(g, 0) for g in range(max_index + 1)}
                     got = knot_filtered_homology(spec, cutoff, max_index)
                     assert got == expected, (p, q, cutoff)
@@ -217,20 +216,18 @@ def test_knot_filtered_cut_matches_the_full_window_mask():
                         assert not any(got.values())
 
 
-def test_union_find_ranks_count_cycles():
-    # the currents complex never closes a cycle (d is injective on h-currents),
-    # so a triangle checks the rank where a column joins one component
+def test_bitset_oracle_counts_cycles():
+    # the currents complex never closes a cycle (its columns form paths), so
+    # a triangle checks the oracle where a column is dependent on the others
     grading = [0, 0, 0, 1, 1, 1]
     columns = [(), (), (), (0, 1), (1, 2), (0, 2)]
-    ranks = {0: 1, 1: 1}
-    assert _reduce_ranks(grading, columns, [True] * 6) == ranks
-    assert bitset_ranks(grading, bitset_columns(columns)) == ranks
-    assert _reduce_ranks(grading, columns, [True] * 5 + [False]) == {0: 1, 1: 0}
+    assert bitset_ranks(grading, bitset_columns(columns)) == {0: 1, 1: 1}
+    assert subcomplex_ranks(grading, columns, [True] * 5 + [False]) == {0: 1, 1: 0}
     with pytest.raises(AssertionError):
-        _reduce_ranks(grading, columns, [False] + [True] * 5)
+        subcomplex_ranks(grading, columns, [False] + [True] * 5)
 
 
-def test_union_find_ranks_match_bitset_oracle():
+def test_counted_ranks_match_bitset_oracle():
     # (1, 1) and every coprime p < q <= 8; the last two levels cut inside
     # the degree pq*B_top, B_top = max_degree // pq: at K = pq*B_top + e*d
     # the currents of that degree with B > e are dropped, the rest kept
@@ -247,20 +244,6 @@ def test_union_find_ranks_match_bitset_oracle():
                 InfRat(kp.pq * b_top, b_top - 1),
             )
             assert_ranks_match_oracle(kp, max_degree, levels)
-
-
-def test_b_blocks_partition_the_enumeration():
-    for p, q in [(1, 1), (1, 2), (2, 3), (3, 4), (5, 7)]:
-        kp = KnotParams(p, q)
-        for max_degree in (0, 11, 12, 40, 70):
-            blocks = list(_b_blocks(kp, max_degree))
-            assert [block[0][0] for block in blocks] == list(range(max_degree // kp.pq + 1))
-            for block in blocks:
-                assert {B for B, _, _, _ in block} == {block[0][0]}
-                hs = [H for _, H, _, _ in block]
-                assert hs == sorted(hs)  # the rows, then the sources of the columns
-            listed = [e for block in blocks for e in block]
-            assert sorted(listed) == sorted(admissible_exponents(kp, max_degree))
 
 
 def count_currents(monkeypatch):

@@ -1,12 +1,17 @@
 """Property tests over random coprime (p,q).
 
-The union-find homology ranks equal those of the bitset column reduction
-in gf2_oracle.py, on windows of the currents complex and on random
-two-entry complexes that close cycles.  The closed-form index evaluator
-on exponent tuples equals the ledger expansion and the lattice-path
-index, has the parity of H, and satisfies the h/b step relations.  Every
-b-block of the complex is a union of path graphs, so the union-find joins
-every nonzero column."""
+Within one (degree, B) the columns of the currents complex join
+neighbouring lattice points of a line qP + pQ = const, so they form paths
+and are independent over GF(2); a source and both of its targets share the
+knot filtration key, so every filtered subcomplex is closed under the
+differential.  On these two facts the library counts homology as
+H_g = n_g - r_g - r_{g+1} with r_g the number of kept grade-g columns, and
+those counts equal the bitset column reduction in gf2_oracle.py.  The
+homology is Z/2 in every certified even index and 0 in odd ones, and the
+knot-filtered class of index 2k appears exactly at ``linking_threshold``.
+The closed-form index evaluator on exponent tuples equals the ledger
+expansion and the lattice-path index, has the parity of H, and satisfies
+the h/b step relations."""
 
 from collections import Counter
 from math import gcd
@@ -16,17 +21,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from echtk.complexes import ComplexSpec, _complex, _reduce_ranks  # noqa: E402
+from echtk.complexes import (  # noqa: E402
+    ComplexSpec,
+    _complex,
+    _kept,
+    homology,
+    knot_filtered_homology,
+    linking_threshold,
+    required_degree,
+)
 from echtk.currents import KnotParams, ReebCurrent  # noqa: E402
 from echtk.exact import InfRat  # noqa: E402
 from echtk.indices import _index_evaluator, ech_index_from_components  # noqa: E402
+from echtk.nseq import nk  # noqa: E402
 from echtk.toric import current_to_path, path_index  # noqa: E402
-from gf2_oracle import (  # noqa: E402
-    assert_ranks_match_oracle,
-    bitset_columns,
-    bitset_ranks,
-    subcomplex_ranks,
-)
+from gf2_oracle import assert_ranks_match_oracle, bitset_columns, bitset_ranks  # noqa: E402
 
 PAIRS = st.integers(2, 16).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q)))
 
@@ -38,38 +47,10 @@ PAIRS = st.integers(2, 16).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st
     level=st.integers(0, 45),
     delta=st.integers(-2, 2),
 )
-def test_union_find_ranks_match_oracle_on_random_windows(pq, max_degree, level, delta):
+def test_counted_ranks_match_oracle_on_random_windows(pq, max_degree, level, delta):
     p, q = pq
     hypothesis.assume(gcd(p, q) == 1)
     assert_ranks_match_oracle(KnotParams(p, q), max_degree, [InfRat(level, delta)])
-
-
-@st.composite
-def two_entry_complexes(draw):
-    """Grade-0 vertices followed by grade-1 columns joining two of them,
-    with a keep-mask closed under taking boundaries."""
-    n = draw(st.integers(2, 12))
-    edges = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
-        max_size=20,
-    ))
-    kept_vertices = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    kept_edges = [
-        draw(st.booleans()) and kept_vertices[a] and kept_vertices[b] for a, b in edges
-    ]
-    grading = [0] * n + [1] * len(edges)
-    columns = [()] * n + edges
-    return grading, columns, kept_vertices + kept_edges
-
-
-@hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(complex_=two_entry_complexes())
-def test_union_find_ranks_match_oracle_on_random_graphs(complex_):
-    grading, columns, keep = complex_
-    assert _reduce_ranks(grading, columns, [True] * len(grading)) == bitset_ranks(
-        grading, bitset_columns(columns)
-    )
-    assert _reduce_ranks(grading, columns, keep) == subcomplex_ranks(grading, columns, keep)
 
 
 COPRIME_UP_TO_30 = st.tuples(st.integers(1, 30), st.integers(1, 30)).filter(
@@ -108,8 +89,8 @@ def test_blocks_are_path_graphs(pq, b_top, extra):
     """Within one (degree, B) the H = 0 rows are the lattice points of
     qP + pQ = degree - pqB, one step (p, -q) apart, and each nonzero column
     joins two neighbours on that line, each pair once.  A path has no
-    cycle, so every column joins two components: the join count of
-    ``_reduce_ranks`` is the number of nonzero columns."""
+    cycle, so the columns are independent: the rank of the boundary map,
+    read off the bitset reduction, is the number of nonzero columns."""
     p, q = pq
     exponents, grading, columns = _complex(ComplexSpec(KnotParams(p, q), b_top * p * q + extra))
     lines: dict[tuple[int, int], set[int]] = {}  # (degree, B) -> P of the rows on its line
@@ -133,7 +114,47 @@ def test_blocks_are_path_graphs(pq, b_top, extra):
         edges.add(col)
     n_columns = sum(1 for col in columns if col)
     assert len(edges) == n_columns
-    # the columns are the odd-index generators and odd ranks read n_g - joins_g
-    ranks = _reduce_ranks(grading, columns, [True] * len(grading))
+    # the columns are the odd-index generators and odd ranks read n_g - r_g
+    ranks = bitset_ranks(grading, bitset_columns(columns))
     sizes = Counter(grading)
     assert sum(sizes[g] - ranks[g] for g in sizes if g % 2) == n_columns
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    pq=COPRIME_UP_TO_30,
+    B=st.integers(0, 6),
+    P=st.integers(0, 60),
+    Q=st.integers(0, 60),
+    offset=st.fractions(-2, 2, max_denominator=4),
+    delta=st.integers(-2, 2),
+)
+def test_filtration_flags_a_source_as_both_targets(pq, B, P, Q, offset, delta):
+    """The counting rule needs every filtered subcomplex to be closed under
+    the differential: a kept h-current never hits a dropped target.  The
+    keep key is in fact the same for a source and both of its targets, so
+    all three get one flag.  The cutoff is drawn near their common degree
+    and B so that both flags occur."""
+    p, q = pq
+    kp = KnotParams(p, q)
+    level = p * q * (B + 1) + q * P + p * Q
+    kept = _kept(kp, InfRat(level + offset, B + delta))
+    assert kept(B, 1, P, Q) == kept(B, 0, P + p, Q) == kept(B, 0, P, Q + q)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(pq=COPRIME_UP_TO_30, max_index=st.integers(0, 60))
+def test_homology_is_z2_in_even_indices(pq, max_index):
+    kp = KnotParams(*pq)
+    ranks = homology(ComplexSpec(kp, required_degree(kp, max_index)), max_index)
+    assert ranks == {g: 1 - g % 2 for g in range(max_index + 1)}
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(pq=COPRIME_UP_TO_30, k=st.integers(0, 30))
+def test_knot_filtered_class_appears_at_the_linking_threshold(pq, k):
+    kp = KnotParams(*pq)
+    spec = ComplexSpec(kp, nk(kp.p, kp.q, k))
+    level = linking_threshold(kp, k)
+    assert knot_filtered_homology(spec, level, 2 * k)[2 * k] == 1
+    assert knot_filtered_homology(spec, level - InfRat(0, 1), 2 * k)[2 * k] == 0
