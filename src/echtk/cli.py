@@ -21,7 +21,7 @@ from . import __version__
 from .complexes import (
     ComplexSpec,
     WindowError,
-    _sorted_currents,
+    _generators,
     differential,
     homology,
     knot_filtered_homology,
@@ -130,11 +130,8 @@ def _cmd_generators(args) -> None:
     kp = KnotParams(args.p, args.q)
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
-    p, q, pq = kp.p, kp.q, kp.pq
-    rows = (
-        (str(pq * (B + H) + q * P + p * Q), name, str(index))
-        for index, name, (B, H, P, Q) in _sorted_currents(ComplexSpec(kp, args.max_degree))
-    )
+    spec = ComplexSpec(kp, args.max_degree)
+    rows = ((str(D), name, str(index)) for D, name, index, _ in _generators(spec))
     _emit(args, ["degree", "generator", "index"], rows, _meta(kp, maxDegree=args.max_degree))
 
 
@@ -162,12 +159,9 @@ def _cmd_homology(args) -> None:
     spec = _window_spec(args, kp)
     meta = _meta(kp, maxIndex=args.max_index, maxDegree=spec.max_degree,
                  validatedWindow=f"indices 0..{args.max_index}")
+    ranks = homology(spec, args.max_index)  # refuses an uncertified window before any build
     if args.check_d_squared:
-        matrix = differential(spec)
-        meta["dSquaredZero"] = matrix.d_squared_is_zero()
-        ranks = matrix.homology(args.max_index)
-    else:
-        ranks = homology(spec, args.max_index)
+        meta["dSquaredZero"] = differential(spec).d_squared_is_zero()
     rows = [[str(i), str(ranks[i])] for i in range(args.max_index + 1)]
     _emit(args, ["index", "rank"], rows, meta)
 

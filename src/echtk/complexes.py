@@ -2,26 +2,27 @@
 
 The differential sends h*gamma to p^p*gamma + q^q*gamma for every gamma
 without the hyperbolic orbit and vanishes elsewhere; it preserves degree
-and drops the index by exactly one.  Every nonzero boundary column
-therefore has exactly two ones, so a column is stored as the pair of row
-positions it hits.
+and drops the index by exactly one.
 
-The two targets of h*b^B*p^P*q^Q share B and lie on the line
-qP' + pQ' = degree - pq*B, one step (p, -q) apart, and each pair of
-neighbours on that line is joined by one column.  Read as edges, the
-columns form paths, which have no cycle, so the nonzero columns are
-independent over GF(2): the rank r_g of the grade-g boundary map is the
-number of grade-g generators with a boundary, and the homology rank is
-H_g = n_g - r_g - r_{g+1}.  One counting pass gives it: a generator
-without boundary adds 1 to its grade, one with a boundary subtracts 1 from
-the grade below.  A source and both of its targets also share the knot
-filtration key (degree, B), so every filtered subcomplex is closed under
-the differential, its columns form paths too, and the same count holds.
+Its connected pieces are lines.  The line (D, B) holds the m points
+b^B*p^P*q^Q with qP + pQ = c = D - pq*B, from the smallest P0 = c/q mod p
+in steps of (p, -q), and the m - 1 currents h*b^B*p^P*q^Q with
+qP + pQ = c - pq, each of which hits the two neighbouring points it sits
+between.  A line is therefore a path: it adds exactly 1 to the homology,
+at the index g that all its points share (its h-currents sit at g + 1).
+Walked in (D, B) order the indices g strictly increase, so the generators
+come out in (index, name) order one line at a time, with no global sort,
+and H_g is 1 exactly at the index of a line.  The knot filtration key
+(D, B) is constant on a line, so the lines of a filtered subcomplex are a
+prefix of the walk.
+
+:func:`differential` builds the boundary matrix without these facts, from
+:func:`admissible_exponents`; the tests reduce it to check the walk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,22 +44,49 @@ class ComplexSpec:
             raise ValueError("degree cutoff must be nonnegative")
 
 
-def _sorted_currents(spec: ComplexSpec) -> list[tuple[int, str, Exponents]]:
-    """(ech_index, canonical name, exponents) for every admissible current
-    of degree at most the cutoff, in increasing order; names are unique, so
-    the exponents are never compared."""
-    kp, top = spec.kp, spec.max_degree
-    index = _window_evaluator(kp.p, kp.q, top).index
-    name = _namer(kp, top)
-    out = [(index(*e), name(*e), e) for e in admissible_exponents(kp, top)]
-    out.sort()
-    return out
+def _lines(kp: KnotParams, top: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """``(g, D, B, P0, m)`` for every nonempty line of degree D <= top, in
+    (D, B) order: its m points b^B*p^P*q^Q with qP + pQ = c = D - pq*B are
+    P = P0, P0 + p, ..., they share the ECH index g, and g strictly
+    increases along the walk.  P0 = c/q mod p is the same for every B of one
+    D and m = (c - q*P0) // pq + 1 falls by one per B, so the walk of D
+    stops at the first empty B, the m of B = 0."""
+    p, q = kp.p, kp.q
+    index = _window_evaluator(p, q, top).index
+    step = pow(q, -1, p)  # P0 = D/q mod p grows by 1/q mod p per degree
+    last, P0 = -1, 0
+    for D in range(top + 1):
+        if q * P0 <= D:
+            Q0 = (D - q * P0) // p  # the first point of line B has Q = Q0 - q*B
+            n = Q0 // q + 1
+            for B in range(n):
+                g = index(B, 0, P0, Q0 - q * B)
+                assert g > last, "line indices must increase along the walk"
+                last = g
+                yield g, D, B, P0, n - B
+        P0 = (P0 + step) % p
+
+
+def _generators(spec: ComplexSpec) -> Iterator[tuple[int, str, int, Exponents]]:
+    """(degree, canonical name, ech_index, exponents) of every admissible
+    current of degree at most the cutoff, in increasing (ech_index, name)
+    order: line by line, its points at g sorted by name, then its
+    h-currents at g + 1 sorted by name.  The i-th h-current has the P of
+    point i and the Q of point i + 1."""
+    kp = spec.kp
+    p, q, name = kp.p, kp.q, _namer(kp, spec.max_degree)
+    for g, D, B, P0, m in _lines(kp, spec.max_degree):
+        Q0 = (D - kp.pq * B - q * P0) // p
+        for H in (0, 1):
+            line = [(B, H, P0 + i * p, Q0 - (i + H) * q) for i in range(m - H)]
+            for text, e in sorted((name(*e), e) for e in line):
+                yield D, text, g + H, e
 
 
 def enumerate_currents(spec: ComplexSpec) -> list[ReebCurrent]:
     """All admissible currents of degree at most the cutoff, sorted by
     (ech_index, canonical name)."""
-    return [ReebCurrent(*e) for _, _, e in _sorted_currents(spec)]
+    return [ReebCurrent(*e) for *_, e in _generators(spec)]
 
 
 class WindowError(ValueError):
@@ -113,12 +141,6 @@ class BoundaryMatrix:
                 return False
         return True
 
-    def homology(self, max_index: int) -> dict[int, int]:
-        """Homology rank in each index 0..max_index; refuses a window the
-        cutoff does not certify."""
-        _certify(self.spec, max_index)
-        return _ranks(zip(self.grading, self.columns), max_index)
-
 
 def _complex(spec: ComplexSpec) -> tuple[list[Exponents], list[int], list[tuple[int, ...]]]:
     """``(exponents, grading, columns)`` of the complex: the (B, H, P, Q)
@@ -138,34 +160,28 @@ def differential(spec: ComplexSpec) -> BoundaryMatrix:
     return BoundaryMatrix(spec, *_complex(spec))
 
 
-def _ranks(graded: Iterable[tuple[int, object]], max_index: int) -> dict[int, int]:
-    """Homology rank in each index 0..max_index from ``(grade, boundary)``
-    per generator, the boundary read for whether it is nonzero.  The
-    nonzero columns are independent, so a generator without boundary adds 1
-    to its grade and one with a boundary subtracts 1 from the grade below:
-    its own n_g and r_g cancel, and r_g lowers H_(g-1)."""
-    ranks: dict[int, int] = {}
-    get = ranks.get
-    for g, boundary in graded:
-        if boundary:
-            g -= 1
-            ranks[g] = get(g, 0) - 1
-        else:
-            ranks[g] = get(g, 0) + 1
-    return {g: get(g, 0) for g in range(max_index + 1)}
+def _counted(spec: ComplexSpec, max_index: int, den: int, bound: tuple[int, int]) -> dict[int, int]:
+    """Homology rank in each index 0..max_index of the lines whose key
+    (D * den, B) is at most ``bound``: 1 at the index of each, 0 elsewhere.
+    The indices and the keys both increase along the walk, so the kept
+    lines are its prefix up to the first index or key past the window."""
+    ranks = dict.fromkeys(range(max_index + 1), 0)
+    for g, D, B, _, _ in _lines(spec.kp, spec.max_degree):
+        if g > max_index or (D * den, B) > bound:
+            break
+        ranks[g] = 1
+    return ranks
 
 
 def homology(spec: ComplexSpec, max_index: int) -> dict[int, int]:
     """Homology rank in each index 0..max_index.
 
     Refuses when the degree cutoff does not certify the window, reporting
-    the cutoff that would.  A current has a nonzero boundary exactly when
-    it contains h.
+    the cutoff that would.
     """
     _certify(spec, max_index)
-    kp, top = spec.kp, spec.max_degree
-    index = _window_evaluator(kp.p, kp.q, top).index
-    return _ranks(((index(*e), e[1]) for e in admissible_exponents(kp, top)), max_index)
+    # every line of the window has D <= max_degree and B <= D
+    return _counted(spec, max_index, 1, (spec.max_degree, spec.max_degree))
 
 
 def knot_filtered_homology(
@@ -173,27 +189,11 @@ def knot_filtered_homology(
 ) -> dict[int, int]:
     """Homology of the subcomplex of currents with knot filtration <= K.
 
-    A current of degree above K is never kept and the differential keeps
-    the degree, so the subcomplex is read from the complex cut at
-    min(max_degree, floor(K)); below degree 0 that cut has no current."""
+    On integers, D + B*d <= num/den + e*d is the lexicographic order of the
+    pairs (D * den, B) and (num, e); a cutoff below 0 keeps nothing."""
     _certify(spec, max_index)
     cutoff = coerce(filtration)
-    kp = spec.kp
-    top = min(spec.max_degree, cutoff.rat.numerator // cutoff.rat.denominator)
-    index = _window_evaluator(kp.p, kp.q, top).index
-    kept = _kept(kp, cutoff)
-    graded = ((index(*e), e[1]) for e in admissible_exponents(kp, top) if kept(*e))
-    return _ranks(graded, max_index)
-
-
-def _kept(kp: KnotParams, cutoff: InfRat) -> Callable[[int, int, int, int], bool]:
-    """``kept(B, H, P, Q)``: whether ``knot_filtration <= cutoff``, on
-    integers: degree + B*d <= num/den + e*d is the lexicographic order of
-    the pairs (degree * den, B) and (num, e).  A source and both of its
-    targets share the pair, so the kept currents form a subcomplex."""
-    p, q, pq = kp.p, kp.q, kp.pq
-    num, den, e = cutoff.rat.numerator, cutoff.rat.denominator, cutoff.delta
-    return lambda B, H, P, Q: ((pq * (B + H) + q * P + p * Q) * den, B) <= (num, e)
+    return _counted(spec, max_index, cutoff.rat.denominator, (cutoff.rat.numerator, cutoff.delta))
 
 
 def linking_threshold(kp: KnotParams, k: int) -> InfRat:
@@ -211,12 +211,11 @@ def homology_representative(spec: ComplexSpec, index: int) -> ReebCurrent:
     value = nk(p, q, k)
     if value > spec.max_degree:
         raise WindowError(index, value)
-    repeats = repeat_count(p, q, k)
-    # lattice point on px + qy = value closest to the x-axis
-    y0 = next(y for y in range(p) if (value - q * y) % p == 0 and value - q * y >= 0)
-    x0 = (value - q * y0) // p
-    b = repeats - 1
-    rep = ReebCurrent(B=b, H=0, P=y0, Q=x0 - b * q)
+    b = repeat_count(p, q, k) - 1
+    # the first point of the index-2k line, (D, B) = (N_k, repeats - 1)
+    c = value - spec.kp.pq * b
+    P0 = c * pow(q, -1, p) % p
+    rep = ReebCurrent(B=b, H=0, P=P0, Q=(c - q * P0) // p)
     assert degree(rep, spec.kp) == value
     assert ech_index(rep, spec.kp) == index
     return rep

@@ -114,7 +114,12 @@ def _namer(kp: KnotParams, max_degree: int) -> Callable[[int, int, int, int], st
 
 def admissible_exponents(kp: KnotParams, max_degree: int) -> Iterator[tuple[int, int, int, int]]:
     """Exponents (B, H, P, Q) of every admissible current of degree at most
-    the cutoff, ordered by B + H, then H, P and Q."""
+    the cutoff, ordered by B + H, then H, P and Q.
+
+    The complex has a second loop, the walk over lines in
+    :mod:`echtk.complexes`, which relies on facts about the index and the
+    lattice.  This one relies on none, so the boundary matrix and the
+    crosscheck built on it can check that walk."""
     p, q, pq = kp.p, kp.q, kp.pq
     for bh in range(max_degree // pq + 1):
         rem_bh = max_degree - pq * bh

@@ -1,12 +1,13 @@
 """Slow GF(2) oracle for the homology of the currents complex.
 
 Columns are int bitsets over row positions and are reduced left to right
-in the standard persistence style.  The library reduces nothing: the
-columns of the currents complex join neighbouring lattice points on the
-lines qP + pQ = const of one B, so they form paths and are independent,
-and it counts H_g = n_g - r_g - r_{g+1} with r_g the number of grade-g
-columns.  This module is the independent check of that count, used only
-by the tests.
+in the standard persistence style.  The library reduces nothing: it walks
+the lines of the complex, the points b^B p^P q^Q of one degree D and one B
+together with the h-currents between them, and puts rank 1 at the index
+of each line, which is a path.  This module is the independent check of
+that count, used only by the tests: the keep mask compares every current
+with the cutoff through ``knot_filtration``, and the members of a line are
+found by solving its equation, not by the library's walk.
 """
 
 from echtk.complexes import (
@@ -15,7 +16,7 @@ from echtk.complexes import (
     homology,
     knot_filtered_homology,
 )
-from echtk.currents import knot_filtration
+from echtk.currents import ReebCurrent, knot_filtration
 from echtk.nseq import lattice_count
 
 
@@ -70,22 +71,46 @@ def subcomplex_ranks(grading, columns, keep):
     return bitset_ranks([grading[j] for j in kept], bitsets)
 
 
+def keep_mask(kp, exponents):
+    """``mask(cutoff)``: per exponent tuple, whether its current has knot
+    filtration <= cutoff; each distinct level is compared once per cutoff."""
+    ids = {}
+    slots = [ids.setdefault(knot_filtration(ReebCurrent(*e), kp), len(ids)) for e in exponents]
+
+    def mask(cutoff):
+        flags = [level <= cutoff for level in ids]
+        return [flags[i] for i in slots]
+
+    return mask
+
+
+def line_currents(kp, D, B):
+    """The points (B, 0, P, Q) with qP + pQ = D - pq*B and the h-currents
+    (B, 1, P, Q) with qP + pQ = D - pq*(B + 1) of the line (D, B), each
+    list ordered by P."""
+    p, q, pq = kp.p, kp.q, kp.pq
+
+    def solutions(c):
+        return [(P, (c - q * P) // p) for P in range(c // q + 1) if (c - q * P) % p == 0]
+
+    c = D - pq * B
+    return [(B, 0, P, Q) for P, Q in solutions(c)], [(B, 1, P, Q) for P, Q in solutions(c - pq)]
+
+
 def assert_ranks_match_oracle(kp, max_degree, levels):
     """The library's ranks equal the oracle's for the whole complex and for
     the knot-filtered subcomplex at each level: in every grading, and over
     the largest index window the cutoff certifies.  ``homology`` and
-    ``knot_filtered_homology`` count over the enumeration and
-    ``matrix.homology`` over the built matrix; the oracle reduces the
-    matrix."""
+    ``knot_filtered_homology`` count over the walk of lines; the oracle
+    reduces the matrix."""
     spec = ComplexSpec(kp, max_degree)
     matrix = differential(spec)
     top = 2 * (lattice_count(kp.p, kp.q, max_degree) - 1)
     oracle = bitset_ranks(matrix.grading, bitset_columns(matrix.columns))
-    assert matrix.homology(top) == {g: oracle.get(g, 0) for g in range(top + 1)}
     assert homology(spec, top) == {g: oracle.get(g, 0) for g in range(top + 1)}
+    mask = keep_mask(kp, matrix.exponents)
     for level in levels:
-        keep = [knot_filtration(c, kp) <= level for c in matrix.generators]
-        oracle = subcomplex_ranks(matrix.grading, matrix.columns, keep)
+        oracle = subcomplex_ranks(matrix.grading, matrix.columns, mask(level))
         assert knot_filtered_homology(spec, level, top) == {
             g: oracle.get(g, 0) for g in range(top + 1)
         }

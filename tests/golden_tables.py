@@ -88,6 +88,12 @@ TABLE_T35 = [
     (23, "b p q", 48),
 ]
 
+# `generators --p 3 --q 4 --max-degree 300 --format csv`: sha256 of the
+# output and its number of lines (65,101 generators and the header); the
+# digest is also the one bench/digests.json pins for that command
+GENERATORS_T34_300_CSV_SHA256 = "022057c5be75eac924fe0ef3d17421047221c7f9a4a4c807fa3a792c999bf0c7"
+GENERATORS_T34_300_CSV_LINES = 65102
+
 # (orbit label, cz_orb) sorted by (action, cz, label) for T(3,4), action <= 2
 CZ_TABLE_T34 = [
     ("q", 3),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from math import gcd
 
@@ -10,6 +11,7 @@ from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 from echtk.indices import ech_index
 from echtk.nseq import nk_upto
 from echtk.spectra import weyl_sup
+from golden_tables import GENERATORS_T34_300_CSV_LINES, GENERATORS_T34_300_CSV_SHA256
 
 
 def run(capsys, *argv):
@@ -47,6 +49,15 @@ def test_generators_csv_matches_exponent_reference(capsys):
             keyed = sorted((ech_index(c, kp), c.name(), degree(c, kp)) for c in currents)
             expected = ["degree,generator,index"] + [f"{d},{n},{i}" for i, n, d in keyed]
             assert out.splitlines() == expected
+
+
+def test_generators_large_window_matches_its_golden_digest(capsys):
+    code, out, _ = run(
+        capsys, "generators", "--p", "3", "--q", "4", "--max-degree", "300", "--format", "csv"
+    )
+    assert code == 0
+    assert out.count("\n") == GENERATORS_T34_300_CSV_LINES
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATORS_T34_300_CSV_SHA256
 
 
 def table_text(header, rows):
@@ -150,6 +161,17 @@ def test_window_violation_surfaces(capsys):
     )
     assert code == 1
     assert "max_degree >= 12" in err
+
+
+def test_homology_refuses_an_uncertified_window_before_building_the_matrix(capsys, monkeypatch):
+    def build(spec):
+        raise AssertionError("the boundary matrix was built")
+
+    monkeypatch.setattr(cli, "differential", build)
+    code, out, err = run(capsys, "homology", "--p", "3", "--q", "4", "--max-index", "100000",
+                         "--max-degree", "800", "--check-d-squared")
+    assert code == 1 and out == ""
+    assert err == "error: index window up to 100000 needs max_degree >= 1092\n"
 
 
 def test_homology_negative_window_is_a_usage_error(capsys):

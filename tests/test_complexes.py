@@ -8,7 +8,7 @@ from echtk.complexes import (
     ComplexSpec,
     WindowError,
     _complex,
-    _kept,
+    _lines,
     differential,
     enumerate_currents,
     homology,
@@ -21,7 +21,14 @@ from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 from echtk.exact import InfRat
 from echtk.indices import ech_index
 from echtk.nseq import nk, repeat_count
-from gf2_oracle import assert_ranks_match_oracle, bitset_columns, bitset_ranks, subcomplex_ranks
+from gf2_oracle import (
+    assert_ranks_match_oracle,
+    bitset_columns,
+    bitset_ranks,
+    keep_mask,
+    line_currents,
+    subcomplex_ranks,
+)
 
 KP = KnotParams(3, 4)
 
@@ -169,8 +176,9 @@ def test_knot_filtered_homology_examples():
 
 
 def test_integer_filtration_mask_matches_infrat_comparison():
-    # integer, non-integer and negative rational parts, each with a
-    # negative, zero and positive d coefficient
+    # the line key (D * den, B) <= (num, e) against knot_filtration of every
+    # point and h-current on the line: integer, non-integer and negative
+    # rational parts, each with a negative, zero and positive d coefficient
     rationals = [Fraction(-1), Fraction(0), Fraction(30), Fraction(61, 2), Fraction(22, 3),
                  Fraction(-1, 2)]
     for q in range(2, 7):
@@ -178,20 +186,21 @@ def test_integer_filtration_mask_matches_infrat_comparison():
             if gcd(p, q) != 1:
                 continue
             kp = KnotParams(p, q)
-            exponents = list(admissible_exponents(kp, 60))
-            levels = [knot_filtration(ReebCurrent(*e), kp) for e in exponents]
+            lines = [(D, B, keep_mask(kp, sum(line_currents(kp, D, B), [])))
+                     for _, D, B, _, _ in _lines(kp, 60)]
             for r in rationals:
                 for e in (-1, 0, 2):
                     cutoff = InfRat(r, e)
-                    expected = [level <= cutoff for level in levels]
-                    kept = _kept(kp, cutoff)
-                    assert [kept(*x) for x in exponents] == expected, (p, q, cutoff)
+                    num, den = cutoff.rat.numerator, cutoff.rat.denominator
+                    for D, B, mask in lines:
+                        kept = (D * den, B) <= (num, e)
+                        assert set(mask(cutoff)) == {kept}, (p, q, cutoff, D, B)
 
 
 def test_knot_filtered_cut_matches_the_full_window_mask():
-    # knot_filtered_homology reads the complex cut at floor(K); the oracle
-    # masks the whole degree-60 window.  Negative, non-integer, inside and
-    # above-the-window rational parts, each with e in {-1, 0, 2}
+    # knot_filtered_homology stops the walk at the first line past K; the
+    # oracle masks the whole degree-60 window.  Negative, non-integer, inside
+    # and above-the-window rational parts, each with e in {-1, 0, 2}
     rationals = [Fraction(-5, 2), Fraction(-1), Fraction(-1, 3), Fraction(0), Fraction(22, 3),
                  Fraction(30), Fraction(61, 2), Fraction(60), Fraction(121, 2), Fraction(200)]
     for q in range(2, 7):
@@ -204,11 +213,11 @@ def test_knot_filtered_cut_matches_the_full_window_mask():
             while required_degree(kp, max_index + 1) <= 60:
                 max_index += 1
             exponents, grading, columns = _complex(spec)
+            mask = keep_mask(kp, exponents)
             for r in rationals:
                 for e in (-1, 0, 2):
                     cutoff = InfRat(r, e)
-                    kept = _kept(kp, cutoff)
-                    ranks = subcomplex_ranks(grading, columns, [kept(*x) for x in exponents])
+                    ranks = subcomplex_ranks(grading, columns, mask(cutoff))
                     expected = {g: ranks.get(g, 0) for g in range(max_index + 1)}
                     got = knot_filtered_homology(spec, cutoff, max_index)
                     assert got == expected, (p, q, cutoff)
@@ -279,7 +288,6 @@ def test_boundary_matrix_builds_generators_on_first_read(monkeypatch):
     built = count_currents(monkeypatch)
     matrix = differential(ComplexSpec(KP, 40))
     assert matrix.d_squared_is_zero()
-    assert matrix.homology(20) == homology(ComplexSpec(KP, 40), 20)
     assert not built
     generators = matrix.generators
     assert len(built) == len(matrix.exponents) == len(generators)

@@ -4,11 +4,14 @@ Within one (degree, B) the columns of the currents complex join
 neighbouring lattice points of a line qP + pQ = const, so they form paths
 and are independent over GF(2); a source and both of its targets share the
 knot filtration key, so every filtered subcomplex is closed under the
-differential.  On these two facts the library counts homology as
-H_g = n_g - r_g - r_{g+1} with r_g the number of kept grade-g columns, and
-those counts equal the bitset column reduction in gf2_oracle.py.  The
-homology is Z/2 in every certified even index and 0 in odd ones, and the
-knot-filtered class of index 2k appears exactly at ``linking_threshold``.
+differential.  The library walks these lines in (degree, B) order: a
+line's points share one index g, its h-currents sit at g + 1, g strictly
+increases along the walk, and the lines cover the admissible currents
+once each.  So the generators come out sorted line by line, the homology
+is rank 1 at each line's index, and those ranks equal the bitset column
+reduction in gf2_oracle.py.  The homology is Z/2 in every certified even
+index and 0 in odd ones, and the knot-filtered class of index 2k appears
+exactly at ``linking_threshold``.
 The closed-form index evaluator on exponent tuples equals the ledger
 expansion and the lattice-path index, has the parity of H, and satisfies
 the h/b step relations."""
@@ -24,18 +27,25 @@ st = hypothesis.strategies
 from echtk.complexes import (  # noqa: E402
     ComplexSpec,
     _complex,
-    _kept,
+    _generators,
+    _lines,
     homology,
     knot_filtered_homology,
     linking_threshold,
     required_degree,
 )
-from echtk.currents import KnotParams, ReebCurrent  # noqa: E402
+from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree  # noqa: E402
 from echtk.exact import InfRat  # noqa: E402
-from echtk.indices import _index_evaluator, ech_index_from_components  # noqa: E402
+from echtk.indices import _index_evaluator, ech_index, ech_index_from_components  # noqa: E402
 from echtk.nseq import nk  # noqa: E402
 from echtk.toric import current_to_path, path_index  # noqa: E402
-from gf2_oracle import assert_ranks_match_oracle, bitset_columns, bitset_ranks  # noqa: E402
+from gf2_oracle import (  # noqa: E402
+    assert_ranks_match_oracle,
+    bitset_columns,
+    bitset_ranks,
+    keep_mask,
+    line_currents,
+)
 
 PAIRS = st.integers(2, 16).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q)))
 
@@ -132,14 +142,14 @@ def test_blocks_are_path_graphs(pq, b_top, extra):
 def test_filtration_flags_a_source_as_both_targets(pq, B, P, Q, offset, delta):
     """The counting rule needs every filtered subcomplex to be closed under
     the differential: a kept h-current never hits a dropped target.  The
-    keep key is in fact the same for a source and both of its targets, so
-    all three get one flag.  The cutoff is drawn near their common degree
-    and B so that both flags occur."""
+    knot filtration is in fact the same for a source and both of its
+    targets, so the oracle mask gives all three one flag.  The cutoff is
+    drawn near their common degree and B so that both flags occur."""
     p, q = pq
     kp = KnotParams(p, q)
     level = p * q * (B + 1) + q * P + p * Q
-    kept = _kept(kp, InfRat(level + offset, B + delta))
-    assert kept(B, 1, P, Q) == kept(B, 0, P + p, Q) == kept(B, 0, P, Q + q)
+    mask = keep_mask(kp, [(B, 1, P, Q), (B, 0, P + p, Q), (B, 0, P, Q + q)])
+    assert len(set(mask(InfRat(level + offset, B + delta)))) == 1
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -158,3 +168,43 @@ def test_knot_filtered_class_appears_at_the_linking_threshold(pq, k):
     level = linking_threshold(kp, k)
     assert knot_filtered_homology(spec, level, 2 * k)[2 * k] == 1
     assert knot_filtered_homology(spec, level - InfRat(0, 1), 2 * k)[2 * k] == 0
+
+
+WINDOWS = st.tuples(COPRIME_UP_TO_30, st.integers(0, 3), st.integers(0, 40))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(window=WINDOWS)
+def test_lines_share_one_index_and_cover_the_window_once(window):
+    """Each line's m points, found by solving qP + pQ = D - pq*B, share the
+    walk's index g and start at P0; its m - 1 h-currents sit at g + 1.  The
+    indices strictly increase along the walk, and the lines hold every
+    admissible current of the window exactly once."""
+    (p, q), b_top, extra = window
+    kp = KnotParams(p, q)
+    max_degree = b_top * p * q + extra
+    lines = list(_lines(kp, max_degree))
+    members = Counter()
+    for g, D, B, P0, m in lines:
+        points, h_currents = line_currents(kp, D, B)
+        assert len(points) == m and len(h_currents) == m - 1 and points[0][2] == P0
+        assert {ech_index(ReebCurrent(*e), kp) for e in points} == {g}
+        assert {ech_index(ReebCurrent(*e), kp) for e in h_currents} <= {g + 1}
+        members.update(points + h_currents)
+    indices = [g for g, *_ in lines]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert members == Counter(admissible_exponents(kp, max_degree))
+    assert max(members.values()) == 1
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(window=WINDOWS)
+def test_generator_stream_is_sorted_by_index_then_name(window):
+    (p, q), b_top, extra = window
+    kp = KnotParams(p, q)
+    max_degree = b_top * p * q + extra
+    currents = [ReebCurrent(*e) for e in admissible_exponents(kp, max_degree)]
+    expected = sorted((ech_index(c, kp), c.name(), degree(c, kp)) for c in currents)
+    stream = list(_generators(ComplexSpec(kp, max_degree)))
+    assert [(g, text, D) for D, text, g, _ in stream] == expected
+    assert all(ReebCurrent(*e).name() == text for _, text, _, e in stream)
