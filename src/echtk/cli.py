@@ -34,7 +34,6 @@ from .nseq import runs
 from .spectra import (
     _error_runs,
     action_linking_bound,
-    action_spectrum,
     calabi_mean_action_bound,
     cobordism_obstruction,
     weyl_sup,

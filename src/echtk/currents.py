@@ -81,16 +81,16 @@ class ReebCurrent:
         text = text.strip()
         if text in ("1", ""):
             return cls()
-        mult = {o: 0 for o in ORBITS}
+        mult: dict[str, int] = {}
         for token in text.split():
             m = re.fullmatch(r"([bhpq])(?:\^(\d+))?", token)
             if not m:
                 raise ValueError(f"bad orbit token {token!r}")
             orbit, e = m.group(1), int(m.group(2) or 1)
-            if mult[orbit]:
+            if orbit in mult:
                 raise ValueError(f"orbit {orbit!r} repeated in {text!r}")
             mult[orbit] = e
-        return cls(mult["b"], mult["h"], mult["p"], mult["q"])
+        return cls(*(mult.get(o, 0) for o in ORBITS))
 
 
 def _power(orbit: str, mult: int) -> str:

@@ -125,12 +125,10 @@ def floor_inf(x: "InfRat | Scalar") -> int:
 
     The infinitesimal part only matters when the rational part is itself
     an integer: a negative offset then pulls the value just below it.
+    Taking one from the numerator does that, and changes no other floor.
     """
     x = coerce(x)
-    n, den = x.rat.numerator, x.rat.denominator
-    if den != 1:
-        return n // den
-    return n if x.delta >= 0 else n - 1
+    return (x.rat.numerator - (x.delta < 0)) // x.rat.denominator
 
 
 def ceil_inf(x: "InfRat | Scalar") -> int:

@@ -5,7 +5,8 @@
 search on triangle lattice-point counts; a whole prefix comes as runs of
 equal values from the closed representation count (:func:`runs`).
 :class:`NSeq` keeps a deliberately independent brute-force path for
-cross-validation.
+cross-validation.  The partition conditions are read off lattice paths,
+each one upper hull of integer floor points (:func:`partition`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .exact import InfRat, ceil_inf, floor_inf
+from .exact import InfRat, coerce
 
 
 def _check_pq(p: int, q: int) -> None:
@@ -173,16 +174,12 @@ def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _hull(points: list[tuple[int, int]], upper: bool) -> list[tuple[int, int]]:
-    # monotone chain over points already sorted by x; collinear points dropped
+def _hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    # upper monotone chain over points already sorted by x; collinear points dropped
     chain: list[tuple[int, int]] = []
     for pt in points:
-        while len(chain) >= 2:
-            c = _cross(chain[-2], chain[-1], pt)
-            if (c >= 0) if upper else (c <= 0):
-                chain.pop()
-            else:
-                break
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], pt) >= 0:
+            chain.pop()
         chain.append(pt)
     return chain
 
@@ -201,21 +198,18 @@ def partition(theta: InfRat | Fraction | int, m: int, sign: str) -> tuple[int, .
 
     ``sign='+'``: highest concave path below the line, through the points
     ``(x, floor(theta*x))``.  ``sign='-'``: lowest convex path above the
-    line, through ``(x, ceil(theta*x))``.  Parts are the horizontal
-    displacements between consecutive lattice points on the path.
+    line, through ``(x, ceil(theta*x))``; since ceil(theta*x) =
+    -floor(-theta*x), it is the ``'+'`` path of -theta mirrored in y, with
+    the same parts.  Parts are the horizontal displacements between
+    consecutive lattice points on the path.
     """
     if m < 1:
         raise ValueError("multiplicity must be at least 1")
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if not isinstance(theta, InfRat):
-        theta = InfRat(theta, 0)
-    if sign == "+":
-        pts = [(x, floor_inf(theta * x)) for x in range(m + 1)]
-        chain = _hull(pts, upper=True)
-    else:
-        pts = [(x, ceil_inf(theta * x)) for x in range(m + 1)]
-        chain = _hull(pts, upper=False)
-    parts = _edge_parts(chain)
+    theta = coerce(theta) if sign == "+" else -coerce(theta)
+    # floor((a/b + s*d) * x): s*x < 0 only pulls an integer a*x/b one below
+    a, b, s = theta.rat.numerator, theta.rat.denominator, theta.delta
+    parts = _edge_parts(_hull([(x, (a * x - (s * x < 0)) // b) for x in range(m + 1)]))
     assert sum(parts) == m
     return parts

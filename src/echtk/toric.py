@@ -1,12 +1,14 @@
 """Lattice-path model of the chain complex.
 
-A generator is a concave lattice path from the y-axis to the x-axis made
-of an upper hull, a middle segment of slope -p/q, and a lower hull.  The
-path is stored compressed as (anchor, m, label): the anchor is the upper
-endpoint of the middle segment, m its length in steps of (q, -p), and the
-label marks whether the segment carries the hyperbolic orbit.  The two
-hull pieces are determined by the anchor, so they are recomputed on
-demand rather than stored.
+A generator is a concave lattice path from the y-axis to the x-axis with
+a middle segment of slope -p/q on the line px + qy = W.  The path is
+stored compressed as (anchor, m, label): the anchor is the upper endpoint
+of the middle segment, m its length in steps of (q, -p), and the label
+marks whether the segment carries the hyperbolic orbit.  The rest of the
+path is determined by the segment: the whole path is one upper hull of
+the segment's ends and the highest integer points strictly under the line
+in the columns left and right of it, so it is recomputed on demand rather
+than stored.
 """
 
 from __future__ import annotations
@@ -98,38 +100,17 @@ def round_corner(path: LatticePath) -> tuple[LatticePath, LatticePath]:
 
 
 def vertices(path: LatticePath) -> list[tuple[int, int]]:
-    """Corner points of the full path, from the y-axis to the x-axis."""
-    kp = path.kp
-    p, q = kp.p, kp.q
-    w = path.filtration_value
-    Q, P = path.anchor
-    lowQ, lowP = path.lower_endpoint
+    """Corner points of the full path, from the y-axis to the x-axis.
 
-    # upper hull piece: columns 0..Q, strictly under px+qy = W except the anchor
-    left_pts = []
-    for x in range(Q + 1):
-        top = P if x == Q else (w - p * x - 1) // q
-        left_pts.append((x, top))
-    chain = _hull(left_pts, upper=True)
-
-    # middle segment endpoint
-    if path.m > 0:
-        chain.append((lowQ, lowP))
-
-    # mirrored hull piece: columns lowQ..x_end, strictly under the line
-    x_end = max((w - 1) // p, lowQ) if w > 0 else 0
-    right_pts = []
-    for x in range(lowQ, x_end + 1):
-        top = lowP if x == lowQ else (w - p * x - 1) // q
-        right_pts.append((x, top))
-    right_chain = _hull(right_pts, upper=True)
-
-    out = chain + right_chain[1:]
-    deduped = [out[0]]
-    for pt in out[1:]:
-        if pt != deduped[-1]:
-            deduped.append(pt)
-    return deduped
+    One upper hull over the segment's two ends (one point when m = 0) and,
+    in each column left or right of the segment, the highest point
+    strictly under px + qy = W.
+    """
+    p, q, w = path.kp.p, path.kp.q, path.filtration_value
+    ends = [path.anchor, path.lower_endpoint] if path.m else [path.anchor]
+    left = [(x, (w - p * x - 1) // q) for x in range(ends[0][0])]
+    right = [(x, (w - p * x - 1) // q) for x in range(ends[-1][0] + 1, (w - 1) // p + 1)]
+    return _hull(left + ends + right)
 
 
 def svg(path: LatticePath, size: int = 480) -> str:

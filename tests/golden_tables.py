@@ -94,6 +94,13 @@ TABLE_T35 = [
 GENERATORS_T34_300_CSV_SHA256 = "022057c5be75eac924fe0ef3d17421047221c7f9a4a4c807fa3a792c999bf0c7"
 GENERATORS_T34_300_CSV_LINES = 65102
 
+# sha256 digests from lattice_path_oracle.py: `vertices` of every admissible
+# current of degree <= 60 for (2,3), (3,4), (3,5) and (5,8), and `partition`
+# over its fixed grid of theta, m and sign; both were recorded with the
+# two-hull `vertices` and the InfRat-floor `partition` they replace
+VERTICES_DIGEST = "ecb09f242ee561d265e33170a5f1105924951d410776c704de7b287d647a7379"
+PARTITION_DIGEST = "00753f1d9323f709b08284f006df07a4401560ae82bc45072d30c7bff42a8a43"
+
 # (orbit label, cz_orb) sorted by (action, cz, label) for T(3,4), action <= 2
 CZ_TABLE_T34 = [
     ("q", 3),

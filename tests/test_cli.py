@@ -220,6 +220,7 @@ def test_obstruct_negative_k_max_is_a_usage_error(capsys, frm, to):
             ("knot-filtered", "--max-index", "4", "--filtration", "1/0"),
             "zero denominator in infinitesimal-rational value: '1/0'",
         ),
+        (("toric", "path", "--current", "b^0 b^2"), "orbit 'b' repeated in 'b^0 b^2'"),
     ],
 )
 def test_library_errors_are_usage_errors(capsys, argv, message):

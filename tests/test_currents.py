@@ -112,8 +112,9 @@ def test_names_and_json():
     assert ReebCurrent.from_json(c.to_json()) == c
     with pytest.raises(ValueError):
         ReebCurrent.from_name("x^2")
-    with pytest.raises(ValueError):
-        ReebCurrent.from_name("q q")
+    for text in ("q q", "b b^0", "b^0 b^2"):
+        with pytest.raises(ValueError, match="repeated"):
+            ReebCurrent.from_name(text)
 
 
 def test_knot_params_validation():

@@ -17,6 +17,8 @@ from echtk.nseq import (
     repeat_count,
     runs,
 )
+from golden_tables import PARTITION_DIGEST
+from lattice_path_oracle import partition_digest, partition_reference
 
 
 def brute_sequence(p, q, k_max):
@@ -196,6 +198,11 @@ def test_partition_plus_equals_minus_of_negated_angle():
         theta = InfRat(Fraction(num, den), -1)
         for m in range(1, 12):
             assert partition(theta, m, "+") == partition(-theta, m, "-")
+
+
+def test_partition_matches_its_golden_digest():
+    assert partition_digest(partition) == PARTITION_DIGEST
+    assert partition_digest(partition_reference) == PARTITION_DIGEST
 
 
 def test_partition_input_validation():

@@ -13,6 +13,8 @@ from echtk.toric import (
     svg,
     vertices,
 )
+from golden_tables import VERTICES_DIGEST
+from lattice_path_oracle import vertices_digest, vertices_reference
 
 KP = KnotParams(3, 4)
 
@@ -130,6 +132,11 @@ def test_vertices_shape():
     for c in enumerate_currents(ComplexSpec(KP, 40)):
         vs = vertices(current_to_path(c, KP))
         assert all(a[0] < b[0] for a, b in zip(vs, vs[1:]))
+
+
+def test_vertices_match_their_golden_digest():
+    assert vertices_digest(vertices) == VERTICES_DIGEST
+    assert vertices_digest(vertices_reference) == VERTICES_DIGEST
 
 
 def test_svg_smoke():
