@@ -16,13 +16,14 @@ import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, repeat
+from operator import itemgetter
 
 from . import __version__
 from .complexes import (
     ComplexSpec,
     WindowError,
     _generators,
-    differential,
+    d_squared_is_zero,
     homology,
     knot_filtered_homology,
     required_degree,
@@ -73,11 +74,12 @@ def _emit(args, header: list[str], rows: Iterable[Sequence[str]], meta: dict) ->
     iterable yields them; a table needs its column widths and JSON one
     list, so those two read all rows first.
 
-    CSV goes out one string per line, not one per run of a scan:
-    io.StringIO keeps every string written to it until it is read, and
-    line-sized strings live in Python's small-object arenas, which are
-    freed after the read, while run-sized ones come from the C heap and can
-    stay resident (12 MB more peak RSS for a 10^6-row nseq on CPython 3.11)."""
+    CSV goes out one string per row, not one per run of a scan or per line
+    of the complex: io.StringIO keeps every string written to it until it
+    is read, and row-sized strings live in Python's small-object arenas,
+    which are freed after the read, while run-sized ones come from the C
+    heap and can stay resident (12 MB more peak RSS for a 10^6-row nseq on
+    CPython 3.11)."""
     fmt = getattr(args, "format", "table")
     out = sys.stdout
     if fmt == "csv":
@@ -130,7 +132,12 @@ def _cmd_generators(args) -> None:
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
     spec = ComplexSpec(kp, args.max_degree)
-    rows = ((str(D), name, str(index)) for D, name, index, _ in _generators(spec))
+    # one zip per half-line, like the per-run rows of the scans: its degree
+    # and index are rendered once, its names are already strings
+    rows = chain.from_iterable(
+        zip(repeat(str(D)), map(itemgetter(0), block), repeat(str(index)))
+        for D, index, block in _generators(spec)
+    )
     _emit(args, ["degree", "generator", "index"], rows, _meta(kp, maxDegree=args.max_degree))
 
 
@@ -158,9 +165,9 @@ def _cmd_homology(args) -> None:
     spec = _window_spec(args, kp)
     meta = _meta(kp, maxIndex=args.max_index, maxDegree=spec.max_degree,
                  validatedWindow=f"indices 0..{args.max_index}")
-    ranks = homology(spec, args.max_index)  # refuses an uncertified window before any build
+    ranks = homology(spec, args.max_index)  # refuses an uncertified window before any check
     if args.check_d_squared:
-        meta["dSquaredZero"] = differential(spec).d_squared_is_zero()
+        meta["dSquaredZero"] = d_squared_is_zero(spec)
     rows = [[str(i), str(ranks[i])] for i in range(args.max_index + 1)]
     _emit(args, ["index", "rank"], rows, meta)
 

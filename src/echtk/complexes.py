@@ -14,10 +14,13 @@ Walked in (D, B) order the indices g strictly increase, so the generators
 come out in (index, name) order one line at a time, with no global sort,
 and H_g is 1 exactly at the index of a line.  The knot filtration key
 (D, B) is constant on a line, so the lines of a filtered subcomplex are a
-prefix of the walk.
+prefix of the walk.  Every column lies inside its line, so
+:func:`d_squared_is_zero` checks d^2 = 0 one line at a time, and no
+command holds more of the complex than one line.
 
-:func:`differential` builds the boundary matrix without these facts, from
-:func:`admissible_exponents`; the tests reduce it to check the walk.
+:func:`differential` builds the whole boundary matrix without these
+facts, from :func:`admissible_exponents`; the tests reduce it to check the
+walk.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import cached_property
 
 from .currents import KnotParams, ReebCurrent, _namer, admissible_exponents, degree
 from .exact import InfRat, coerce
-from .indices import _window_evaluator, ech_index
+from .indices import _index_evaluator, _window_evaluator, ech_index
 from .nseq import nk, repeat_count
 
 Exponents = tuple[int, int, int, int]  # (B, H, P, Q) of b^B h^H p^P q^Q
@@ -50,14 +53,24 @@ def _lines(kp: KnotParams, top: int) -> Iterator[tuple[int, int, int, int, int]]
     P = P0, P0 + p, ..., they share the ECH index g, and g strictly
     increases along the walk.  P0 = c/q mod p is the same for every B of one
     D and m = (c - q*P0) // pq + 1 falls by one per B, so the walk of D
-    stops at the first empty B, the m of B = 0."""
+    stops at the first empty B, the m of B = 0.
+
+    Only a line's first point is graded, so the evaluator's prefix sums are
+    read below p for P and up to the Q0 of B = 0 for Q.  They grow as the
+    walk reaches them, doubling up to the top // p the cutoff needs, not
+    to it up front, since a caller may stop long before the cutoff."""
     p, q = kp.p, kp.q
-    index = _window_evaluator(p, q, top).index
+    evaluator = _index_evaluator(p, q)
+    index, cap = evaluator.index, top // p
+    grown = -1  # the sums cover at least Q <= grown
     step = pow(q, -1, p)  # P0 = D/q mod p grows by 1/q mod p per degree
     last, P0 = -1, 0
     for D in range(top + 1):
         if q * P0 <= D:
             Q0 = (D - q * P0) // p  # the first point of line B has Q = Q0 - q*B
+            if Q0 > grown:
+                grown = min(2 * Q0 + 1, cap)
+                evaluator.grow(p - 1, grown)
             n = Q0 // q + 1
             for B in range(n):
                 g = index(B, 0, P0, Q0 - q * B)
@@ -67,26 +80,63 @@ def _lines(kp: KnotParams, top: int) -> Iterator[tuple[int, int, int, int, int]]
         P0 = (P0 + step) % p
 
 
-def _generators(spec: ComplexSpec) -> Iterator[tuple[int, str, int, Exponents]]:
-    """(degree, canonical name, ech_index, exponents) of every admissible
-    current of degree at most the cutoff, in increasing (ech_index, name)
-    order: line by line, its points at g sorted by name, then its
-    h-currents at g + 1 sorted by name.  The i-th h-current has the P of
+def _line(kp: KnotParams, D: int, B: int, P0: int, m: int, H: int) -> list[Exponents]:
+    """The exponents of the m points (H = 0) or the m - 1 h-currents (H = 1)
+    of the line (D, B) that starts at P0: the i-th h-current has the P of
     point i and the Q of point i + 1."""
+    p, q = kp.p, kp.q
+    Q0 = (D - kp.pq * B - q * P0) // p
+    return [(B, H, P0 + i * p, Q0 - (i + H) * q) for i in range(m - H)]
+
+
+def _generators(spec: ComplexSpec) -> Iterator[tuple[int, int, list[tuple[str, Exponents]]]]:
+    """``(degree, ech_index, block)`` for each half of every line of degree
+    at most the cutoff, where ``block`` is the (canonical name, exponents)
+    pairs of the half sorted by name: line by line, its points at g, then
+    its h-currents at g + 1.  The concatenated blocks list every
+    admissible current once, in increasing (ech_index, name) order."""
     kp = spec.kp
-    p, q, name = kp.p, kp.q, _namer(kp, spec.max_degree)
+    name = _namer(kp, spec.max_degree)
     for g, D, B, P0, m in _lines(kp, spec.max_degree):
-        Q0 = (D - kp.pq * B - q * P0) // p
         for H in (0, 1):
-            line = [(B, H, P0 + i * p, Q0 - (i + H) * q) for i in range(m - H)]
-            for text, e in sorted((name(*e), e) for e in line):
-                yield D, text, g + H, e
+            yield D, g + H, sorted((name(*e), e) for e in _line(kp, D, B, P0, m, H))
 
 
 def enumerate_currents(spec: ComplexSpec) -> list[ReebCurrent]:
     """All admissible currents of degree at most the cutoff, sorted by
     (ech_index, canonical name)."""
-    return [ReebCurrent(*e) for *_, e in _generators(spec)]
+    return [ReebCurrent(*e) for _, _, block in _generators(spec) for _, e in block]
+
+
+def _squares_vanish(columns: list[tuple[int, ...]]) -> bool:
+    """Whether d^2 = 0 for the GF(2) columns given as row positions into
+    the same list."""
+    for col in columns:
+        acc: set[int] = set()
+        for row in col:
+            acc.symmetric_difference_update(columns[row])
+        if acc:
+            return False
+    return True
+
+
+def d_squared_is_zero(spec: ComplexSpec) -> bool:
+    """Whether d^2 = 0 on the complex below the cutoff, checked one line at a
+    time: the block of a line's m points and m - 1 h-currents, with each
+    h-current's column built by the rule of :func:`differential`."""
+    kp = spec.kp
+    p, q = kp.p, kp.q
+    for _, D, B, P0, m in _lines(kp, spec.max_degree):
+        points = _line(kp, D, B, P0, m, 0)
+        row = {e: i for i, e in enumerate(points)}
+        columns: list[tuple[int, ...]] = [()] * m
+        for _, _, P, Q in _line(kp, D, B, P0, m, 1):
+            a, b = (B, 0, P + p, Q), (B, 0, P, Q + q)
+            assert a in row and b in row, "a column must stay inside its line"
+            columns.append((row[a], row[b]))
+        if not _squares_vanish(columns):
+            return False
+    return True
 
 
 class WindowError(ValueError):
@@ -133,13 +183,7 @@ class BoundaryMatrix:
         return [ReebCurrent(*e) for e in self.exponents]
 
     def d_squared_is_zero(self) -> bool:
-        for col in self.columns:
-            acc: set[int] = set()
-            for row in col:
-                acc.symmetric_difference_update(self.columns[row])
-            if acc:
-                return False
-        return True
+        return _squares_vanish(self.columns)
 
 
 def _complex(spec: ComplexSpec) -> tuple[list[Exponents], list[int], list[tuple[int, ...]]]:

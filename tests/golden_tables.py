@@ -94,6 +94,17 @@ TABLE_T35 = [
 GENERATORS_T34_300_CSV_SHA256 = "022057c5be75eac924fe0ef3d17421047221c7f9a4a4c807fa3a792c999bf0c7"
 GENERATORS_T34_300_CSV_LINES = 65102
 
+# `homology ... --check-d-squared`: sha256 of the output for each of these
+# arguments, recorded while the flag still built the whole boundary matrix
+HOMOLOGY_D2_SHA256 = {
+    "--p 3 --q 4 --max-index 160 --max-degree 40 --format json":
+        "8b07666cc388a6037f6a142efd963053c359c8a88c562f3a3b15b5d62e273701",
+    "--p 3 --q 4 --max-index 160 --max-degree 40 --format table":
+        "d6554ac65ef74456b0ed26f0d95e8d3269f49a75de3f6c9b6f24bfaf8d4baba0",
+    "--p 2 --q 7 --max-index 60 --format csv":
+        "5490a16edd348889d2c0e28521b34494a934d3ef0349b5344b0d0ce222c7e83e",
+}
+
 # sha256 digests from lattice_path_oracle.py: `vertices` of every admissible
 # current of degree <= 60 for (2,3), (3,4), (3,5) and (5,8), and `partition`
 # over its fixed grid of theta, m and sign; both were recorded with the

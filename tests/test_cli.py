@@ -4,14 +4,18 @@ from math import gcd
 
 import pytest
 
-from echtk import __version__, cli
+from echtk import __version__, cli, complexes
 from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 from echtk.indices import ech_index
 from echtk.nseq import nk_upto
 from echtk.spectra import weyl_sup
-from golden_tables import GENERATORS_T34_300_CSV_LINES, GENERATORS_T34_300_CSV_SHA256
+from golden_tables import (
+    GENERATORS_T34_300_CSV_LINES,
+    GENERATORS_T34_300_CSV_SHA256,
+    HOMOLOGY_D2_SHA256,
+)
 
 
 def run(capsys, *argv):
@@ -167,11 +171,31 @@ def test_homology_refuses_an_uncertified_window_before_building_the_matrix(capsy
     def build(spec):
         raise AssertionError("the boundary matrix was built")
 
-    monkeypatch.setattr(cli, "differential", build)
+    monkeypatch.setattr(cli, "d_squared_is_zero", build)
     code, out, err = run(capsys, "homology", "--p", "3", "--q", "4", "--max-index", "100000",
                          "--max-degree", "800", "--check-d-squared")
     assert code == 1 and out == ""
     assert err == "error: index window up to 100000 needs max_degree >= 1092\n"
+
+
+def test_homology_checks_d_squared_without_the_boundary_matrix(capsys, monkeypatch):
+    def build(spec):
+        raise AssertionError("the boundary matrix was built")
+
+    # _complex too: it builds the matrix for any binding of differential
+    monkeypatch.setattr(complexes, "differential", build)
+    monkeypatch.setattr(complexes, "_complex", build)
+    code, out, _ = run(capsys, "homology", "--p", "3", "--q", "4", "--max-index", "160",
+                       "--max-degree", "40", "--check-d-squared", "--format", "json")
+    assert code == 0
+    assert '"dSquaredZero": true' in out
+
+
+@pytest.mark.parametrize("argv", sorted(HOMOLOGY_D2_SHA256))
+def test_homology_d_squared_output_matches_its_golden_digest(capsys, argv):
+    code, out, _ = run(capsys, "homology", *argv.split(), "--check-d-squared")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HOMOLOGY_D2_SHA256[argv]
 
 
 def test_homology_negative_window_is_a_usage_error(capsys):

@@ -3,12 +3,15 @@ from math import gcd
 
 import pytest
 
+from echtk import complexes
 from echtk.cli import main
 from echtk.complexes import (
     ComplexSpec,
     WindowError,
     _complex,
     _lines,
+    _squares_vanish,
+    d_squared_is_zero,
     differential,
     enumerate_currents,
     homology,
@@ -19,7 +22,7 @@ from echtk.complexes import (
 )
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree, knot_filtration
 from echtk.exact import InfRat
-from echtk.indices import ech_index
+from echtk.indices import _index_evaluator, ech_index
 from echtk.nseq import nk, repeat_count
 from gf2_oracle import (
     assert_ranks_match_oracle,
@@ -88,7 +91,9 @@ def pos_of(matrix, name):
 
 def test_d_squared_zero_at_degree_120():
     for p, q in [(2, 3), (3, 4), (5, 7)]:
-        assert differential(ComplexSpec(KnotParams(p, q), 120)).d_squared_is_zero()
+        spec = ComplexSpec(KnotParams(p, q), 120)
+        assert differential(spec).d_squared_is_zero()
+        assert d_squared_is_zero(spec)
 
 
 def test_d_squared_detects_a_nonzero_square():
@@ -97,6 +102,47 @@ def test_d_squared_detects_a_nonzero_square():
     target = matrix.columns[j][0]
     matrix.columns[target] = matrix.columns[j]
     assert not matrix.d_squared_is_zero()
+
+
+def test_squares_vanish_detects_a_nonzero_square():
+    # one h-current hitting two points, then a column through the h-current
+    assert _squares_vanish([(), (), (0, 1)])
+    assert not _squares_vanish([(), (), (0, 1), (2,)])
+
+
+def test_per_line_d_squared_check_refuses_a_column_outside_its_line(monkeypatch):
+    line = complexes._line
+
+    def shifted(kp, D, B, P0, m, H):
+        return [(b, h, P, Q + h) for b, h, P, Q in line(kp, D, B, P0, m, H)]
+
+    monkeypatch.setattr(complexes, "_line", shifted)
+    with pytest.raises(AssertionError, match="inside its line"):
+        d_squared_is_zero(ComplexSpec(KP, 40))
+
+
+def test_per_line_d_squared_check_squares_each_line_as_a_path(monkeypatch):
+    # h-current i hits points i + 1 and i; the first nonzero square stops the check
+    blocks = []
+
+    def squares_vanish(columns):
+        blocks.append(columns)
+        return len(blocks) < 5
+
+    monkeypatch.setattr(complexes, "_squares_vanish", squares_vanish)
+    assert not d_squared_is_zero(ComplexSpec(KP, 40))
+    lines = list(_lines(KP, 40))[:5]
+    assert blocks == [[()] * m + [(i + 1, i) for i in range(m - 1)] for *_, m in lines]
+
+
+def test_a_small_window_grows_the_index_evaluator_only_as_far_as_its_walk():
+    evaluator = _index_evaluator(3, 4)
+    before = len(evaluator.sum_q)
+    # the smaller cutoff first: an evaluator grown to the cutoff fails there
+    # instead of filling 10**15 // 3 prefix sums
+    for cutoff in (10**6, 10**15):
+        assert homology(ComplexSpec(KP, cutoff), 3) == {0: 1, 1: 0, 2: 1, 3: 0}
+        assert len(evaluator.sum_q) <= max(before, 8)
 
 
 def test_differential_structure():

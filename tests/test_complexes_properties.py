@@ -29,6 +29,8 @@ from echtk.complexes import (  # noqa: E402
     _complex,
     _generators,
     _lines,
+    d_squared_is_zero,
+    differential,
     homology,
     knot_filtered_homology,
     linking_threshold,
@@ -205,6 +207,15 @@ def test_generator_stream_is_sorted_by_index_then_name(window):
     max_degree = b_top * p * q + extra
     currents = [ReebCurrent(*e) for e in admissible_exponents(kp, max_degree)]
     expected = sorted((ech_index(c, kp), c.name(), degree(c, kp)) for c in currents)
-    stream = list(_generators(ComplexSpec(kp, max_degree)))
+    stream = [(D, text, g, e) for D, g, block in _generators(ComplexSpec(kp, max_degree))
+              for text, e in block]
     assert [(g, text, D) for D, text, g, _ in stream] == expected
     assert all(ReebCurrent(*e).name() == text for _, text, _, e in stream)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(window=WINDOWS)
+def test_per_line_d_squared_check_agrees_with_the_whole_matrix(window):
+    (p, q), b_top, extra = window
+    spec = ComplexSpec(KnotParams(p, q), b_top * p * q + extra)
+    assert d_squared_is_zero(spec) == differential(spec).d_squared_is_zero()
