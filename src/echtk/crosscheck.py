@@ -5,9 +5,10 @@ cutoff, the closed-form index of :mod:`echtk.indices` with two independent
 routes, the ledger's bilinear expansion and the lattice-path count, and
 checks index parity and the h/b step relations.  The object API (path
 round trips, component recomputation with its internal consistency guard)
-is exercised on a deterministic sample of the same window.  Raw integer
-arithmetic on the exponent tuples keeps the sweep fast enough for
-six-figure generator counts.
+is exercised on a deterministic sample of the same window.  The window
+is enumerated once: the sample thins the exponent tuples of the fused
+pass.  Raw integer arithmetic on the exponent tuples keeps the sweep fast
+enough for six-figure generator counts.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
         # built only when a check fails
         return f"(B,H,P,Q)=({B},{H},{P},{Q}), (p,q)=({p},{q})"
 
-    checked = 0
-    for B, H, P, Q in admissible_exponents(kp, max_degree):
+    window = list(admissible_exponents(kp, max_degree))
+    for B, H, P, Q in window:
         w = pq * (B + H) + q * P + p * Q
         index = idx(B, H, P, Q)
         # parity: even iff no hyperbolic orbit
@@ -65,9 +66,8 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
                 raise AssertionError(f"I(h a) = I(q^q a) + 1 fails at {where(B, H, P, Q)}")
             if idx(B + 1, 0, P, Q) != h_idx + 1:
                 raise AssertionError(f"I(b a) = I(h a) + 1 fails at {where(B, H, P, Q)}")
-        checked += 1
 
-    for c in _sample_currents(kp, max_degree):
+    for c in _sample_currents(window):
         direct = ech_index(c, kp)
         if ech_index_from_components(c, kp) != direct:
             raise AssertionError(f"component mismatch at {c.name()}")
@@ -76,14 +76,13 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
             raise AssertionError(f"path round-trip failure at {c.name()}")
         if path_index(path) != direct:
             raise AssertionError(f"path index mismatch at {c.name()}")
-    return checked
+    return len(window)
 
 
-def _sample_currents(kp: KnotParams, max_degree: int, cap: int = 2000):
-    """Deterministic thinned enumeration: everything when small, a fixed
-    stride plus the low corner otherwise."""
-    out = list(admissible_exponents(kp, max_degree))
-    if len(out) > cap:
+def _sample_currents(window: list[tuple[int, int, int, int]], cap: int = 2000):
+    """Deterministic thinning of the window's exponent tuples: everything
+    when small, a fixed stride plus the low corner otherwise."""
+    if len(window) > cap:
         # thin the exponent tuples, so only sampled currents are built
-        out = out[:: len(out) // cap + 1] + out[:64]
-    return [ReebCurrent(*exponents) for exponents in out]
+        window = window[:: len(window) // cap + 1] + window[:64]
+    return [ReebCurrent(*exponents) for exponents in window]

@@ -45,6 +45,14 @@ class ReebCurrent:
     Q: int = 0
 
     def __post_init__(self) -> None:
+        B, H, P, Q = self.B, self.H, self.P, self.Q
+        # one test for the common case of plain ints; anything else (bool,
+        # int subclasses, bad values) takes the per-field checks below
+        if (
+            type(B) is type(H) is type(P) is type(Q) is int
+            and B >= 0 and P >= 0 and Q >= 0 and 0 <= H <= 1
+        ):
+            return
         for name in ("B", "H", "P", "Q"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:

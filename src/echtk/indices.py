@@ -196,6 +196,17 @@ def _ledger(p: int, q: int) -> InvariantLedger:
     return InvariantLedger.for_params(KnotParams(p, q))
 
 
+@cache
+def _orbibundle_pairings(p: int, q: int) -> tuple[int, ...]:
+    """The ten orbibundle pairings Q(Z_i, Z_j) of the ledger for (p, q), in
+    the order bb, hh, pp, qq, bh, bp, bq, hp, hq, pq."""
+    led = _ledger(p, q)
+    names = ("Z_b", "Z_h", "Z_p", "Z_q")
+    squares = [led.q_pairing(a, a) for a in names]
+    crosses = [led.q_pairing(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    return (*squares, *crosses)
+
+
 def cz_in_triv(orbit: str, iterate: int, triv: str, kp: KnotParams) -> int:
     """cz_orb shifted by twice the cover count times the ledger offset."""
     if triv not in TRIVIALIZATIONS:
@@ -230,27 +241,26 @@ def ech_index_from_components(c: ReebCurrent, kp: KnotParams) -> int:
     in the orbibundle trivialization), the intersection pairing expanded
     bilinearly, and the Conley-Zehnder sums.  Must agree with
     :func:`ech_index`; disagreement signals a bug."""
-    led = ledger(kp)
-    B, H, P, Q = c.exponents()
-    classes = (("Z_b", B), ("Z_h", H), ("Z_p", P), ("Z_q", Q))
-    qterm = 0
-    for i, (name_i, mult_i) in enumerate(classes):
-        if not mult_i:
-            continue
-        qterm += mult_i * mult_i * led.q_pairing(name_i, name_i)
-        for name_j, mult_j in classes[i + 1 :]:
-            if mult_j:
-                qterm += 2 * mult_i * mult_j * led.q_pairing(name_i, name_j)
+    p, q = kp.p, kp.q
+    B, H, P, Q = c.B, c.H, c.P, c.Q
+    bb, hh, pp, qq, bh, bp, bq, hp, hq, pq = _orbibundle_pairings(p, q)
+    qterm = (
+        B * B * bb
+        + H * H * hh
+        + P * P * pp
+        + Q * Q * qq
+        + 2 * (B * (H * bh + P * bp + Q * bq) + H * (P * hp + Q * hq) + P * Q * pq)
+    )
     chern = 0  # every class in scope has vanishing orbibundle Chern number
-    evaluator = _index_evaluator(kp.p, kp.q)
+    evaluator = _index_evaluator(p, q)
     evaluator.grow(P, Q)
-    s = kp.p + kp.q  # cz_orb is 2si + 1 on b^i and 2s on h
+    s = p + q  # cz_orb is 2si + 1 on b^i and 2s on h
     cz = s * B * (B + 1) + B + 2 * s * H + evaluator.sum_p[P] + evaluator.sum_q[Q]
     total = chern + qterm + cz
-    direct = ech_index(c, kp)
+    direct = evaluator.index(B, H, P, Q)
     if total != direct:
         raise RuntimeError(
-            f"index inconsistency for {c.name()} at (p,q)=({kp.p},{kp.q}): "
+            f"index inconsistency for {c.name()} at (p,q)=({p},{q}): "
             f"components give {total}, closed form gives {direct}"
         )
     return total
@@ -291,13 +301,15 @@ def cz_table(kp: KnotParams, max_action: Fraction | int = 2) -> list[tuple[str, 
     max_action = Fraction(max_action)
     if max_action <= 0:
         raise ValueError("max action must be positive")
-    units = (("b", Fraction(1)), ("h", Fraction(1)), ("p", Fraction(1, kp.p)), ("q", Fraction(1, kp.q)))
-    rows: list[tuple[str, Fraction, int]] = []
-    for orbit, unit in units:
-        i = 1
-        while unit * i <= max_action:
+    p, q = kp.p, kp.q
+    pq = p * q
+    # the i-th iterate of an orbit of period n has action i/n, sorted as
+    # the integer i*pq/n; iterates run while i/n <= max_action
+    keyed: list[tuple[int, int, str]] = []
+    for orbit, n in (("b", 1), ("h", 1), ("p", p), ("q", q)):
+        step = pq // n
+        for i in range(1, max_action.numerator * n // max_action.denominator + 1):
             label = orbit if i == 1 else f"{orbit}^{i}"
-            rows.append((label, unit * i, cz_orb(orbit, i, kp)))
-            i += 1
-    rows.sort(key=lambda r: (r[1], r[2], r[0]))
-    return rows
+            keyed.append((i * step, cz_orb(orbit, i, kp), label))
+    keyed.sort()
+    return [(label, Fraction(k, pq), cz) for k, cz, label in keyed]

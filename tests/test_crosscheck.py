@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 from echtk import crosscheck
+from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 
 
 def test_failure_names_the_current_and_the_pair(monkeypatch):
@@ -9,3 +12,90 @@ def test_failure_names_the_current_and_the_pair(monkeypatch):
     with pytest.raises(AssertionError) as info:
         crosscheck.verify_index_identities(2, 3, 12)
     assert str(info.value) == "path index mismatch at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"
+
+
+# Each fault shifts the closed form at one current of T(2,3); the fused pass
+# reaches the check that names it at the empty current, before any other.
+FUSED_FAULTS = [
+    ((0, 0, 0, 0), 1, "parity failure at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3): 1"),
+    ((0, 0, 0, 0), 2, "component mismatch at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
+    ((0, 1, 0, 0), 2, "I(h a) = I(p^p a) + 1 fails at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
+    ((0, 0, 0, 3), 2, "I(h a) = I(q^q a) + 1 fails at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
+    ((1, 0, 0, 0), 2, "I(b a) = I(h a) + 1 fails at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
+]
+
+
+@pytest.mark.parametrize("at,shift,message", FUSED_FAULTS)
+def test_each_fused_check_names_its_failure(monkeypatch, at, shift, message):
+    original = crosscheck._window_evaluator
+
+    def faulty(p, q, max_degree):
+        ev = original(p, q, max_degree)
+        index = ev.index
+        return SimpleNamespace(
+            index=lambda *e: index(*e) + shift * (e == at), sum_p=ev.sum_p, sum_q=ev.sum_q
+        )
+
+    monkeypatch.setattr(crosscheck, "_window_evaluator", faulty)
+    with pytest.raises(AssertionError) as info:
+        crosscheck.verify_index_identities(2, 3, 12)
+    assert str(info.value) == message
+
+
+TARGET = ReebCurrent(1, 1, 2, 1)  # degree 21 in T(2,3), inside the window
+
+
+def _components_off_at_target(original):
+    return lambda c, kp: original(c, kp) + (c == TARGET)
+
+
+def _round_trip_off_at_target(original):
+    def path_to_current(path):
+        c = original(path)
+        return ReebCurrent(c.B + 1, c.H, c.P, c.Q) if c == TARGET else c
+
+    return path_to_current
+
+
+def _path_index_off_at_target(original):
+    return lambda path: original(path) + (crosscheck.path_to_current(path) == TARGET)
+
+
+SAMPLE_FAULTS = [
+    ("ech_index_from_components", _components_off_at_target, "component mismatch at b h p^2 q"),
+    ("path_to_current", _round_trip_off_at_target, "path round-trip failure at b h p^2 q"),
+    ("path_index", _path_index_off_at_target, "path index mismatch at b h p^2 q"),
+]
+
+
+@pytest.mark.parametrize("name,fault,message", SAMPLE_FAULTS)
+def test_each_sample_check_names_its_failure(monkeypatch, name, fault, message):
+    monkeypatch.setattr(crosscheck, name, fault(getattr(crosscheck, name)))
+    with pytest.raises(AssertionError) as info:
+        crosscheck.verify_index_identities(2, 3, 30)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("p,q,max_degree", [(1, 1, 0), (2, 3, 12), (2, 3, 30), (3, 4, 60), (2, 5, 150)])
+def test_returns_the_admissible_count(p, q, max_degree):
+    kp = KnotParams(p, q)
+    box = [
+        (B, H, P, Q)
+        for B in range(max_degree // kp.pq + 1)
+        for H in (0, 1)
+        for P in range(max_degree // q + 1)
+        for Q in range(max_degree // p + 1)
+        if degree(ReebCurrent(B, H, P, Q), kp) <= max_degree
+    ]
+    assert crosscheck.verify_index_identities(p, q, max_degree) == len(box)
+
+
+def test_sample_keeps_small_windows_and_thins_large_ones():
+    window = list(admissible_exponents(KnotParams(2, 3), 200))
+    assert len(window) > 2000
+    sample = crosscheck._sample_currents(window)
+    stride = len(window) // 2000 + 1
+    assert sample == [ReebCurrent(*e) for e in window[::stride] + window[:64]]
+    assert len(sample) <= 2000 + 64
+    small = window[:2000]
+    assert crosscheck._sample_currents(small) == [ReebCurrent(*e) for e in small]

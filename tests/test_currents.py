@@ -103,6 +103,41 @@ def test_admissibility():
         ReebCurrent(B=-1)
 
 
+class _Mult(int):
+    def __repr__(self) -> str:
+        return f"_Mult({int(self)})"
+
+
+@pytest.mark.parametrize("field", ["B", "H", "P", "Q"])
+@pytest.mark.parametrize("value", [-1, 1.5, "2", None, _Mult(-1)])
+def test_invalid_multiplicity_messages(field, value):
+    with pytest.raises(ValueError) as info:
+        ReebCurrent(**{field: value})
+    assert str(info.value) == f"multiplicity {field}={value!r} must be a nonnegative integer"
+
+
+def test_validation_reports_the_first_bad_field():
+    for kwargs, message in [
+        ({"H": 2}, "hyperbolic orbit multiplicity must be 0 or 1"),
+        ({"H": _Mult(2)}, "hyperbolic orbit multiplicity must be 0 or 1"),
+        ({"B": 5, "H": 2, "P": 7, "Q": 9}, "hyperbolic orbit multiplicity must be 0 or 1"),
+        ({"H": 2, "P": -1}, "multiplicity P=-1 must be a nonnegative integer"),
+        ({"B": None, "H": 2, "Q": -3}, "multiplicity B=None must be a nonnegative integer"),
+        ({"P": 1.0, "Q": -1}, "multiplicity P=1.0 must be a nonnegative integer"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            ReebCurrent(**kwargs)
+        assert str(info.value) == message, kwargs
+
+
+def test_bool_and_int_subclass_multiplicities_are_accepted_as_given():
+    c = ReebCurrent(B=True, H=True, P=False, Q=_Mult(3))
+    assert c.B is True and c.H is True and c.P is False and type(c.Q) is _Mult
+    assert c == ReebCurrent(1, 1, 0, 3)
+    assert hash(c) == hash(ReebCurrent(1, 1, 0, 3))
+    assert ReebCurrent(B=True).exponents() == (True, 0, 0, 0)
+
+
 def test_names_and_json():
     c = ReebCurrent(2, 1, 0, 3)
     assert c.name() == "b^2 h q^3"

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from echtk import indices
 from echtk.currents import KnotParams, ReebCurrent
 from echtk.exact import InfRat, floor_inf
 from echtk.indices import (
@@ -18,6 +19,7 @@ from echtk.indices import (
 )
 
 from golden_tables import CZ_TABLE_T34, TABLE_T34, TABLE_T34_OMITTED, TABLE_T35
+from ledger_oracle import components_reference, cz_table_reference, q_form
 
 KP = KnotParams(3, 4)
 
@@ -67,6 +69,24 @@ def test_exceptional_cz_on_integers_matches_the_infinitesimal_floor():
 def test_cz_table_golden():
     rows = cz_table(KP)
     assert [(label, cz) for label, _, cz in rows] == CZ_TABLE_T34
+
+
+def test_cz_table_matches_the_fraction_sorted_reference():
+    bounds = (Fraction(1, 3), 1, Fraction(5, 2), 7, Fraction(41, 3), 60)
+    for q in range(1, 14):
+        for p in range(1, 14):
+            if gcd(p, q) == 1:
+                kp = KnotParams(p, q)
+                for bound in bounds:
+                    assert cz_table(kp, bound) == cz_table_reference(kp, bound), (p, q, bound)
+
+
+def test_cz_table_rejects_a_nonpositive_bound():
+    for bound in (0, Fraction(-1, 2), -3):
+        with pytest.raises(ValueError, match="^max action must be positive$"):
+            cz_table(KP, bound)
+    # below the first iterate of every orbit: no rows, but no error
+    assert cz_table(KnotParams(3, 4), Fraction(1, 5)) == []
 
 
 def test_cz_in_triv_examples():
@@ -213,6 +233,37 @@ def test_components_match_closed_form():
                     for Q in range(5):
                         c = ReebCurrent(B, H, P, Q)
                         assert ech_index_from_components(c, kp) == ech_index(c, kp)
+                        assert components_reference(c, kp) == ech_index(c, kp)
+
+
+def test_components_raise_when_the_closed_form_disagrees(monkeypatch):
+    evaluator = indices._IndexEvaluator(3, 4)
+    closed_form = evaluator.index
+    evaluator.index = lambda B, H, P, Q: closed_form(B, H, P, Q) + (P == 2)
+    monkeypatch.setattr(indices, "_index_evaluator", lambda p, q: evaluator)
+    assert ech_index_from_components(ReebCurrent(1, 1, 1, 3), KP) == 137
+    with pytest.raises(RuntimeError) as info:
+        ech_index_from_components(ReebCurrent(1, 1, 2, 3), KP)
+    assert str(info.value) == (
+        "index inconsistency for b h p^2 q^3 at (p,q)=(3,4): "
+        "components give 165, closed form gives 166"
+    )
+
+
+def test_components_read_the_pairings_from_the_ledger(monkeypatch):
+    # a ledger with one pairing changed must change the components, so the
+    # consistency guard fires; the cached pairing table is rebuilt around it
+    led = indices.InvariantLedger.for_params(KP)
+    led.qpair[("Z_p", "Z_q", "orbibundle")] = 2
+    monkeypatch.setattr(indices, "_ledger", lambda p, q: led)
+    indices._orbibundle_pairings.cache_clear()
+    try:
+        unaffected = ReebCurrent(B=2, H=1)
+        assert ech_index_from_components(unaffected, KP) == ech_index(unaffected, KP)
+        with pytest.raises(RuntimeError, match=r"^index inconsistency for p q at \(p,q\)=\(3,4\): "):
+            ech_index_from_components(ReebCurrent(P=1, Q=1), KP)
+    finally:
+        indices._orbibundle_pairings.cache_clear()
 
 
 def test_pure_binding_page_trivialization_check():
@@ -255,27 +306,13 @@ def test_j0_examples():
 
 def _j0_expansion(alpha, beta, kp):
     # independent route: -c + Q(Z_alpha) - Q(Z_beta) + truncated CZ sums
-    led = ledger(kp)
-
-    def qform(c):
-        classes = (("Z_b", c.B), ("Z_h", c.H), ("Z_p", c.P), ("Z_q", c.Q))
-        total = 0
-        for i, (ni, mi) in enumerate(classes):
-            if not mi:
-                continue
-            total += mi * mi * led.q_pairing(ni, ni)
-            for nj, mj in classes[i + 1 :]:
-                if mj:
-                    total += 2 * mi * mj * led.q_pairing(ni, nj)
-        return total
-
     def cz_trunc(c):
         total = 0
         for orbit, mult in zip("bhpq", (c.B, c.H, c.P, c.Q)):
             total += sum(cz_orb(orbit, k, kp) for k in range(1, mult))
         return total
 
-    return qform(alpha) - qform(beta) + cz_trunc(alpha) - cz_trunc(beta)
+    return q_form(alpha, kp) - q_form(beta, kp) + cz_trunc(alpha) - cz_trunc(beta)
 
 
 def test_j0_identity_against_expansion():

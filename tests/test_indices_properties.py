@@ -1,0 +1,36 @@
+"""Property tests for the ledger route to the ECH index.
+
+``ech_index_from_components`` reads the ledger's ten orbibundle pairings
+once per (p, q) and expands Q(Z) as one integer expression.  Over random
+coprime (p, q) and random admissible currents it equals the per-pair
+``q_pairing`` expansion in ledger_oracle.py with term-by-term
+Conley-Zehnder sums, and the closed form."""
+
+from math import gcd
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from echtk.currents import KnotParams, ReebCurrent  # noqa: E402
+from echtk.indices import ech_index, ech_index_from_components  # noqa: E402
+from ledger_oracle import components_reference  # noqa: E402
+
+COPRIME = st.tuples(st.integers(1, 30), st.integers(1, 30)).filter(lambda pq: gcd(*pq) == 1)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    pq=COPRIME,
+    B=st.integers(0, 25),
+    H=st.integers(0, 1),
+    P=st.integers(0, 80),
+    Q=st.integers(0, 80),
+)
+def test_components_equal_the_per_pair_expansion(pq, B, H, P, Q):
+    kp = KnotParams(*pq)
+    c = ReebCurrent(B, H, P, Q)
+    value = ech_index_from_components(c, kp)
+    assert value == components_reference(c, kp)
+    assert value == ech_index(c, kp)
