@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .complexes import (
@@ -69,36 +69,42 @@ def _k_max(args) -> int:
     return args.k_max
 
 
-def _emit(args, header: list[str], rows: Iterable[Sequence[str]], meta: dict) -> None:
-    """Write the rows in the chosen format.  CSV rows are written as the
-    iterable yields them; a table needs its column widths and JSON one
-    list, so those two read all rows first.
+def _emit(args, header: list[str], lines: Iterable[str], meta: dict) -> None:
+    """Write the rows in the chosen format.  Each row is one finished CSV
+    line, its cells joined by commas and ended by a newline.  No cell holds
+    a comma, a quote, a backslash or a non-ASCII or control character, so
+    every format may split a line at its commas.
 
-    CSV goes out one string per row, not one per run of a scan or per line
-    of the complex: io.StringIO keeps every string written to it until it
-    is read, and row-sized strings live in Python's small-object arenas,
-    which are freed after the read, while run-sized ones come from the C
-    heap and can stay resident (12 MB more peak RSS for a 10^6-row nseq on
-    CPython 3.11)."""
+    CSV and JSON write one string per row as the lines come, so memory
+    stays at what the command holds (one run of a scan, one line of the
+    complex).  The writes stay per row, not per run: io.StringIO keeps every
+    string until it is read, and run-sized strings come from the C heap and
+    can stay resident after the read (12 MB more peak RSS for a 10^6-row
+    nseq on CPython 3.11).  JSON has the exact layout of json.dump(indent=2),
+    each line escaped whole by json's own escaper.  A table needs its column
+    widths first, so it holds the lines, not their cells, and splits them
+    again to render; rows are right-stripped, so the last column needs no
+    width."""
     fmt = getattr(args, "format", "table")
     out = sys.stdout
     if fmt == "csv":
         out.write(",".join(header) + "\n")
-        out.writelines(",".join(row) + "\n" for row in rows)
-        return
-    rows = list(rows)
-    if fmt == "json":
-        doc = {"meta": meta, "columns": header, "rows": rows}
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.writelines(lines)
+    elif fmt == "json":
+        doc = {"meta": meta, "columns": header, "rows": []}
+        out.write(json.dumps(doc, indent=2).removesuffix("[]\n}"))
+        sep = "[\n"
+        for line in lines:
+            cells = encode_basestring_ascii(line[:-1]).replace(",", '",\n      "')
+            out.write(f"{sep}    [\n      {cells}\n    ]")
+            sep = ",\n"
+        out.write("[]\n}\n" if sep == "[\n" else "\n  ]\n}\n")
     else:
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-            for i in range(len(header))
-        ]
-        out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-        for row in rows:
-            out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+        lines = [",".join(header) + "\n", *lines]
+        widths = [max(len(line.split(",", i + 1)[i]) for line in lines)
+                  for i in range(len(header) - 1)]
+        template = "".join(f"{{:<{w}}}  " for w in widths) + "{}"  # the last column unpadded
+        out.writelines(template.format(*line.split(",")).rstrip() + "\n" for line in lines)
 
 
 def _meta(kp: KnotParams, **extra) -> dict:
@@ -115,16 +121,17 @@ def _cmd_nseq(args) -> None:
     kp = KnotParams(args.p, args.q)
     spans = runs(kp.p, kp.q, _k_max(args))
 
-    def run_rows():
-        counts: list[str] = []  # str(j) for j = 1 up to the longest run so far
+    def run_lines():
+        tails: list[str] = []  # f"{j}\n" for j = 1 up to the longest run so far
         k = 0
         for value, length in spans:
-            counts += map(str, range(len(counts) + 1, length + 1))
-            yield zip(map(str, range(k, k + length)), repeat(str(value)), counts)
+            tails += map("{}\n".format, range(len(tails) + 1, length + 1))
+            mid = f",{value},"  # N_k is rendered once per run
+            yield [f"{i}{mid}{tail}" for i, tail in zip(range(k, k + length), tails)]
             k += length
 
-    rows = chain.from_iterable(run_rows())
-    _emit(args, ["k", "N_k", "repeats"], rows, _meta(kp, kMax=args.k_max))
+    lines = chain.from_iterable(run_lines())
+    _emit(args, ["k", "N_k", "repeats"], lines, _meta(kp, kMax=args.k_max))
 
 
 def _cmd_generators(args) -> None:
@@ -132,20 +139,21 @@ def _cmd_generators(args) -> None:
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
     spec = ComplexSpec(kp, args.max_degree)
-    # one zip per half-line, like the per-run rows of the scans: its degree
-    # and index are rendered once, its names are already strings
-    rows = chain.from_iterable(
-        zip(repeat(str(D)), map(itemgetter(0), block), repeat(str(index)))
-        for D, index, block in _generators(spec)
-    )
-    _emit(args, ["degree", "generator", "index"], rows, _meta(kp, maxDegree=args.max_degree))
+
+    def half_lines():
+        for D, index, block in _generators(spec):
+            head, tail = f"{D},", f",{index}\n"  # rendered once; the names are strings
+            yield [f"{head}{name}{tail}" for name, _ in block]
+
+    lines = chain.from_iterable(half_lines())
+    _emit(args, ["degree", "generator", "index"], lines, _meta(kp, maxDegree=args.max_degree))
 
 
 def _cmd_cz_table(args) -> None:
     kp = KnotParams(args.p, args.q)
     table = cz_table(kp, _parse_fraction(args.max_action))
-    rows = [[label, render_fraction(act), str(cz)] for label, act, cz in table]
-    _emit(args, ["orbit", "action", "cz_orb"], rows, _meta(kp, maxAction=args.max_action))
+    lines = [f"{label},{render_fraction(act)},{cz}\n" for label, act, cz in table]
+    _emit(args, ["orbit", "action", "cz_orb"], lines, _meta(kp, maxAction=args.max_action))
 
 
 def _window_spec(args, kp: KnotParams) -> ComplexSpec:
@@ -168,8 +176,8 @@ def _cmd_homology(args) -> None:
     ranks = homology(spec, args.max_index)  # refuses an uncertified window before any check
     if args.check_d_squared:
         meta["dSquaredZero"] = d_squared_is_zero(spec)
-    rows = [[str(i), str(ranks[i])] for i in range(args.max_index + 1)]
-    _emit(args, ["index", "rank"], rows, meta)
+    lines = [f"{i},{ranks[i]}\n" for i in range(args.max_index + 1)]
+    _emit(args, ["index", "rank"], lines, meta)
 
 
 def _cmd_knot_filtered(args) -> None:
@@ -177,11 +185,11 @@ def _cmd_knot_filtered(args) -> None:
     level = parse_infrat(args.filtration)
     spec = _window_spec(args, kp)
     ranks = knot_filtered_homology(spec, level, args.max_index)
-    rows = [[str(i), str(ranks[i])] for i in range(args.max_index + 1)]
+    lines = [f"{i},{ranks[i]}\n" for i in range(args.max_index + 1)]
     _emit(
         args,
         ["index", "rank"],
-        rows,
+        lines,
         _meta(kp, filtration=render(level), maxIndex=args.max_index,
               maxDegree=spec.max_degree),
     )
@@ -191,17 +199,17 @@ def _cmd_spectrum(args) -> None:
     kp = KnotParams(args.p, args.q)
     scan = _error_runs(kp, _k_max(args))
 
-    def run_rows():
-        suffixes: list[str] = []  # delta_suffix(j) for j below the longest run so far
+    def run_lines():
+        tails: list[str] = []  # delta_suffix(j) + "," for j below the longest run so far
         for k, value, errors in scan:
-            suffixes += map(delta_suffix, range(len(suffixes), len(errors)))
-            # c_k is rendered once per run of equal N_k; c_k_link is N_k + (repeats-1)*d
-            ck, level = render_fraction(Fraction(value, kp.pq)), str(value)
-            yield zip(map(str, range(k, k + len(errors))), repeat(ck), map(level.__add__, suffixes),
-                      errors)
+            tails += map("{},".format, map(delta_suffix, range(len(tails), len(errors))))
+            # c_k and N_k are rendered once per run; c_k_link is N_k + (repeats-1)*d
+            mid = f",{render_fraction(Fraction(value, kp.pq))},{value}"
+            yield [f"{i}{mid}{tail}{e}\n"
+                   for i, tail, e in zip(range(k, k + len(errors)), tails, errors)]
 
-    rows = chain.from_iterable(run_rows())
-    _emit(args, ["k", "c_k", "c_k_link", "e_k"], rows, _meta(kp, kMax=args.k_max))
+    lines = chain.from_iterable(run_lines())
+    _emit(args, ["k", "c_k", "c_k_link", "e_k"], lines, _meta(kp, kMax=args.k_max))
 
 
 def _cmd_weyl(args) -> None:
@@ -211,27 +219,28 @@ def _cmd_weyl(args) -> None:
     if args.plot_data:
         header = ["k", "e_k"]
         scan = _error_runs(kp, k_max)
-        rows = chain.from_iterable(
-            zip(map(str, range(k, k + len(errors))), errors) for k, _, errors in scan
+        lines = chain.from_iterable(
+            [f"{i},{e}\n" for i, e in zip(range(k, k + len(errors)), errors)]
+            for k, _, errors in scan
         )
     else:
         header = ["quantity", "value"]
-        rows = [("sup|e_k|", sup)]
-    _emit(args, header, rows, _meta(kp, kMax=k_max, supAbsError=sup))
+        lines = [f"sup|e_k|,{sup}\n"]
+    _emit(args, header, lines, _meta(kp, kMax=k_max, supAbsError=sup))
 
 
 def _cmd_obstruct(args) -> None:
     frm = _parse_pair(getattr(args, "from"))
     to = _parse_pair(args.to)
     result = cobordism_obstruction(frm, to, _k_max(args))
-    rows = [[result.describe()]]
+    lines = [result.describe() + "\n"]
     meta = {
         "from": list(frm),
         "to": list(to),
         "kMax": args.k_max,
         "toolVersion": __version__,
     }
-    _emit(args, ["result"], rows, meta)
+    _emit(args, ["result"], lines, meta)
 
 
 def _cmd_bounds(args) -> None:
@@ -248,15 +257,14 @@ def _cmd_bounds(args) -> None:
             raise UsageError("the mean-action bound needs p, q >= 2")
         result = calabi_mean_action_bound(kp, _parse_fraction(args.d), _parse_fraction(args.calabi))
         meta = _meta(kp, d=args.d, calabi=args.calabi)
-    rows = [
-        ["hypothesis_met", str(result.hypothesis_met).lower()],
-        ["bound", result.bound if result.bound is not None else "n/a"],
-        [
-            "bound_squared",
-            render_fraction(result.bound_squared) if result.bound_squared is not None else "n/a",
-        ],
+    bound = "n/a" if result.bound is None else result.bound
+    squared = "n/a" if result.bound_squared is None else render_fraction(result.bound_squared)
+    lines = [
+        f"hypothesis_met,{str(result.hypothesis_met).lower()}\n",
+        f"bound,{bound}\n",
+        f"bound_squared,{squared}\n",
     ]
-    _emit(args, ["quantity", "value"], rows, meta)
+    _emit(args, ["quantity", "value"], lines, meta)
 
 
 def _cmd_toric(args) -> None:
@@ -264,7 +272,7 @@ def _cmd_toric(args) -> None:
     current = ReebCurrent.from_name(args.current)
     path = current_to_path(current, kp)
     verts = vertices(path)
-    rows = [[str(x), str(y)] for x, y in verts]
+    lines = [f"{x},{y}\n" for x, y in verts]
     meta = _meta(
         kp,
         current=current.name(),
@@ -280,7 +288,7 @@ def _cmd_toric(args) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write --svg file {args.svg}: {exc.strerror or exc}") from exc
         meta["svg"] = args.svg
-    _emit(args, ["x", "y"], rows, meta)
+    _emit(args, ["x", "y"], lines, meta)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -94,6 +94,16 @@ TABLE_T35 = [
 GENERATORS_T34_300_CSV_SHA256 = "022057c5be75eac924fe0ef3d17421047221c7f9a4a4c807fa3a792c999bf0c7"
 GENERATORS_T34_300_CSV_LINES = 65102
 
+# `nseq --p 3 --q 4 --k-max 100000 --format csv` and
+# `spectrum --p 3 --q 4 --k-max 20000 --format csv`: sha256 of the output and
+# its number of lines, recorded while the scans handed _emit cell tuples
+SCAN_CSV_SHA256 = {
+    "nseq --p 3 --q 4 --k-max 100000":
+        ("c0b86ea3c017455b57d6dab0273b1d5ad86f23a9f900c16ad99feb7724c2ac66", 100002),
+    "spectrum --p 3 --q 4 --k-max 20000":
+        ("21d47fffa8c457c78ac6c7abf7b5dab664171b128fb23f2c3809750d598e978b", 20002),
+}
+
 # `homology ... --check-d-squared`: sha256 of the output for each of these
 # arguments, recorded while the flag still built the whole boundary matrix
 HOMOLOGY_D2_SHA256 = {

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from decimal import Decimal
 from math import gcd
 
 import pytest
@@ -8,13 +9,15 @@ from echtk import __version__, cli, complexes
 from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
+from echtk.exact import render, render_fraction
 from echtk.indices import ech_index
-from echtk.nseq import nk_upto
-from echtk.spectra import weyl_sup
+from echtk.nseq import NSeq, nk_upto
+from echtk.spectra import action_spectrum, weyl_sup
 from golden_tables import (
     GENERATORS_T34_300_CSV_LINES,
     GENERATORS_T34_300_CSV_SHA256,
     HOMOLOGY_D2_SHA256,
+    SCAN_CSV_SHA256,
 )
 
 
@@ -64,10 +67,29 @@ def test_generators_large_window_matches_its_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATORS_T34_300_CSV_SHA256
 
 
+@pytest.mark.parametrize("argv", sorted(SCAN_CSV_SHA256))
+def test_large_scans_match_their_golden_digests(capsys, argv):
+    code, out, _ = run(capsys, *argv.split(), "--format", "csv")
+    assert code == 0
+    digest, lines = SCAN_CSV_SHA256[argv]
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def table_text(header, rows):
     widths = [max(map(len, column)) for column in zip(header, *rows)]
     return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
                    for row in [header, *rows])
+
+
+def rendered(fmt, header, rows, meta):
+    """The output for these cells: CSV joined by commas, JSON as json.dumps
+    lays it out, a table as table_text aligns it."""
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in [header, *rows])
+    if fmt == "json":
+        return json.dumps({"meta": meta, "columns": header, "rows": rows}, indent=2) + "\n"
+    return table_text(header, rows)
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -82,15 +104,84 @@ def test_generators_match_a_per_current_rendering(capsys, p, q, max_degree, fmt)
                       key=lambda c: (ech_index(c, kp), c.name()))
     header = ["degree", "generator", "index"]
     rows = [[str(degree(c, kp)), c.name(), str(ech_index(c, kp))] for c in currents]
-    if fmt == "csv":
-        expected = "".join(",".join(row) + "\n" for row in [header, *rows])
-    elif fmt == "json":
-        meta = {"p": p, "q": q, "deltaMode": "limit", "toolVersion": __version__,
-                "maxDegree": max_degree}
-        expected = json.dumps({"meta": meta, "columns": header, "rows": rows}, indent=2) + "\n"
-    else:
-        expected = table_text(header, rows)
-    assert out == expected
+    meta = {"p": p, "q": q, "deltaMode": "limit", "toolVersion": __version__,
+            "maxDegree": max_degree}
+    assert out == rendered(fmt, header, rows, meta)
+
+
+def scan_reference(command, p, q, k_max):
+    """Header, rows and meta of a scan, built one k at a time from the
+    brute-force NSeq and from action_spectrum."""
+    values = NSeq(p, q).prefix(k_max)
+    repeats = [values[:k + 1].count(v) for k, v in enumerate(values)]
+    meta = {"p": p, "q": q, "deltaMode": "limit", "toolVersion": __version__, "kMax": k_max}
+    if command == "nseq":
+        rows = [[str(k), str(v), str(r)] for k, (v, r) in enumerate(zip(values, repeats))]
+        return ["k", "N_k", "repeats"], rows, meta
+    entries = action_spectrum(KnotParams(p, q), k_max)
+    assert [e[:3] for e in entries] == [(k, *vr) for k, vr in enumerate(zip(values, repeats))]
+    if command == "spectrum":
+        rows = [[str(e.k), render_fraction(e.ck), render(e.ck_link), e.weyl_error]
+                for e in entries]
+        return ["k", "c_k", "c_k_link", "e_k"], rows, meta
+    errors = [e.weyl_error for e in entries]
+    meta["supAbsError"] = max((e.lstrip("-") for e in errors), key=Decimal)
+    return ["k", "e_k"], [[str(e.k), e.weyl_error] for e in entries], meta
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("k_max", [0, 1, 23, 200])
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 3), (3, 4), (5, 7)])
+@pytest.mark.parametrize("command", [("nseq",), ("spectrum",), ("weyl", "--plot-data")],
+                         ids=" ".join)
+def test_scans_match_a_per_k_rendering(capsys, command, p, q, k_max, fmt):
+    code, out, _ = run(capsys, *command, "--p", str(p), "--q", str(q), "--k-max", str(k_max),
+                       "--format", fmt)
+    assert code == 0
+    assert out == rendered(fmt, *scan_reference(command[0], p, q, k_max))
+
+
+EVERY_COMMAND = [
+    ("nseq", "--p", "2", "--q", "5", "--k-max", "60"),
+    ("spectrum", "--p", "3", "--q", "4", "--k-max", "60"),
+    ("weyl", "--p", "2", "--q", "3", "--k-max", "60", "--plot-data"),
+    ("weyl", "--p", "2", "--q", "3", "--k-max", "50"),
+    ("generators", "--p", "2", "--q", "5", "--max-degree", "30"),
+    ("homology", "--p", "3", "--q", "4", "--max-index", "40", "--check-d-squared"),
+    ("homology", "--p", "2", "--q", "7", "--max-index", "20", "--max-degree", "30",
+     "--check-d-squared"),
+    ("knot-filtered", "--p", "3", "--q", "4", "--max-index", "40", "--filtration", "12+1*d"),
+    ("cz-table", "--p", "3", "--q", "4"),
+    ("cz-table", "--p", "2", "--q", "5", "--max-action", "7/2"),
+    ("cz-table", "--p", "3", "--q", "4", "--max-action", "1/1000"),  # no rows
+    ("bounds", "action-linking", "--p", "2", "--q", "3", "--Delta", "1/10", "--V", "1/10"),
+    ("bounds", "action-linking", "--p", "2", "--q", "3", "--Delta", "5", "--V", "1/10"),
+    ("bounds", "calabi", "--p", "2", "--q", "3", "--d=-1/20", "--calabi", "1/20"),
+    ("bounds", "calabi", "--p", "3", "--q", "4", "--d=0", "--calabi", "7"),
+    ("toric", "path", "--p", "3", "--q", "4", "--current", "h p q"),
+    ("toric", "path", "--p", "2", "--q", "5", "--current", "b^2 p q^3"),
+    ("obstruct", "--from", "2,7", "--to", "3,4", "--k-max", "100"),
+    ("obstruct", "--from", "3,4", "--to", "2,7", "--k-max", "100"),
+    ("obstruct", "--from", "5,7", "--to", "3,4", "--k-max", "100"),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_every_command_renders_its_csv_cells_in_every_format(capsys, argv):
+    # commands hand _emit finished CSV lines, which the table splits at their
+    # commas and JSON streams escaped: no cell may hold a comma, a quote, a
+    # backslash or a non-ASCII or control character
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and out.endswith("\n")
+    header, *rows = [line.split(",") for line in out[:-1].split("\n")]
+    for row in rows:
+        assert len(row) == len(header)  # a comma inside a cell would add one
+        for cell in row:
+            assert cell.isascii() and cell.isprintable() and not set(cell) & set('"\\')
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert out == rendered("json", header, rows, json.loads(out)["meta"])
+    _, out, _ = run(capsys, *argv, "--format", "table")
+    assert out == rendered("table", header, rows, None)
 
 
 def test_outputs_are_deterministic(capsys):
