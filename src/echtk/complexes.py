@@ -18,21 +18,22 @@ prefix of the walk.  Every column lies inside its line, so
 :func:`d_squared_is_zero` checks d^2 = 0 one line at a time, and no
 command holds more of the complex than one line.
 
-:func:`differential` builds the whole boundary matrix without these
-facts, from :func:`admissible_exponents`; the tests reduce it to check the
-walk.
+The lines of degree D are the representations counted by
+:func:`echtk.nseq._walk` with p and q swapped, so the k-th line is the
+index-2k class.  :func:`echtk.currents.admissible_exponents` is a second
+enumeration that relies on none of this, kept for the crosscheck (its
+docstring says why); the tests build the whole boundary matrix from it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
-from .currents import KnotParams, ReebCurrent, _namer, admissible_exponents, degree
+from .currents import KnotParams, ReebCurrent, _namer, degree
 from .exact import InfRat, coerce
-from .indices import _index_evaluator, _window_evaluator, ech_index
-from .nseq import nk, repeat_count
+from .indices import _index_evaluator, ech_index
+from .nseq import _walk, nk, repeat_count
 
 Exponents = tuple[int, int, int, int]  # (B, H, P, Q) of b^B h^H p^P q^Q
 
@@ -51,9 +52,9 @@ def _lines(kp: KnotParams, top: int) -> Iterator[tuple[int, int, int, int, int]]
     """``(g, D, B, P0, m)`` for every nonempty line of degree D <= top, in
     (D, B) order: its m points b^B*p^P*q^Q with qP + pQ = c = D - pq*B are
     P = P0, P0 + p, ..., they share the ECH index g, and g strictly
-    increases along the walk.  P0 = c/q mod p is the same for every B of one
-    D and m = (c - q*P0) // pq + 1 falls by one per B, so the walk of D
-    stops at the first empty B, the m of B = 0.
+    increases along the walk.  The walk of the representations
+    D = P*q + Q*p gives P0 = D/q mod p, the same for every B of one D, and
+    their count n; m = n - B falls by one per B, so D has n lines.
 
     Only a line's first point is graded, so the evaluator's prefix sums are
     read below p for P and up to the Q0 of B = 0 for Q.  They grow as the
@@ -63,21 +64,19 @@ def _lines(kp: KnotParams, top: int) -> Iterator[tuple[int, int, int, int, int]]
     evaluator = _index_evaluator(p, q)
     index, cap = evaluator.index, top // p
     grown = -1  # the sums cover at least Q <= grown
-    step = pow(q, -1, p)  # P0 = D/q mod p grows by 1/q mod p per degree
-    last, P0 = -1, 0
-    for D in range(top + 1):
-        if q * P0 <= D:
-            Q0 = (D - q * P0) // p  # the first point of line B has Q = Q0 - q*B
-            if Q0 > grown:
-                grown = min(2 * Q0 + 1, cap)
-                evaluator.grow(p - 1, grown)
-            n = Q0 // q + 1
-            for B in range(n):
-                g = index(B, 0, P0, Q0 - q * B)
-                assert g > last, "line indices must increase along the walk"
-                last = g
-                yield g, D, B, P0, n - B
-        P0 = (P0 + step) % p
+    last = -1
+    for D, P0, n in _walk(q, p):
+        if D > top:
+            return
+        Q0 = (D - q * P0) // p  # the first point of line B has Q = Q0 - q*B
+        if Q0 > grown:
+            grown = min(2 * Q0 + 1, cap)
+            evaluator.grow(p - 1, grown)
+        for B in range(n):
+            g = index(B, 0, P0, Q0 - q * B)
+            assert g > last, "line indices must increase along the walk"
+            last = g
+            yield g, D, B, P0, n - B
 
 
 def _line(kp: KnotParams, D: int, B: int, P0: int, m: int, H: int) -> list[Exponents]:
@@ -122,8 +121,8 @@ def _squares_vanish(columns: list[tuple[int, ...]]) -> bool:
 
 def d_squared_is_zero(spec: ComplexSpec) -> bool:
     """Whether d^2 = 0 on the complex below the cutoff, checked one line at a
-    time: the block of a line's m points and m - 1 h-currents, with each
-    h-current's column built by the rule of :func:`differential`."""
+    time: the block of a line's m points and m - 1 h-currents, where the
+    h-current h*b^B*p^P*q^Q hits b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q)."""
     kp = spec.kp
     p, q = kp.p, kp.q
     for _, D, B, P0, m in _lines(kp, spec.max_degree):
@@ -163,45 +162,6 @@ def _certify(spec: ComplexSpec, max_index: int) -> None:
     need = required_degree(spec.kp, max_index)
     if spec.max_degree < need:
         raise WindowError(max_index, need)
-
-
-@dataclass
-class BoundaryMatrix:
-    """Sparse GF(2) boundary matrix with generator gradings attached.
-
-    Rows are the exponent tuples in the order of ``admissible_exponents``;
-    the ranks do not depend on it, and no map from current to row is kept.
-    ``generators``, the rows as currents, is built on first read."""
-
-    spec: ComplexSpec
-    exponents: list[Exponents]
-    grading: list[int]
-    columns: list[tuple[int, ...]]  # row positions: () or the two targets
-
-    @cached_property
-    def generators(self) -> list[ReebCurrent]:
-        return [ReebCurrent(*e) for e in self.exponents]
-
-    def d_squared_is_zero(self) -> bool:
-        return _squares_vanish(self.columns)
-
-
-def _complex(spec: ComplexSpec) -> tuple[list[Exponents], list[int], list[tuple[int, ...]]]:
-    """``(exponents, grading, columns)`` of the complex: the (B, H, P, Q)
-    tuples in the order of ``admissible_exponents``, their ECH indices, and
-    the boundary columns as row positions.  h*b^B*p^P*q^Q hits
-    b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q), of the same degree, so both are
-    listed."""
-    p, q, top = spec.kp.p, spec.kp.q, spec.max_degree
-    exponents = list(admissible_exponents(spec.kp, top))
-    row = {e: i for i, e in enumerate(exponents)}
-    columns = [(row[B, 0, P + p, Q], row[B, 0, P, Q + q]) if H else () for B, H, P, Q in exponents]
-    index = _window_evaluator(p, q, top).index
-    return exponents, [index(*e) for e in exponents], columns
-
-
-def differential(spec: ComplexSpec) -> BoundaryMatrix:
-    return BoundaryMatrix(spec, *_complex(spec))
 
 
 def _counted(spec: ComplexSpec, max_index: int, den: int, bound: tuple[int, int]) -> dict[int, int]:
@@ -255,11 +215,9 @@ def homology_representative(spec: ComplexSpec, index: int) -> ReebCurrent:
     value = nk(p, q, k)
     if value > spec.max_degree:
         raise WindowError(index, value)
-    b = repeat_count(p, q, k) - 1
     # the first point of the index-2k line, (D, B) = (N_k, repeats - 1)
-    c = value - spec.kp.pq * b
-    P0 = c * pow(q, -1, p) % p
-    rep = ReebCurrent(B=b, H=0, P=P0, Q=(c - q * P0) // p)
+    P0 = value * pow(q, -1, p) % p
+    rep = ReebCurrent(*_line(spec.kp, value, repeat_count(p, q, k) - 1, P0, 1, 0)[0])
     assert degree(rep, spec.kp) == value
     assert ech_index(rep, spec.kp) == index
     return rep

@@ -14,7 +14,7 @@ enough for six-figure generator counts.
 from __future__ import annotations
 
 from .currents import KnotParams, ReebCurrent, admissible_exponents
-from .indices import _window_evaluator, ech_index, ech_index_from_components
+from .indices import _index_evaluator, ech_index, ech_index_from_components
 from .nseq import lattice_count
 from .toric import current_to_path, path_index, path_to_current
 
@@ -24,7 +24,8 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
     kp = KnotParams(p, q)
     pq = p * q
     s = p + q
-    evaluator = _window_evaluator(p, q, max_degree)
+    evaluator = _index_evaluator(p, q)
+    evaluator.grow(max_degree // q, max_degree // p)  # every current of the window
     idx, sum_p, sum_q = evaluator.index, evaluator.sum_p, evaluator.sum_q
     # strict lattice counts T[w] = #{(x,y) >= 0 : px + qy < w}
     strict = [lattice_count(p, q, w - 1) for w in range(max_degree + 1)]

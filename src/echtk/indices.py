@@ -77,14 +77,6 @@ class _IndexEvaluator:
 _index_evaluator = cache(_IndexEvaluator)
 
 
-def _window_evaluator(p: int, q: int, max_degree: int) -> _IndexEvaluator:
-    """The evaluator for (p, q), grown for every admissible current of
-    degree at most the cutoff."""
-    evaluator = _index_evaluator(p, q)
-    evaluator.grow(max_degree // q, max_degree // p)
-    return evaluator
-
-
 def cz_orb(orbit: str, iterate: int, kp: KnotParams) -> int:
     """Conley-Zehnder index in the orbibundle trivialization.
 

@@ -2,8 +2,9 @@
 
 ``N_k(p,q)`` is the k-th smallest nonnegative integer combination
 ``a*p + b*q`` counted with multiplicity.  One value is found by binary
-search on triangle lattice-point counts; a whole prefix comes as runs of
-equal values from the closed representation count (:func:`runs`).
+search on triangle lattice-point counts, each a floor sum; a whole prefix
+comes as runs of equal values from the closed representation count of
+:func:`_walk`, which also lays out the lines of the chain complex.
 :class:`NSeq` keeps a deliberately independent brute-force path for
 cross-validation.  The partition conditions are read off lattice paths,
 each one upper hull of integer floor points (:func:`partition`).
@@ -25,16 +26,33 @@ def _check_pq(p: int, q: int) -> None:
         raise ValueError(f"p and q must be coprime, got ({p}, {q})")
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of (a*i + b) // m over i = 0..n-1, for m >= 1 and a, b >= 0, in
+    O(log m) steps of a Euclid-like reduction (floor_sum of the AtCoder
+    Library)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b, m, a = top // m, top % m, a, m
+
+
 def lattice_count(p: int, q: int, bound: int) -> int:
-    """Number of pairs (a, b) of nonnegative integers with a*p + b*q <= bound."""
+    """Number of pairs (a, b) of nonnegative integers with a*p + b*q <= bound.
+
+    Row a of the n = bound // p + 1 rows holds (bound - a*p) // q + 1; with
+    i = n - 1 - a that is 1 + (p*i + bound mod p) // q, summed by a floor sum."""
     if bound < 0:
         return 0
-    if p < q:
-        p, q = q, p  # sum over the sparser generator: fewer rows
-    total = 0
-    for a in range(bound // p + 1):
-        total += (bound - a * p) // q + 1
-    return total
+    n = bound // p + 1
+    return n + _floor_sum(n, q, p, bound % p)
 
 
 def nk(p: int, q: int, k: int) -> int:
@@ -60,9 +78,8 @@ def runs(p: int, q: int, k_max: int) -> Iterator[tuple[int, int]]:
     """(value, length) for each run of equal values in N_0 .. N_{k_max}, in
     order, the last run cut at k_max; bad arguments are refused at the call.
 
-    The run of n has one index per representation n = a*p + b*q: with
-    a0 = n * p^-1 mod q there are (n - a0*p) // pq + 1 when a0*p <= n, and
-    none otherwise (Popoviciu).  So the runs come from n = 0, 1, 2, ...
+    The run of n has one index per representation n = a*p + b*q, so the
+    runs are the counts of :func:`_walk` cut at k_max.
     """
     _check_pq(p, q)
     if k_max < 0:
@@ -70,21 +87,29 @@ def runs(p: int, q: int, k_max: int) -> Iterator[tuple[int, int]]:
     return _runs(p, q, k_max)
 
 
-def _runs(p: int, q: int, k_max: int) -> Iterator[tuple[int, int]]:
-    pq, step, left = p * q, pow(p, -1, q), k_max + 1  # a0 grows by p^-1 mod q per n
+def _walk(p: int, q: int) -> Iterator[tuple[int, int, int]]:
+    """``(n, a0, count)`` for n = 0, 1, 2, ... that have a representation
+    n = a*p + b*q: a0 = n * p^-1 mod q is the least a, and there are
+    count = (n - a0*p) // pq + 1 of them, a = a0, a0 + q, ... (Popoviciu).
+    Endless; the runs of N(p,q) and the lines of the chain complex are cut
+    from it."""
+    pq, step = p * q, pow(p, -1, q)  # a0 grows by p^-1 mod q per n
     n = a0 = 0
-    while left:
+    while True:
         if a0 * p <= n:
-            length = min((n - a0 * p) // pq + 1, left)
-            yield n, length
-            left -= length
+            yield n, a0, (n - a0 * p) // pq + 1
         n += 1
         a0 = (a0 + step) % q
 
 
-def nk_upto(p: int, q: int, k_max: int) -> list[int]:
-    """The values N_0 .. N_{k_max} as one list, expanded from :func:`runs`."""
-    return [value for value, length in runs(p, q, k_max) for _ in range(length)]
+def _runs(p: int, q: int, k_max: int) -> Iterator[tuple[int, int]]:
+    left = k_max + 1
+    for n, _, count in _walk(p, q):
+        if count >= left:
+            yield n, left
+            return
+        yield n, count
+        left -= count
 
 
 def repeat_count(p: int, q: int, k: int) -> int:

@@ -147,12 +147,6 @@ def weyl_sup(kp: KnotParams, k_max: int) -> str:
     return _weyl_sup(kp, runs(kp.p, kp.q, k_max))
 
 
-def weyl_scan(kp: KnotParams, k_max: int) -> tuple[list[tuple[int, str]], str]:
-    """Error terms e_k for k = 0..k_max, to 12 digits, and the supremum of |e_k|."""
-    scan = _error_runs(kp, k_max)
-    return [(k + j, e) for k, _, errors in scan for j, e in enumerate(errors)], weyl_sup(kp, k_max)
-
-
 @dataclass(frozen=True)
 class CobordismResult:
     applicable: bool

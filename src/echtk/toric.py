@@ -114,43 +114,45 @@ def vertices(path: LatticePath) -> list[tuple[int, int]]:
 
 
 def svg(path: LatticePath, size: int = 480) -> str:
-    """A small static figure: lattice dots, the path, and the dashed line
-    of slope -p/q through the middle segment."""
+    """A small static figure, ``size`` pixels square: lattice dots, the
+    path, and the dashed line of slope -p/q through the middle segment.
+
+    Its user units are integers.  The picture spans span + 3 lattice steps
+    of size*pq units each, so a pixel is pq*(span + 3) units and the line's
+    ends (0, W/q) and (W/p, 0) fall on whole units."""
     kp = path.kp
     verts = vertices(path)
     w = path.filtration_value
     x_max = max(max(v[0] for v in verts), 1) + 1
     y_max = max(max(v[1] for v in verts), 1) + 1
     span = max(x_max, y_max)
-    unit = size / (span + 1)
-    pad = unit
+    step, px = size * kp.pq, kp.pq * (span + 3)  # units per lattice step, per pixel
+    view = step * (span + 3)
 
-    def sx(x: float) -> float:
-        return pad + x * unit
+    def sx(x: int) -> int:
+        return step * (1 + x)
 
-    def sy(y: float) -> float:
-        return size + pad - y * unit
+    def sy(y: int) -> int:
+        return step * (span + 2 - y)
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size + 2 * pad:.0f}" '
-        f'height="{size + 2 * pad:.0f}" viewBox="0 0 {size + 2 * pad:.0f} {size + 2 * pad:.0f}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" viewBox="0 0 {view} {view}">'
     ]
     for x in range(x_max + 1):
         for y in range(y_max + 1):
             fill = "#444" if kp.p * x + kp.q * y <= w else "#ccc"
-            lines.append(
-                f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2" fill="{fill}"/>'
-            )
+            lines.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{2 * px}" fill="{fill}"/>')
     if w > 0:
-        x0, y0 = 0.0, w / kp.q
-        x1, y1 = w / kp.p, 0.0
+        # W/q steps up the y-axis and W/p steps along the x-axis
         lines.append(
-            f'<line x1="{sx(x0):.1f}" y1="{sy(y0):.1f}" x2="{sx(x1):.1f}" '
-            f'y2="{sy(y1):.1f}" stroke="#7bc" stroke-dasharray="6,4"/>'
+            f'<line x1="{sx(0)}" y1="{sy(0) - size * kp.p * w}" x2="{sx(0) + size * kp.q * w}" '
+            f'y2="{sy(0)}" stroke="#7bc" stroke-width="{px}" '
+            f'stroke-dasharray="{6 * px},{4 * px}"/>'
         )
-    pts = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in verts)
+    pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in verts)
     lines.append(
-        f'<polyline points="{pts}" fill="none" stroke="#c33" stroke-width="2.5"/>'
+        f'<polyline points="{pts}" fill="none" stroke="#c33" stroke-width="{5 * px // 2}"/>'
     )
     lines.append("</svg>")
     return "\n".join(lines)

@@ -8,16 +8,63 @@ of each line, which is a path.  This module is the independent check of
 that count, used only by the tests: the keep mask compares every current
 with the cutoff through ``knot_filtration``, and the members of a line are
 found by solving its equation, not by the library's walk.
+
+The whole boundary matrix (:func:`differential`) is built here, from
+``admissible_exponents``, which uses none of the facts of the walk.
 """
+
+from dataclasses import dataclass
+from functools import cached_property
 
 from echtk.complexes import (
     ComplexSpec,
-    differential,
+    _squares_vanish,
     homology,
     knot_filtered_homology,
 )
-from echtk.currents import ReebCurrent, knot_filtration
+from echtk.currents import ReebCurrent, admissible_exponents, knot_filtration
+from echtk.indices import _index_evaluator
 from echtk.nseq import lattice_count
+
+
+@dataclass
+class BoundaryMatrix:
+    """Sparse GF(2) boundary matrix with generator gradings attached.
+
+    Rows are the exponent tuples in the order of ``admissible_exponents``;
+    the ranks do not depend on it, and no map from current to row is kept.
+    ``generators``, the rows as currents, is built on first read."""
+
+    spec: ComplexSpec
+    exponents: list
+    grading: list
+    columns: list  # row positions: () or the two targets
+
+    @cached_property
+    def generators(self):
+        return [ReebCurrent(*e) for e in self.exponents]
+
+    def d_squared_is_zero(self):
+        return _squares_vanish(self.columns)
+
+
+def _complex(spec):
+    """``(exponents, grading, columns)`` of the complex: the (B, H, P, Q)
+    tuples in the order of ``admissible_exponents``, their ECH indices, and
+    the boundary columns as row positions.  h*b^B*p^P*q^Q hits
+    b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q), of the same degree, so both are
+    listed."""
+    p, q, top = spec.kp.p, spec.kp.q, spec.max_degree
+    exponents = list(admissible_exponents(spec.kp, top))
+    row = {e: i for i, e in enumerate(exponents)}
+    columns = [(row[B, 0, P + p, Q], row[B, 0, P, Q + q]) if H else () for B, H, P, Q in exponents]
+    evaluator = _index_evaluator(p, q)
+    evaluator.grow(top // q, top // p)
+    return exponents, [evaluator.index(*e) for e in exponents], columns
+
+
+def differential(spec):
+    return BoundaryMatrix(spec, *_complex(spec))
 
 
 def bitset_columns(columns):

@@ -16,7 +16,6 @@ from math import gcd, isqrt
 from echtk.cli import main
 from echtk.complexes import (
     ComplexSpec,
-    differential,
     homology,
     knot_filtered_homology,
     linking_threshold,
@@ -25,7 +24,7 @@ from echtk.crosscheck import verify_index_identities
 from echtk.currents import KnotParams
 from echtk.exact import InfRat, floor_inf
 from echtk.indices import cz_table
-from echtk.nseq import NSeq, lattice_count, nk_closed_form, nk_upto, partition
+from echtk.nseq import NSeq, lattice_count, nk_closed_form, partition
 from echtk.spectra import (
     action_linking_bound,
     action_spectrum,
@@ -35,7 +34,9 @@ from echtk.spectra import (
     weyl_error_within,
 )
 
+from gf2_oracle import differential
 from golden_tables import CZ_TABLE_T34, TABLE_T34, TABLE_T34_OMITTED, TABLE_T35
+from nseq_oracle import nk_prefix
 
 
 @contextmanager
@@ -149,7 +150,7 @@ def test_criterion_6_spectrum_and_thresholds():
         )[:1001]
         assert [e.ck for e in action_spectrum(kp, 1000)] == oracle
 
-        values = nk_upto(3, 4, 200)
+        values = nk_prefix(3, 4, 200)
         for k in range(201):
             level = linking_threshold(kp, k)
             run_start = k
@@ -169,7 +170,7 @@ def test_criterion_7_weyl_property():
         tol = 10**6  # 1e-12 at the 1e-18 fixed-point scale
         for p, q in ((2, 3), (3, 4)):
             kp = KnotParams(p, q)
-            values = nk_upto(p, q, 10**5)
+            values = nk_prefix(p, q, 10**5)
             bound = Fraction(p + q + 1, p * q)
             for k in range(100, 10**5 + 1):
                 assert weyl_error_within(kp, k, values[k], bound), (p, q, k)
@@ -219,7 +220,7 @@ def test_criterion_9_obstructions():
             res = cobordism_obstruction((p, q), (p, q), 2000)
             assert res.applicable and res.consistent
             # exact equality of the sequence against the independent path
-            assert NSeq(p, q).prefix(2000) == nk_upto(p, q, 2000)
+            assert NSeq(p, q).prefix(2000) == nk_prefix(p, q, 2000)
 
 
 def test_criterion_10_partition_golden_cases():

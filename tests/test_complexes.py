@@ -8,11 +8,9 @@ from echtk.cli import main
 from echtk.complexes import (
     ComplexSpec,
     WindowError,
-    _complex,
     _lines,
     _squares_vanish,
     d_squared_is_zero,
-    differential,
     enumerate_currents,
     homology,
     homology_representative,
@@ -25,9 +23,11 @@ from echtk.exact import InfRat
 from echtk.indices import _index_evaluator, ech_index
 from echtk.nseq import nk, repeat_count
 from gf2_oracle import (
+    _complex,
     assert_ranks_match_oracle,
     bitset_columns,
     bitset_ranks,
+    differential,
     keep_mask,
     line_currents,
     subcomplex_ranks,

@@ -12,6 +12,10 @@ is rank 1 at each line's index, and those ranks equal the bitset column
 reduction in gf2_oracle.py.  The homology is Z/2 in every certified even
 index and 0 in odd ones, and the knot-filtered class of index 2k appears
 exactly at ``linking_threshold``.
+The lines and the runs of N(p,q) are one walk: the lines of degree D are as
+many as the repeats of the value D, and the k-th line is the index-2k
+class, at (D, B) = (N_k, repeats - 1), with ``homology_representative``
+as its first point.
 The closed-form index evaluator on exponent tuples equals the ledger
 expansion and the lattice-path index, has the parity of H, and satisfies
 the h/b step relations."""
@@ -26,12 +30,12 @@ st = hypothesis.strategies
 
 from echtk.complexes import (  # noqa: E402
     ComplexSpec,
-    _complex,
     _generators,
+    _line,
     _lines,
     d_squared_is_zero,
-    differential,
     homology,
+    homology_representative,
     knot_filtered_homology,
     linking_threshold,
     required_degree,
@@ -39,12 +43,14 @@ from echtk.complexes import (  # noqa: E402
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree  # noqa: E402
 from echtk.exact import InfRat  # noqa: E402
 from echtk.indices import _index_evaluator, ech_index, ech_index_from_components  # noqa: E402
-from echtk.nseq import nk  # noqa: E402
+from echtk.nseq import lattice_count, nk, runs  # noqa: E402
 from echtk.toric import current_to_path, path_index  # noqa: E402
 from gf2_oracle import (  # noqa: E402
+    _complex,
     assert_ranks_match_oracle,
     bitset_columns,
     bitset_ranks,
+    differential,
     keep_mask,
     line_currents,
 )
@@ -219,3 +225,21 @@ def test_per_line_d_squared_check_agrees_with_the_whole_matrix(window):
     (p, q), b_top, extra = window
     spec = ComplexSpec(KnotParams(p, q), b_top * p * q + extra)
     assert d_squared_is_zero(spec) == differential(spec).d_squared_is_zero()
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(pq=COPRIME_UP_TO_30, max_degree=st.integers(0, 60))
+def test_lines_are_the_runs_of_n(pq, max_degree):
+    p, q = pq
+    kp = KnotParams(p, q)
+    lines = list(_lines(kp, max_degree))
+    # every value up to the cutoff, its run whole: N_0..N_K with K = #lines - 1
+    assert len(lines) == lattice_count(p, q, max_degree)
+    spans = list(runs(p, q, len(lines) - 1))
+    assert Counter(D for _, D, _, _, _ in lines) == dict(spans)
+    expected = [(value, j) for value, length in spans for j in range(length)]
+    assert [(D, B) for _, D, B, _, _ in lines] == expected
+    spec = ComplexSpec(kp, max_degree)
+    for k, (g, D, B, P0, m) in enumerate(lines):
+        assert g == 2 * k
+        assert homology_representative(spec, 2 * k) == ReebCurrent(*_line(kp, D, B, P0, m, 0)[0])

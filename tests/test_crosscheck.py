@@ -27,16 +27,17 @@ FUSED_FAULTS = [
 
 @pytest.mark.parametrize("at,shift,message", FUSED_FAULTS)
 def test_each_fused_check_names_its_failure(monkeypatch, at, shift, message):
-    original = crosscheck._window_evaluator
+    original = crosscheck._index_evaluator
 
-    def faulty(p, q, max_degree):
-        ev = original(p, q, max_degree)
+    def faulty(p, q):
+        ev = original(p, q)
         index = ev.index
         return SimpleNamespace(
-            index=lambda *e: index(*e) + shift * (e == at), sum_p=ev.sum_p, sum_q=ev.sum_q
+            index=lambda *e: index(*e) + shift * (e == at), grow=ev.grow, sum_p=ev.sum_p,
+            sum_q=ev.sum_q,
         )
 
-    monkeypatch.setattr(crosscheck, "_window_evaluator", faulty)
+    monkeypatch.setattr(crosscheck, "_index_evaluator", faulty)
     with pytest.raises(AssertionError) as info:
         crosscheck.verify_index_identities(2, 3, 12)
     assert str(info.value) == message

@@ -1,6 +1,6 @@
 """The library computes exactly: no float literal and no call to float(),
-math.sqrt, math.floor or math.ceil anywhere in src/echtk, except in the
-body of toric.svg, which renders figure coordinates."""
+math.sqrt, math.floor or math.ceil anywhere in src/echtk, the figure of
+toric.svg included: its user units are integers."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "echtk"
 BANNED_MATH = {"sqrt", "floor", "ceil"}
-EXEMPT = {("toric.py", "svg")}  # (file, top-level function) whose body may use floats
 
 
 def float_uses(source: str, filename: str) -> list[str]:
@@ -22,15 +21,8 @@ def float_uses(source: str, filename: str) -> list[str]:
             math_modules.update(a.asname or a.name for a in node.names if a.name == "math")
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             banned_names.update(a.asname or a.name for a in node.names if a.name in BANNED_MATH)
-    exempt = [
-        n for n in tree.body
-        if isinstance(n, ast.FunctionDef) and (filename, n.name) in EXEMPT
-    ]
-    skip = {id(n) for f in exempt for n in ast.walk(f)}
     found = []
     for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"{filename}:{node.lineno}: literal {node.value!r}")
         elif isinstance(node, ast.Call):
@@ -67,9 +59,3 @@ def test_library_has_no_floating_point():
 )
 def test_guard_flags_floats(source):
     assert len(float_uses(source, "indices.py")) == 1
-
-
-def test_guard_exempts_only_the_svg_body():
-    source = "def svg(path):\n    return 0.5 * float(path)\n"
-    assert float_uses(source, "toric.py") == []
-    assert len(float_uses(source, "cli.py")) == 2

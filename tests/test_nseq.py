@@ -12,13 +12,13 @@ from echtk.nseq import (
     lattice_count,
     nk,
     nk_closed_form,
-    nk_upto,
     partition,
     repeat_count,
     runs,
 )
 from golden_tables import PARTITION_DIGEST
 from lattice_path_oracle import partition_digest, partition_reference
+from nseq_oracle import lattice_count_rows, nk_prefix
 
 
 def brute_sequence(p, q, k_max):
@@ -56,7 +56,7 @@ def test_repeat_count_examples():
 def test_nk_against_brute_force_oracle():
     for p, q in [(1, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 7), (5, 6)]:
         expect = brute_sequence(p, q, 300)
-        assert nk_upto(p, q, 300) == expect
+        assert nk_prefix(p, q, 300) == expect
         for k in (0, 1, 2, 17, 123, 300):
             assert nk(p, q, k) == expect[k]
         seq = NSeq(p, q)
@@ -64,15 +64,39 @@ def test_nk_against_brute_force_oracle():
 
 
 def test_sequence_is_nondecreasing_and_symmetric():
-    vals = nk_upto(4, 9, 500)
+    vals = nk_prefix(4, 9, 500)
     assert all(a <= b for a, b in zip(vals, vals[1:]))
-    assert vals == nk_upto(9, 4, 500)
+    assert vals == nk_prefix(9, 4, 500)
 
 
 def test_oracle_equivalence_at_scale():
     # search path and materialized path agree out to k = 10^4
     for p, q in [(2, 3), (3, 4)]:
-        assert nk_upto(p, q, 10**4) == NSeq(p, q).prefix(10**4)
+        assert nk_prefix(p, q, 10**4) == NSeq(p, q).prefix(10**4)
+
+
+def test_lattice_count_property_against_the_row_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sizes = st.one_of(st.just(1), st.integers(1, 40), st.integers(1, 10**4))
+    bounds = st.one_of(st.integers(-3, 300), st.integers(-3, 10**6))
+
+    # the row loop walks bound // p rows, so p = 1 with a bound near 10^6 is its slowest case
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(p=sizes, q=sizes, bound=bounds)
+    def check(p, q, bound):
+        assert lattice_count(p, q, bound) == lattice_count_rows(p, q, bound)
+
+    check()
+
+
+def test_nk_far_out_is_a_floor_sum_search():
+    # N_k is the least n with lattice_count(n) > k; each count is O(log) steps
+    for p, q in [(1, 1), (2, 3), (3, 4), (5, 7)]:
+        for k in (10**12, 5 * 10**20):
+            value = nk(p, q, k)
+            assert lattice_count(p, q, value - 1) <= k < lattice_count(p, q, value)
+            assert repeat_count(p, q, k) <= value // (p * q) + 1
 
 
 def test_runs_examples():
@@ -128,10 +152,10 @@ def test_validation():
         nk(0, 1, 3)
     with pytest.raises(ValueError):
         nk(2, 3, -1)
-    # runs refuses at the call, before the first value is read, as nk_upto does
+    # runs refuses at the call, before the first value is read, as nk does
     for args in [(2, 4, 3), (0, 1, 3), (2, 3, -1)]:
         with pytest.raises(ValueError) as want:
-            nk_upto(*args)
+            nk(*args)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             runs(*args)
 

@@ -10,8 +10,9 @@ import pytest
 from echtk.cli import main
 from echtk.currents import KnotParams
 from echtk.exact import InfRat, render, render_fraction
-from echtk.nseq import NSeq, nk, nk_closed_form, nk_upto, repeat_count
+from echtk.nseq import NSeq, nk, nk_closed_form, repeat_count
 from echtk.spectra import (
+    _error_runs,
     _fixed_strs,
     _weyl_fixed,
     _weyl_sup,
@@ -23,9 +24,9 @@ from echtk.spectra import (
     sqrt_decimal,
     weyl_error_str,
     weyl_error_within,
-    weyl_scan,
     weyl_sup,
 )
+from nseq_oracle import nk_prefix
 
 KP = KnotParams(3, 4)
 COPRIME_UP_TO_8 = [(p, q) for q in range(2, 9) for p in range(1, q) if gcd(p, q) == 1]
@@ -97,7 +98,7 @@ def test_weyl_errors_tend_to_the_subleading_constant():
 
 
 def test_weyl_exact_bound_check():
-    values = nk_upto(2, 3, 2000)
+    values = nk_prefix(2, 3, 2000)
     bound = Fraction(6, 6)
     for k in range(100, 2001):
         assert weyl_error_within(KnotParams(2, 3), k, values[k], bound)
@@ -108,10 +109,12 @@ def test_weyl_exact_bound_check():
     )
 
 
-def test_weyl_scan_reports_supremum():
-    entries, sup = weyl_scan(KP, 50)
+def test_weyl_sup_is_the_largest_plot_data_error():
+    # the rows of weyl --plot-data, read back as floats
+    entries = [e for _, _, errors in _error_runs(KP, 50) for e in errors]
+    sup = weyl_sup(KP, 50)
     assert len(entries) == 51
-    float_sup = max(abs(float(e)) for _, e in entries)
+    float_sup = max(abs(float(e)) for e in entries)
     assert abs(float(sup) - float_sup) < 1e-9
 
 
@@ -119,8 +122,7 @@ def test_weyl_sup_matches_brute_force():
     for p, q in COPRIME_UP_TO_8:
         kp = KnotParams(p, q)
         sup = weyl_sup(kp, 3000)
-        assert sup == brute_force_sup(kp, nk_upto(p, q, 3000)), (p, q)
-        assert weyl_scan(kp, 3000)[1] == sup
+        assert sup == brute_force_sup(kp, nk_prefix(p, q, 3000)), (p, q)
     # on N_k the largest |e_k| has sat at the negative, last end of a run; in
     # this nondecreasing sequence it sits at the first index of the run of 100
     kp, values = KnotParams(2, 3), [0, 100, 100]
@@ -139,7 +141,7 @@ def test_weyl_sup_property_over_random_pairs():
         p, q = pq
         hypothesis.assume(gcd(p, q) == 1)
         kp = KnotParams(p, q)
-        assert weyl_sup(kp, k_max) == brute_force_sup(kp, nk_upto(p, q, k_max))
+        assert weyl_sup(kp, k_max) == brute_force_sup(kp, nk_prefix(p, q, k_max))
 
     # the endpoint argument needs only a nondecreasing sequence, not N_k itself
     @hypothesis.settings(max_examples=40, deadline=None)
@@ -174,7 +176,7 @@ def table_lines(header, rows):
 def test_scan_commands_match_a_per_k_rendering(capsys, p, q, k_max):
     kp = KnotParams(p, q)
     window = ["--p", str(p), "--q", str(q), "--k-max", str(k_max)]
-    values = nk_upto(p, q, k_max)
+    values = nk_prefix(p, q, k_max)
     repeats = [repeat_count(p, q, k) for k in range(k_max + 1)]
     errors = [weyl_error_str(kp, k, v) for k, v in enumerate(values)]
     scans = {
@@ -199,7 +201,7 @@ def test_scan_commands_match_a_per_k_rendering(capsys, p, q, k_max):
 
 
 def test_weyl_error_agrees_with_float_math():
-    values = nk_upto(3, 4, 400)
+    values = nk_prefix(3, 4, 400)
     for k in (7, 40, 123, 400):
         want = values[k] / 12 - math.sqrt(2 * k / 12)
         assert abs(float(weyl_error_str(KP, k, values[k])) - want) < 1e-9

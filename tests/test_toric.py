@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from echtk.complexes import ComplexSpec, enumerate_currents
@@ -143,3 +145,18 @@ def test_svg_smoke():
     doc = svg(current_to_path(ReebCurrent.from_name("h p q"), KP))
     assert doc.startswith("<svg") and doc.endswith("</svg>")
     assert "polyline" in doc
+
+
+def test_svg_has_integer_user_units():
+    # the dashed line runs from (0, W/q) to (W/p, 0): its rise over its run is p/q
+    for kp in (KP, KnotParams(1, 1), KnotParams(2, 7), KnotParams(5, 3)):
+        for name in ("1", "h", "b q", "h p q", "p^3 q^2"):
+            doc = svg(current_to_path(ReebCurrent.from_name(name), kp))
+            assert not re.search(r"\d\.\d", doc), (kp, name)
+            numbers = [int(v) for v in re.findall(r'(?:x1|y1|x2|y2|cx|cy|r)="(-?\d+)"', doc)]
+            assert numbers and min(numbers) >= 0
+            line = re.search(r'<line x1="(\d+)" y1="(\d+)" x2="(\d+)" y2="(\d+)"', doc)
+            assert (line is None) == (name == "1")
+            if line:
+                x1, y1, x2, y2 = map(int, line.groups())
+                assert (y2 - y1) * kp.q == (x2 - x1) * kp.p > 0
