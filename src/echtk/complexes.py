@@ -154,14 +154,27 @@ def required_degree(kp: KnotParams, max_index: int) -> int:
     return nk(kp.p, kp.q, (max_index + 1) // 2)
 
 
+# Rows of an index window that one run holds: homology at 10^6 rows took
+# 156 MB max RSS in CSV and 163 MB as a table, about 160 bytes a row, so
+# this budget is about 800 MB (2-vCPU VM, CPython 3.11).
+_MAX_INDEX_ROWS = 5_000_000
+_ROW_BYTES = 160
+
+
 def _certify(spec: ComplexSpec, max_index: int) -> None:
-    """Refuse an index window the degree cutoff does not certify,
-    reporting the cutoff that would."""
+    """Refuse an index window the degree cutoff does not certify, reporting
+    the cutoff that would, and then one with more rows than the budget."""
     if max_index < 0:
         raise ValueError("max index must be nonnegative")
     need = required_degree(spec.kp, max_index)
     if spec.max_degree < need:
         raise WindowError(max_index, need)
+    rows = max_index + 1
+    if rows > _MAX_INDEX_ROWS:
+        raise ValueError(
+            f"index window up to {max_index} has {rows} rows, about "
+            f"{rows * _ROW_BYTES // 10**6} MB; at most {_MAX_INDEX_ROWS} rows are held"
+        )
 
 
 def _counted(spec: ComplexSpec, max_index: int, den: int, bound: tuple[int, int]) -> dict[int, int]:

@@ -9,6 +9,13 @@ is exercised on a deterministic sample of the same window.  The window
 is enumerated once: the sample thins the exponent tuples of the fused
 pass.  Raw integer arithmetic on the exponent tuples keeps the sweep fast
 enough for six-figure generator counts.
+
+A sampled current costs one ``ReebCurrent``, one ``LatticePath`` and the
+current rebuilt from it, each a validated named tuple, plus the index
+three ways: about 6.5 us per current, against 8.8 us when the three were
+frozen dataclasses (T(3,4) at degree 150, 1,760 sampled currents; medians
+over eight alternating processes of the best of 40 passes, 2-vCPU VM,
+CPython 3.11).
 """
 
 from __future__ import annotations

@@ -4,6 +4,10 @@ A current is an exponent vector (B, H, P, Q); it is admissible when the
 hyperbolic orbit h carries multiplicity at most one.  Degree, action,
 pairwise linking and the knot filtration all reduce to small closed
 formulas in these exponents.
+
+:class:`ReebCurrent` is a named tuple of the exponents whose constructor
+validates them, so a current unpacks like ``B, H, P, Q = c`` and costs one
+tuple to build; it equals only another current, never a bare tuple.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .exact import InfRat
 
@@ -37,48 +42,84 @@ class KnotParams:
         return self.p * self.q
 
 
-@dataclass(frozen=True)
-class ReebCurrent:
-    B: int = 0
-    H: int = 0
-    P: int = 0
-    Q: int = 0
+_tuple_new = tuple.__new__
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
 
-    def __post_init__(self) -> None:
-        B, H, P, Q = self.B, self.H, self.P, self.Q
+
+class _ValidatedTuple:
+    """Mixin for a named tuple whose ``__new__`` validates: ``_make``,
+    ``_replace``, pickle and copy all go through ``cls(...)``, and a value
+    equals only a value of its own class, never a bare tuple."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _tuple_eq(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    # tuple defines its own __ne__, which would not follow __eq__
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return _tuple_ne(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__  # defining __eq__ would otherwise unset it
+
+
+class _Exponents(NamedTuple):
+    B: int
+    H: int
+    P: int
+    Q: int
+
+
+class ReebCurrent(_ValidatedTuple, _Exponents):
+    """The current b^B h^H p^P q^Q, held as the named tuple of its exponents."""
+
+    __slots__ = ()
+
+    def __new__(cls, B: int = 0, H: int = 0, P: int = 0, Q: int = 0) -> "ReebCurrent":
         # one test for the common case of plain ints; anything else (bool,
         # int subclasses, bad values) takes the per-field checks below
-        if (
+        if not (
             type(B) is type(H) is type(P) is type(Q) is int
             and B >= 0 and P >= 0 and Q >= 0 and 0 <= H <= 1
         ):
-            return
-        for name in ("B", "H", "P", "Q"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"multiplicity {name}={v!r} must be a nonnegative integer")
-        if self.H > 1:
-            raise ValueError("hyperbolic orbit multiplicity must be 0 or 1")
+            for name, v in zip("BHPQ", (B, H, P, Q)):
+                if not isinstance(v, int) or v < 0:
+                    raise ValueError(f"multiplicity {name}={v!r} must be a nonnegative integer")
+            if H > 1:
+                raise ValueError("hyperbolic orbit multiplicity must be 0 or 1")
+        return _tuple_new(cls, (B, H, P, Q))
 
     @property
     def is_empty(self) -> bool:
-        return (self.B, self.H, self.P, self.Q) == (0, 0, 0, 0)
+        return not any(self)
 
     def exponents(self) -> tuple[int, int, int, int]:
-        return (self.B, self.H, self.P, self.Q)
+        return tuple(self)
 
     def multiplicity(self, orbit: str) -> int:
         return {"b": self.B, "h": self.H, "p": self.P, "q": self.Q}[orbit]
 
     def name(self) -> str:
         """Canonical text form, zero exponents omitted; the empty current is "1"."""
-        return _join(*map(_power, ORBITS, self.exponents()))
+        return _join(*map(_power, ORBITS, self))
 
     def __str__(self) -> str:
         return self.name()
 
     def to_json(self) -> dict:
-        return {"B": self.B, "H": self.H, "P": self.P, "Q": self.Q}
+        return self._asdict()
 
     @classmethod
     def from_json(cls, data: dict) -> "ReebCurrent":

@@ -222,9 +222,10 @@ def cz_in_triv(orbit: str, iterate: int, triv: str, kp: KnotParams) -> int:
 
 def ech_index(c: ReebCurrent, kp: KnotParams) -> int:
     """Closed-form ECH index of an admissible current."""
-    B, H, P, Q = c.exponents()
+    B, H, P, Q = c
     evaluator = _index_evaluator(kp.p, kp.q)
-    evaluator.grow(P, Q)
+    if P >= len(evaluator.sum_p) or Q >= len(evaluator.sum_q):
+        evaluator.grow(P, Q)
     return evaluator.index(B, H, P, Q)
 
 
@@ -234,7 +235,7 @@ def ech_index_from_components(c: ReebCurrent, kp: KnotParams) -> int:
     bilinearly, and the Conley-Zehnder sums.  Must agree with
     :func:`ech_index`; disagreement signals a bug."""
     p, q = kp.p, kp.q
-    B, H, P, Q = c.B, c.H, c.P, c.Q
+    B, H, P, Q = c
     bb, hh, pp, qq, bh, bp, bq, hp, hq, pq = _orbibundle_pairings(p, q)
     qterm = (
         B * B * bb
@@ -245,9 +246,11 @@ def ech_index_from_components(c: ReebCurrent, kp: KnotParams) -> int:
     )
     chern = 0  # every class in scope has vanishing orbibundle Chern number
     evaluator = _index_evaluator(p, q)
-    evaluator.grow(P, Q)
+    sum_p, sum_q = evaluator.sum_p, evaluator.sum_q
+    if P >= len(sum_p) or Q >= len(sum_q):
+        evaluator.grow(P, Q)
     s = p + q  # cz_orb is 2si + 1 on b^i and 2s on h
-    cz = s * B * (B + 1) + B + 2 * s * H + evaluator.sum_p[P] + evaluator.sum_q[Q]
+    cz = s * B * (B + 1) + B + 2 * s * H + sum_p[P] + sum_q[Q]
     total = chern + qterm + cz
     direct = evaluator.index(B, H, P, Q)
     if total != direct:
@@ -261,7 +264,7 @@ def ech_index_from_components(c: ReebCurrent, kp: KnotParams) -> int:
 def _cz_top_sum(c: ReebCurrent, kp: KnotParams) -> int:
     """Sum of cz_orb over the top iterate of each orbit present."""
     total = 0
-    for orbit, mult in zip(("b", "h", "p", "q"), c.exponents()):
+    for orbit, mult in zip(("b", "h", "p", "q"), c):
         if mult:
             total += cz_orb(orbit, mult, kp)
     return total

@@ -11,6 +11,9 @@ tests can compare the two:
   hull right of it separately, joins them at the segment's lower end and
   drops repeated points.
 
+:class:`LatticePathReference` is ``LatticePath`` as the frozen dataclass it
+was, whose ``__post_init__`` is the validation the named tuple must match.
+
 :func:`vertices_digest` and :func:`partition_digest` hash a fixed set of
 outputs; ``golden_tables.py`` pins the values they gave for these
 references.
@@ -19,12 +22,36 @@ references.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents
 from echtk.exact import InfRat, ceil_inf, floor_inf
 from echtk.toric import LatticePath, current_to_path
+
+
+@dataclass(frozen=True)
+class LatticePathReference:
+    kp: KnotParams
+    anchor: tuple[int, int]
+    m: int = 0
+    label: str = "e"
+
+    def __post_init__(self) -> None:
+        Q, P = self.anchor
+        if Q < 0 or P < 0:
+            raise ValueError(f"anchor {self.anchor} must be in the first quadrant")
+        if self.m < 0:
+            raise ValueError("segment length must be nonnegative")
+        if P < self.m * self.kp.p:
+            raise ValueError(
+                f"anchor {self.anchor} cannot carry {self.m} steps of (q,-p)"
+            )
+        if self.label not in ("e", "h"):
+            raise ValueError(f"label must be 'e' or 'h', got {self.label!r}")
+        if self.label == "h" and self.m == 0:
+            raise ValueError("the 'h' label needs a nondegenerate segment")
 
 
 def _cross(o, a, b) -> int:

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from echtk import __version__, cli
+from echtk import __version__, cli, complexes
 from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
@@ -279,6 +279,34 @@ def test_homology_refuses_a_huge_window_at_once(capsys):
     assert time.monotonic() - start < 2.0
     assert code == 1 and out == ""
     assert err == f"error: index window up to {10**21} needs max_degree >= {nk(3, 4, 5 * 10**20)}\n"
+
+
+@pytest.mark.parametrize("command", ["homology", "knot-filtered"])
+@pytest.mark.parametrize("window", [
+    ["--max-index", str(10**21)],
+    ["--max-index", str(10**8), "--max-degree", "100000"],
+])
+def test_certified_window_over_the_row_budget_is_refused_before_allocating(capsys, command, window):
+    start = time.monotonic()
+    extra = ["--filtration", "5"] if command == "knot-filtered" else []
+    code, out, err = run(capsys, command, "--p", "3", "--q", "4", *window, *extra)
+    assert time.monotonic() - start < 2.0
+    max_index = int(window[1])
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: index window up to {max_index} has {max_index + 1} rows, about "
+        f"{(max_index + 1) * 160 // 10**6} MB; at most 5000000 rows are held\n"
+    )
+
+
+def test_row_budget_counts_rows_not_indices(capsys, monkeypatch):
+    monkeypatch.setattr(complexes, "_MAX_INDEX_ROWS", 11)
+    code, out, _ = run(capsys, "homology", "--p", "3", "--q", "4", "--max-index", "10",
+                       "--format", "csv")
+    assert code == 0 and out.count("\n") == 12
+    code, out, err = run(capsys, "homology", "--p", "3", "--q", "4", "--max-index", "11")
+    assert code == 2 and out == ""
+    assert err.startswith("error: index window up to 11 has 12 rows,")
 
 
 def test_homology_checks_d_squared_without_the_boundary_matrix(capsys):

@@ -304,13 +304,13 @@ def test_counted_ranks_match_bitset_oracle():
 def count_currents(monkeypatch):
     """A list that grows by one entry per ReebCurrent constructed from here on."""
     built = []
-    check = ReebCurrent.__post_init__
+    new = ReebCurrent.__new__
 
-    def counted(self):
+    def counted(cls, *args, **kwargs):
         built.append(None)
-        check(self)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(ReebCurrent, "__post_init__", counted)
+    monkeypatch.setattr(ReebCurrent, "__new__", counted)
     return built
 
 

@@ -4,7 +4,9 @@
 integer floor points.  Over random angles and random currents they equal
 the reference constructions in lattice_path_oracle.py, which take InfRat
 floors and ceilings with a lower hull for ``'-'``, and join two hulls at
-the segment.  A current survives the round trip through its path."""
+the segment.  A current survives the round trip through its path, and a
+``LatticePath`` is accepted or refused, with the same message, exactly
+as by the frozen dataclass it was."""
 
 from fractions import Fraction
 from math import gcd
@@ -17,8 +19,12 @@ st = hypothesis.strategies
 from echtk.currents import KnotParams, ReebCurrent  # noqa: E402
 from echtk.exact import InfRat  # noqa: E402
 from echtk.nseq import partition  # noqa: E402
-from echtk.toric import current_to_path, path_to_current, vertices  # noqa: E402
-from lattice_path_oracle import partition_reference, vertices_reference  # noqa: E402
+from echtk.toric import LatticePath, current_to_path, path_to_current, vertices  # noqa: E402
+from lattice_path_oracle import (  # noqa: E402
+    LatticePathReference,
+    partition_reference,
+    vertices_reference,
+)
 
 RATS = st.builds(Fraction, st.integers(-200, 200), st.integers(1, 60))
 THETAS = st.one_of(
@@ -53,3 +59,22 @@ def test_vertices_equal_the_joined_hull_reference(kp, c):
 @hypothesis.given(kp=KNOTS, c=CURRENTS)
 def test_path_current_round_trip(kp, c):
     assert path_to_current(current_to_path(c, kp)) == c
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@hypothesis.given(
+    kp=KNOTS,
+    anchor=st.tuples(st.integers(-3, 40), st.integers(-3, 40)),
+    m=st.integers(-3, 6),
+    label=st.sampled_from(["e", "h", "", "E", "eh", None, 0]),
+)
+def test_path_validation_equals_the_dataclass_reference(kp, anchor, m, label):
+    try:
+        ref = LatticePathReference(kp, anchor, m, label)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            LatticePath(kp, anchor, m, label)
+        assert str(info.value) == str(exc)
+    else:
+        path = LatticePath(kp, anchor, m, label)
+        assert tuple(path) == (ref.kp, ref.anchor, ref.m, ref.label)
