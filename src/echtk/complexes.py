@@ -54,24 +54,12 @@ def _lines(kp: KnotParams, top: int) -> Iterator[tuple[int, int, int, int, int]]
     P = P0, P0 + p, ..., they share the ECH index g, and g strictly
     increases along the walk.  The walk of the representations
     D = P*q + Q*p gives P0 = D/q mod p, the same for every B of one D, and
-    their count n; m = n - B falls by one per B, so D has n lines.
-
-    Only a line's first point is graded, so the evaluator's prefix sums are
-    read below p for P and up to the Q0 of B = 0 for Q.  They grow as the
-    walk reaches them, doubling up to the top // p the cutoff needs, not
-    to it up front, since a caller may stop long before the cutoff."""
+    their count n; m = n - B falls by one per B, so D has n lines."""
     p, q = kp.p, kp.q
-    evaluator = _index_evaluator(p, q)
-    index, cap = evaluator.index, top // p
-    grown = -1  # the sums cover at least Q <= grown
+    index = _index_evaluator(p, q).index
     last = -1
-    for D, P0, n in _walk(q, p):
-        if D > top:
-            return
+    for D, P0, n in _walk(q, p, top):
         Q0 = (D - q * P0) // p  # the first point of line B has Q = Q0 - q*B
-        if Q0 > grown:
-            grown = min(2 * Q0 + 1, cap)
-            evaluator.grow(p - 1, grown)
         for B in range(n):
             g = index(B, 0, P0, Q0 - q * B)
             assert g > last, "line indices must increase along the walk"

@@ -12,10 +12,9 @@ enough for six-figure generator counts.
 
 A sampled current costs one ``ReebCurrent``, one ``LatticePath`` and the
 current rebuilt from it, each a validated named tuple, plus the index
-three ways: about 6.5 us per current, against 8.8 us when the three were
-frozen dataclasses (T(3,4) at degree 150, 1,760 sampled currents; medians
-over eight alternating processes of the best of 40 passes, 2-vCPU VM,
-CPython 3.11).
+three ways: about 6.5 us per current (T(3,4) at degree 150, 1,760
+sampled currents; medians over eight alternating processes of the best of
+40 passes, 2-vCPU VM, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -30,13 +29,10 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
     """Raise on any violation; return the number of currents checked."""
     kp = KnotParams(p, q)
     pq = p * q
-    s = p + q
     evaluator = _index_evaluator(p, q)
-    evaluator.grow(max_degree // q, max_degree // p)  # every current of the window
-    idx, sum_p, sum_q = evaluator.index, evaluator.sum_p, evaluator.sum_q
+    idx, components = evaluator.index, evaluator.components
     # strict lattice counts T[w] = #{(x,y) >= 0 : px + qy < w}
     strict = [lattice_count(p, q, w - 1) for w in range(max_degree + 1)]
-    sl = pq - p - q  # the shared Q-pairing constant
 
     def where(B: int, H: int, P: int, Q: int) -> str:
         # built only when a check fails
@@ -50,17 +46,7 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
         if (index % 2) != H:
             raise AssertionError(f"parity failure at {where(B, H, P, Q)}: {index}")
         # ledger route: zero Chern term plus the bilinear pairing
-        qterm = (
-            sl * (B * B + H * H)
-            - P * P
-            - Q * Q
-            + 2 * P * Q
-            + 2 * B * H * pq
-            + 2 * P * (B + H) * q
-            + 2 * Q * (B + H) * p
-        )
-        cz = s * B * B + (s + 1) * B + 2 * s * H + sum_p[P] + sum_q[Q]
-        if qterm + cz != index:
+        if components(B, H, P, Q) != index:
             raise AssertionError(f"component mismatch at {where(B, H, P, Q)}")
         # lattice-path index: 2(points under the path - 1) - H
         if 2 * (strict[w] + B + H) - H != index:

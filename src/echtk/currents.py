@@ -16,10 +16,10 @@ import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .exact import InfRat
+from .nseq import _check_pq
 
 ORBITS = ("b", "h", "p", "q")
 
@@ -32,10 +32,7 @@ class KnotParams:
     q: int
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"p and q must be positive, got ({self.p}, {self.q})")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"p and q must be coprime, got ({self.p}, {self.q})")
+        _check_pq(self.p, self.q)
 
     @property
     def pq(self) -> int:
@@ -190,42 +187,27 @@ def action(c: ReebCurrent, kp: KnotParams) -> Fraction:
     return Fraction(degree(c, kp), kp.pq)
 
 
-def _pairwise_linking(kp: KnotParams) -> dict[frozenset, int]:
-    p, q = kp.p, kp.q
-    return {
-        frozenset(("p", "q")): 1,
-        frozenset(("b", "p")): q,
-        frozenset(("h", "p")): q,
-        frozenset(("b", "q")): p,
-        frozenset(("h", "q")): p,
-        frozenset(("b", "h")): p * q,
-    }
-
-
 def linking(c1: ReebCurrent, c2: ReebCurrent, kp: KnotParams) -> int:
-    """Linking number of two currents, bilinear over multiplicities.
+    """Linking number of two currents, bilinear over multiplicities: the
+    pairs (p, q), (b or h, p), (b or h, q) and (b, h) link 1, q, p and pq
+    times.
 
     Rejected when both currents contain a common embedded orbit:
     self-linking is a different invariant and is deliberately not
     conflated with this one.
     """
-    shared = [
-        o for o in ORBITS if c1.multiplicity(o) > 0 and c2.multiplicity(o) > 0
-    ]
+    shared = [o for o, m1, m2 in zip(ORBITS, c1, c2) if m1 > 0 and m2 > 0]
     if shared:
         raise ValueError(f"self-linking of orbit(s) {shared} is undefined")
-    table = _pairwise_linking(kp)
-    total = 0
-    for o1 in ORBITS:
-        m1 = c1.multiplicity(o1)
-        if not m1:
-            continue
-        for o2 in ORBITS:
-            m2 = c2.multiplicity(o2)
-            if not m2:
-                continue
-            total += m1 * m2 * table[frozenset((o1, o2))]
-    return total
+    B1, H1, P1, Q1 = c1
+    B2, H2, P2, Q2 = c2
+    bh1, bh2 = B1 + H1, B2 + H2
+    return (
+        P1 * Q2 + Q1 * P2
+        + kp.q * (bh1 * P2 + P1 * bh2)
+        + kp.p * (bh1 * Q2 + Q1 * bh2)
+        + kp.pq * (B1 * H2 + H1 * B2)
+    )
 
 
 def knot_filtration(c: ReebCurrent, kp: KnotParams) -> InfRat:

@@ -6,8 +6,9 @@ the relative intersection pairing plus summed Conley-Zehnder terms.  The
 other trivializations live only in :func:`cz_in_triv` and the ledger.
 
 The closed-form index is written once, in the per-(p,q) evaluator on
-exponent tuples (B, H, P, Q); :mod:`echtk.crosscheck` compares it with the
-ledger's bilinear expansion and the lattice-path count.
+exponent tuples (B, H, P, Q), next to the one copy of the ledger's bilinear
+expansion of the same value; :mod:`echtk.crosscheck` compares the two and
+the lattice-path count.
 """
 
 from __future__ import annotations
@@ -37,17 +38,24 @@ def _cz_elliptic(s: int, period: int, i: int) -> int:
 
 class _IndexEvaluator:
     """The closed-form ECH index on the exponents (B, H, P, Q) of an
-    admissible current for one (p, q), and the prefix sums of cz_orb over
-    the iterates of p and q that it reads.  ``index`` does not bounds-check:
-    :meth:`grow` must first cover the largest P and Q it is called with."""
+    admissible current for one (p, q), the ledger's bilinear expansion of
+    the same value, and the prefix sums of cz_orb over the iterates of p
+    and q that both read.  The sums grow through exactly the iterate a call
+    reads past their end, so no caller sizes them."""
 
     def __init__(self, p: int, q: int):
         self.p, self.q = p, q
         pq, s = p * q, p + q
         sum_p = self.sum_p = [0]
         sum_q = self.sum_q = [0]
+        grow = self.grow
 
         def index(B: int, H: int, P: int, Q: int) -> int:
+            try:
+                cz = sum_p[P] + sum_q[Q]
+            except IndexError:
+                grow(P, Q)
+                return index(B, H, P, Q)
             # relative intersection pairing (zero Chern term in the
             # orbibundle trivialization) plus the summed CZ terms of
             # b^B h^H p^P q^Q, collected with H*H = H
@@ -58,19 +66,36 @@ class _IndexEvaluator:
                 + pq * bh * bh
                 + s * H
                 + (s + 1) * B
-                + sum_p[P]
-                + sum_q[Q]
+                + cz
             )
 
+        def components(B: int, H: int, P: int, Q: int) -> int:
+            try:
+                cz = sum_p[P] + sum_q[Q]
+            except IndexError:
+                grow(P, Q)
+                return components(B, H, P, Q)
+            # zero Chern term, the ledger's pairings expanded bilinearly,
+            # and the CZ sums: cz_orb is 2si + 1 on b^i and 2s on h
+            bb, hh, pp, qq, bh, bp, bq, hp, hq, pq = _orbibundle_pairings(p, q)
+            qterm = (
+                B * B * bb
+                + H * H * hh
+                + P * P * pp
+                + Q * Q * qq
+                + 2 * (B * (H * bh + P * bp + Q * bq) + H * (P * hp + Q * hq) + P * Q * pq)
+            )
+            return qterm + s * B * (B + 1) + B + 2 * s * H + cz
+
         self.index = index
+        self.components = components
 
     def grow(self, max_p: int, max_q: int) -> None:
         """Extend the prefix sums through iterate max_p of p and max_q of q."""
-        if max_p >= len(self.sum_p) or max_q >= len(self.sum_q):
-            s = self.p + self.q
-            for sums, period, upto in ((self.sum_p, self.p, max_p), (self.sum_q, self.q, max_q)):
-                for i in range(len(sums), upto + 1):
-                    sums.append(sums[-1] + _cz_elliptic(s, period, i))
+        s = self.p + self.q
+        for sums, period, upto in ((self.sum_p, self.p, max_p), (self.sum_q, self.q, max_q)):
+            for i in range(len(sums), upto + 1):
+                sums.append(sums[-1] + _cz_elliptic(s, period, i))
 
 
 # one per (p, q), keyed by plain ints: hashing KnotParams costs a Python-level call
@@ -222,11 +247,7 @@ def cz_in_triv(orbit: str, iterate: int, triv: str, kp: KnotParams) -> int:
 
 def ech_index(c: ReebCurrent, kp: KnotParams) -> int:
     """Closed-form ECH index of an admissible current."""
-    B, H, P, Q = c
-    evaluator = _index_evaluator(kp.p, kp.q)
-    if P >= len(evaluator.sum_p) or Q >= len(evaluator.sum_q):
-        evaluator.grow(P, Q)
-    return evaluator.index(B, H, P, Q)
+    return _index_evaluator(kp.p, kp.q).index(*c)
 
 
 def ech_index_from_components(c: ReebCurrent, kp: KnotParams) -> int:
@@ -234,28 +255,12 @@ def ech_index_from_components(c: ReebCurrent, kp: KnotParams) -> int:
     in the orbibundle trivialization), the intersection pairing expanded
     bilinearly, and the Conley-Zehnder sums.  Must agree with
     :func:`ech_index`; disagreement signals a bug."""
-    p, q = kp.p, kp.q
-    B, H, P, Q = c
-    bb, hh, pp, qq, bh, bp, bq, hp, hq, pq = _orbibundle_pairings(p, q)
-    qterm = (
-        B * B * bb
-        + H * H * hh
-        + P * P * pp
-        + Q * Q * qq
-        + 2 * (B * (H * bh + P * bp + Q * bq) + H * (P * hp + Q * hq) + P * Q * pq)
-    )
-    chern = 0  # every class in scope has vanishing orbibundle Chern number
-    evaluator = _index_evaluator(p, q)
-    sum_p, sum_q = evaluator.sum_p, evaluator.sum_q
-    if P >= len(sum_p) or Q >= len(sum_q):
-        evaluator.grow(P, Q)
-    s = p + q  # cz_orb is 2si + 1 on b^i and 2s on h
-    cz = s * B * (B + 1) + B + 2 * s * H + sum_p[P] + sum_q[Q]
-    total = chern + qterm + cz
-    direct = evaluator.index(B, H, P, Q)
+    evaluator = _index_evaluator(kp.p, kp.q)
+    total = evaluator.components(*c)
+    direct = evaluator.index(*c)
     if total != direct:
         raise RuntimeError(
-            f"index inconsistency for {c.name()} at (p,q)=({p},{q}): "
+            f"index inconsistency for {c.name()} at (p,q)=({kp.p},{kp.q}): "
             f"components give {total}, closed form gives {direct}"
         )
     return total

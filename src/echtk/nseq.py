@@ -87,24 +87,22 @@ def runs(p: int, q: int, k_max: int) -> Iterator[tuple[int, int]]:
     return _runs(p, q, k_max)
 
 
-def _walk(p: int, q: int) -> Iterator[tuple[int, int, int]]:
-    """``(n, a0, count)`` for n = 0, 1, 2, ... that have a representation
+def _walk(p: int, q: int, top: int) -> Iterator[tuple[int, int, int]]:
+    """``(n, a0, count)`` for n = 0, 1, ..., top that have a representation
     n = a*p + b*q: a0 = n * p^-1 mod q is the least a, and there are
     count = (n - a0*p) // pq + 1 of them, a = a0, a0 + q, ... (Popoviciu).
-    Endless; the runs of N(p,q) and the lines of the chain complex are cut
-    from it."""
+    The runs of N(p,q) and the lines of the chain complex are cut from it."""
     pq, step = p * q, pow(p, -1, q)  # a0 grows by p^-1 mod q per n
-    n = a0 = 0
-    while True:
+    a0 = 0
+    for n in range(top + 1):
         if a0 * p <= n:
             yield n, a0, (n - a0 * p) // pq + 1
-        n += 1
         a0 = (a0 + step) % q
 
 
 def _runs(p: int, q: int, k_max: int) -> Iterator[tuple[int, int]]:
     left = k_max + 1
-    for n, _, count in _walk(p, q):
+    for n, _, count in _walk(p, q, nk(p, q, k_max)):
         if count >= left:
             yield n, left
             return
@@ -209,6 +207,16 @@ def _hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return chain
 
 
+def _corner_columns(lo: int, hi: int, b: int) -> range | list[int]:
+    """The x of range(lo, hi) that can be corners of an upper hull of one
+    point per column whose points in each residue class of x mod b lie on
+    one line: a point between two of its class lies on their segment, so
+    only the first and last b columns count."""
+    if hi - lo <= 2 * b:
+        return range(lo, hi)
+    return [*range(lo, lo + b), *range(hi - b, hi)]
+
+
 def _edge_parts(chain: list[tuple[int, int]]) -> tuple[int, ...]:
     # split every edge at its interior lattice points, read left to right
     parts: list[int] = []
@@ -233,8 +241,10 @@ def partition(theta: InfRat | Fraction | int, m: int, sign: str) -> tuple[int, .
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     theta = coerce(theta) if sign == "+" else -coerce(theta)
-    # floor((a/b + s*d) * x): s*x < 0 only pulls an integer a*x/b one below
+    # floor((a/b + s*d) * x): for x >= 1, s < 0 only pulls an integer a*x/b
+    # one below, so column x + b sits a above column x; x = 0 gives 0
     a, b, s = theta.rat.numerator, theta.rat.denominator, theta.delta
-    parts = _edge_parts(_hull([(x, (a * x - (s * x < 0)) // b) for x in range(m + 1)]))
+    floors = [(x, (a * x - (s < 0)) // b) for x in _corner_columns(1, m + 1, b)]
+    parts = _edge_parts(_hull([(0, 0), *floors]))
     assert sum(parts) == m
     return parts

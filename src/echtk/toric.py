@@ -14,8 +14,8 @@ A :class:`LatticePath` is a named tuple (kp, anchor, m, label) whose
 constructor validates it.  :func:`current_to_path`, :func:`path_to_current`
 and :func:`path_index` unpack their argument once and build one tuple or
 take one floor sum: the three together, the per-current round trip of
-:mod:`echtk.crosscheck`, take about 3.5 us against 6 us on the frozen
-dataclass (timeit on T(3,4), 2-vCPU VM, CPython 3.11).
+:mod:`echtk.crosscheck`, take about 3.5 us (timeit on T(3,4), 2-vCPU VM,
+CPython 3.11).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .currents import KnotParams, ReebCurrent, _tuple_new, _ValidatedTuple
-from .nseq import _hull, lattice_count
+from .nseq import _corner_columns, _hull, lattice_count
 
 
 class _PathFields(NamedTuple):
@@ -125,12 +125,15 @@ def vertices(path: LatticePath) -> list[tuple[int, int]]:
 
     One upper hull over the segment's two ends (one point when m = 0) and,
     in each column left or right of the segment, the highest point
-    strictly under px + qy = W.
+    strictly under px + qy = W.  Column x + q sits p below column x, so
+    at most q columns at each end of either side can be corners.
     """
     p, q, w = path.kp.p, path.kp.q, path.filtration_value
     ends = [path.anchor, path.lower_endpoint] if path.m else [path.anchor]
-    left = [(x, (w - p * x - 1) // q) for x in range(ends[0][0])]
-    right = [(x, (w - p * x - 1) // q) for x in range(ends[-1][0] + 1, (w - 1) // p + 1)]
+    left = [(x, (w - p * x - 1) // q) for x in _corner_columns(0, ends[0][0], q)]
+    right = [
+        (x, (w - p * x - 1) // q) for x in _corner_columns(ends[-1][0] + 1, (w - 1) // p + 1, q)
+    ]
     return _hull(left + ends + right)
 
 

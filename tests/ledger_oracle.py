@@ -7,14 +7,16 @@
   ``cz_orb`` term per iterate, which is the value
   ``ech_index_from_components`` must return;
 - :func:`cz_table_reference` lists the single-orbit iterates by
-  multiplying ``Fraction`` actions and sorts them on ``Fraction`` keys.
+  multiplying ``Fraction`` actions and sorts them on ``Fraction`` keys;
+- :func:`linking_reference` sums the linking number over every pair of
+  orbits present, one ``frozenset`` table lookup per pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from echtk.currents import KnotParams, ReebCurrent
+from echtk.currents import ORBITS, KnotParams, ReebCurrent
 from echtk.indices import cz_orb, ledger
 
 
@@ -54,3 +56,31 @@ def cz_table_reference(kp: KnotParams, max_action) -> list[tuple[str, Fraction, 
             i += 1
     rows.sort(key=lambda r: (r[1], r[2], r[0]))
     return rows
+
+
+def _pairwise_linking(kp: KnotParams) -> dict[frozenset, int]:
+    p, q = kp.p, kp.q
+    return {
+        frozenset(("p", "q")): 1,
+        frozenset(("b", "p")): q,
+        frozenset(("h", "p")): q,
+        frozenset(("b", "q")): p,
+        frozenset(("h", "q")): p,
+        frozenset(("b", "h")): p * q,
+    }
+
+
+def linking_reference(c1: ReebCurrent, c2: ReebCurrent, kp: KnotParams) -> int:
+    """Linking number of two currents that share no orbit."""
+    table = _pairwise_linking(kp)
+    total = 0
+    for o1 in ORBITS:
+        m1 = c1.multiplicity(o1)
+        if not m1:
+            continue
+        for o2 in ORBITS:
+            m2 = c2.multiplicity(o2)
+            if not m2:
+                continue
+            total += m1 * m2 * table[frozenset((o1, o2))]
+    return total

@@ -11,7 +11,7 @@ from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 from echtk.exact import render, render_fraction
-from echtk.indices import ech_index
+from echtk.indices import _index_evaluator, ech_index
 from echtk.nseq import NSeq, nk
 from echtk.spectra import action_spectrum, weyl_sup
 from golden_tables import (
@@ -407,6 +407,34 @@ def test_toric_path_vertices(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["x,y", "0,4", "1,4", "5,1", "6,0"]
+
+
+def test_toric_path_of_a_huge_current_reads_few_columns(capsys):
+    # W/p = 1.3 * 10**11 columns; only the first and last q of each side
+    # of the segment can be corners
+    start = time.monotonic()
+    code, out, _ = run(
+        capsys, "toric", "path", "--p", "3", "--q", "4", "--current", "p^99999999999 q",
+        "--format", "csv",
+    )
+    assert time.monotonic() - start < 2.0
+    assert code == 0
+    assert out.splitlines() == [
+        "x,y", "0,99999999999", "1,99999999999", "133333333330,2", "133333333332,0"
+    ]
+
+
+def test_generators_of_a_huge_pair_grow_the_prefix_sums_only_as_read(capsys):
+    # the walk stops at the cutoff, and the evaluator grows its sums
+    # through the iterates it reads, not through p - 1 up front
+    code, out, _ = run(
+        capsys, "generators", "--p", "1000003", "--q", "1000033", "--max-degree", "10",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out == "degree,generator,index\n0,1,0\n"
+    evaluator = _index_evaluator(1000003, 1000033)
+    assert len(evaluator.sum_p) < 100 and len(evaluator.sum_q) < 100
 
 
 def test_toric_svg(tmp_path, capsys):

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from echtk import crosscheck
+from echtk import crosscheck, indices
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 
 
@@ -34,13 +34,28 @@ def test_each_fused_check_names_its_failure(monkeypatch, at, shift, message):
         index = ev.index
         return SimpleNamespace(
             index=lambda *e: index(*e) + shift * (e == at), grow=ev.grow, sum_p=ev.sum_p,
-            sum_q=ev.sum_q,
+            sum_q=ev.sum_q, components=ev.components,
         )
 
     monkeypatch.setattr(crosscheck, "_index_evaluator", faulty)
     with pytest.raises(AssertionError) as info:
         crosscheck.verify_index_identities(2, 3, 12)
     assert str(info.value) == message
+
+
+def test_the_fused_pass_reads_the_ledger(monkeypatch):
+    # one wrong ledger pairing, Q(Z_p, Z_q), shows at the first current with
+    # both P and Q, in the fused pass rather than the sample pass
+    led = indices.InvariantLedger.for_params(KnotParams(2, 3))
+    led.qpair[("Z_p", "Z_q", "orbibundle")] = 2
+    monkeypatch.setattr(indices, "_ledger", lambda p, q: led)
+    indices._orbibundle_pairings.cache_clear()
+    try:
+        with pytest.raises(AssertionError) as info:
+            crosscheck.verify_index_identities(2, 3, 12)
+    finally:
+        indices._orbibundle_pairings.cache_clear()
+    assert str(info.value) == "component mismatch at (B,H,P,Q)=(0,0,1,1), (p,q)=(2,3)"
 
 
 TARGET = ReebCurrent(1, 1, 2, 1)  # degree 21 in T(2,3), inside the window

@@ -14,6 +14,7 @@ from echtk.currents import (
     linking,
 )
 from echtk.exact import InfRat
+from echtk.nseq import NSeq, nk, runs
 
 
 KP = KnotParams(3, 4)
@@ -157,6 +158,21 @@ def test_knot_params_validation():
         KnotParams(2, 4)
     with pytest.raises(ValueError):
         KnotParams(0, 3)
+
+
+@pytest.mark.parametrize(
+    "p,q,message",
+    [
+        (0, 3, "p and q must be positive, got (0, 3)"),
+        (2, 4, "p and q must be coprime, got (2, 4)"),
+        (-1, -1, "p and q must be positive, got (-1, -1)"),
+    ],
+)
+def test_every_entry_point_refuses_a_bad_pair_with_one_text(p, q, message):
+    for make in (KnotParams, lambda p, q: nk(p, q, 3), lambda p, q: runs(p, q, 3), NSeq):
+        with pytest.raises(ValueError) as info:
+            make(p, q)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("max_degree", [0, 7, 30, 60])

@@ -55,6 +55,20 @@ def test_vertices_equal_the_joined_hull_reference(kp, c):
     assert vertices(path) == vertices_reference(path)
 
 
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    kp=KNOTS,
+    c=st.builds(
+        ReebCurrent, st.integers(0, 4), st.integers(0, 1), st.integers(0, 600),
+        st.integers(0, 600),
+    ),
+)
+def test_vertices_of_long_sides_equal_the_joined_hull_reference(kp, c):
+    # sides longer than 2q columns, where only their first and last q are read
+    path = current_to_path(c, kp)
+    assert vertices(path) == vertices_reference(path)
+
+
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(kp=KNOTS, c=CURRENTS)
 def test_path_current_round_trip(kp, c):

@@ -9,6 +9,7 @@ import pytest
 from echtk.exact import InfRat, floor_inf
 from echtk.nseq import (
     NSeq,
+    _walk,
     lattice_count,
     nk,
     nk_closed_form,
@@ -143,6 +144,14 @@ def test_runs_at_a_billion():
         for i in [0, 1, len(spans) - 2, len(spans) - 1] + rng.sample(range(len(spans)), 12):
             value = spans[i][0]
             assert ends[i] == min(lattice_count(p, q, value), k_max + 1) - 1, (p, q, value)
+
+
+def test_the_walk_stops_at_its_top():
+    for p, q in [(1, 1), (2, 3), (3, 4), (5, 3), (7, 10)]:
+        for top in (0, 1, p * q - p - q, p * q, 50):
+            counts = [lattice_count(p, q, n) - lattice_count(p, q, n - 1) for n in range(top + 1)]
+            expected = [(n, c) for n, c in enumerate(counts) if c]
+            assert [(n, c) for n, _, c in _walk(p, q, top)] == expected
 
 
 def test_validation():
