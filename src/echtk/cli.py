@@ -282,9 +282,10 @@ def _cmd_toric(args) -> None:
         filtrationValue=path.filtration_value,
     )
     if args.svg:
+        doc = path_svg(path)  # an over-budget figure is refused before the file is opened
         try:
             with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(path_svg(path))
+                fh.write(doc)
         except OSError as exc:
             raise UsageError(f"cannot write --svg file {args.svg}: {exc.strerror or exc}") from exc
         meta["svg"] = args.svg

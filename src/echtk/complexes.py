@@ -12,7 +12,9 @@ between.  A line is therefore a path: it adds exactly 1 to the homology,
 at the index g that all its points share (its h-currents sit at g + 1).
 Walked in (D, B) order the indices g strictly increase, so the generators
 come out in (index, name) order one line at a time, with no global sort,
-and H_g is 1 exactly at the index of a line.  The knot filtration key
+and H_g is 1 exactly at the index of a line.  Each half of a line, its
+points or its h-currents, is named and put in name order as one batch by
+:func:`echtk.currents._half_line_renderer`, not one current at a time.  The knot filtration key
 (D, B) is constant on a line, so the lines of a filtered subcomplex are a
 prefix of the walk.  Every column lies inside its line, so
 :func:`d_squared_is_zero` checks d^2 = 0 one line at a time, and no
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .currents import KnotParams, ReebCurrent, _namer, degree
+from .currents import KnotParams, ReebCurrent, _half_line_renderer, degree
 from .exact import InfRat, coerce
 from .indices import _index_evaluator, ech_index
 from .nseq import _walk, nk, repeat_count
@@ -77,16 +79,21 @@ def _line(kp: KnotParams, D: int, B: int, P0: int, m: int, H: int) -> list[Expon
 
 
 def _generators(spec: ComplexSpec) -> Iterator[tuple[int, int, list[tuple[str, Exponents]]]]:
-    """``(degree, ech_index, block)`` for each half of every line of degree
-    at most the cutoff, where ``block`` is the (canonical name, exponents)
-    pairs of the half sorted by name: line by line, its points at g, then
-    its h-currents at g + 1.  The concatenated blocks list every
-    admissible current once, in increasing (ech_index, name) order."""
+    """``(degree, ech_index, block)`` for each nonempty half of every line of
+    degree at most the cutoff, where ``block`` is the (canonical name,
+    exponents) pairs of the half sorted by name: line by line, its points at
+    g, then its h-currents at g + 1.  The concatenated blocks list every
+    admissible current once, in increasing (ech_index, name) order.  Each
+    half is named and ordered as one batch by
+    :func:`echtk.currents._half_line_renderer`."""
     kp = spec.kp
-    name = _namer(kp, spec.max_degree)
+    p, q = kp.p, kp.q
+    render = _half_line_renderer(kp, spec.max_degree)
     for g, D, B, P0, m in _lines(kp, spec.max_degree):
-        for H in (0, 1):
-            yield D, g + H, sorted((name(*e), e) for e in _line(kp, D, B, P0, m, H))
+        Q0 = (D - kp.pq * B - q * P0) // p
+        yield D, g, render(B, 0, P0, Q0, m)
+        if m > 1:  # the i-th h-current has the P of point i and the Q of point i + 1
+            yield D, g + 1, render(B, 1, P0, Q0 - q, m - 1)
 
 
 def enumerate_currents(spec: ComplexSpec) -> list[ReebCurrent]:

@@ -16,6 +16,7 @@ import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import InfRat
@@ -149,13 +150,50 @@ def _join(b: str, h: str, p: str, q: str) -> str:
     return " ".join([s for s in (b, h, p, q) if s]) or "1"
 
 
-def _namer(kp: KnotParams, max_degree: int) -> Callable[[int, int, int, int], str]:
-    """``name(B, H, P, Q)``, equal to ``ReebCurrent(B, H, P, Q).name()``, for
-    the exponents of a current of degree at most the cutoff; each power is
-    rendered once per window."""
-    tops = (max_degree // kp.pq, 1, max_degree // kp.q, max_degree // kp.p)
+_Named = tuple[str, tuple[int, int, int, int]]  # (canonical name, (B, H, P, Q))
+
+
+def _half_line_renderer(
+    kp: KnotParams, max_degree: int
+) -> Callable[[int, int, int, int, int], list[_Named]]:
+    """``render(B, H, P0, Q0, n)``: the (name, exponents) pairs of the n
+    currents b^B h^H p^P q^Q with P = P0 + i*p and Q = Q0 - i*q (i < n), of
+    degree at most the cutoff, sorted by name.  Each name equals
+    ``ReebCurrent(B, H, P, Q).name()``.
+
+    Every power and every ``b``/``h`` prefix is rendered once per window, so
+    a name is the prefix, ``p^P``, a space and ``q^Q`` in one f-string; only
+    the first current can have P = 0 and only the last Q = 0, and those two
+    go through :func:`_join`.  A name's place in its half-line depends on P
+    alone: the ``q`` factor follows a space (or nothing), which sorts before
+    any character that lengthens a ``p`` factor, and P = 0 (a name with no
+    ``p``) sorts last.  So the order is one sort per (P0, n), kept in a
+    bounded cache."""
+    p, q = kp.p, kp.q
+    tops = (max_degree // kp.pq, 1, max_degree // q, max_degree // p)
     bs, hs, ps, qs = ([_power(orbit, m) for m in range(top + 1)] for orbit, top in zip(ORBITS, tops))
-    return lambda B, H, P, Q: _join(bs[B], hs[H], ps[P], qs[Q])
+    heads = [[" ".join([s for s in (b, h) if s] + [""]) for b in bs] for h in hs]
+
+    @lru_cache(maxsize=4096)
+    def order(P0: int, n: int) -> tuple[tuple[int, ...], int]:
+        """The points i in name order, and the place of the last one."""
+        rank = tuple(sorted(range(n), key=[ps[P0 + i * p] or "q" for i in range(n)].__getitem__))
+        return rank, rank.index(n - 1)
+
+    def render(B: int, H: int, P0: int, Q0: int, n: int) -> list[_Named]:
+        rank, last = order(P0, n)
+        head = heads[H][B]
+        block = [
+            (f"{head}{ps[(P := P0 + i * p)]} {qs[(Q := Q0 - i * q)]}", (B, H, P, Q)) for i in rank
+        ]
+        if P0 == 0:  # the first current, sorted last
+            block[-1] = (_join(bs[B], hs[H], "", qs[Q0]), block[-1][1])
+        if Q0 == (n - 1) * q:  # the last current has Q = 0
+            e = block[last][1]
+            block[last] = (_join(bs[B], hs[H], ps[e[2]], ""), e)
+        return block
+
+    return render
 
 
 def admissible_exponents(kp: KnotParams, max_degree: int) -> Iterator[tuple[int, int, int, int]]:

@@ -137,18 +137,33 @@ def vertices(path: LatticePath) -> list[tuple[int, int]]:
     return _hull(left + ends + right)
 
 
+# Dots one figure draws: a document of 1.3 * 10^6 dots took 179 bytes a
+# dot at its peak (58 characters a dot written), so this budget is about
+# 720 MB (2-vCPU VM, CPython 3.11).
+_MAX_SVG_DOTS = 4_000_000
+_DOT_BYTES = 180
+
+
 def svg(path: LatticePath, size: int = 480) -> str:
     """A small static figure, ``size`` pixels square: lattice dots, the
     path, and the dashed line of slope -p/q through the middle segment.
 
     Its user units are integers.  The picture spans span + 3 lattice steps
     of size*pq units each, so a pixel is pq*(span + 3) units and the line's
-    ends (0, W/q) and (W/p, 0) fall on whole units."""
+    ends (0, W/q) and (W/p, 0) fall on whole units.  A dot grid of more than
+    ``_MAX_SVG_DOTS`` dots is refused, counted from the vertices before any
+    dot is drawn."""
     kp = path.kp
     verts = vertices(path)
     w = path.filtration_value
     x_max = max(max(v[0] for v in verts), 1) + 1
     y_max = max(max(v[1] for v in verts), 1) + 1
+    dots = (x_max + 1) * (y_max + 1)
+    if dots > _MAX_SVG_DOTS:
+        raise ValueError(
+            f"the figure's dot grid has {dots} dots, about "
+            f"{dots * _DOT_BYTES // 10**6} MB; at most {_MAX_SVG_DOTS} dots are drawn"
+        )
     span = max(x_max, y_max)
     step, px = size * kp.pq, kp.pq * (span + 3)  # units per lattice step, per pixel
     view = step * (span + 3)

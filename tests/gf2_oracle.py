@@ -13,6 +13,7 @@ The whole boundary matrix (:func:`differential`) is built here, from
 ``admissible_exponents``, which uses none of the facts of the walk.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,6 +143,21 @@ def line_currents(kp, D, B):
 
     c = D - pq * B
     return [(B, 0, P, Q) for P, Q in solutions(c)], [(B, 1, P, Q) for P, Q in solutions(c - pq)]
+
+
+
+def half_lines(kp, max_degree):
+    """``((B, H, P0, Q0, n), exponents)`` for each half-line of the window:
+    the n admissible currents with one B, H and qP + pQ, grouped from
+    ``admissible_exponents`` and listed by P from (P0, Q0)."""
+    groups = defaultdict(list)
+    for e in admissible_exponents(kp, max_degree):
+        B, H, P, Q = e
+        groups[B, H, kp.q * P + kp.p * Q].append(e)
+    for (B, H, _), exponents in groups.items():
+        exponents.sort()
+        _, _, P0, Q0 = exponents[0]
+        yield (B, H, P0, Q0, len(exponents)), exponents
 
 
 def assert_ranks_match_oracle(kp, max_degree, levels):

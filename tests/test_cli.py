@@ -446,6 +446,23 @@ def test_toric_svg(tmp_path, capsys):
     assert target.read_text().startswith("<svg")
 
 
+def test_toric_svg_of_a_huge_dot_grid_is_refused_before_the_file(tmp_path, capsys):
+    # vertices answer at once, but the figure would draw 1.3 * 10**10 dots
+    target = tmp_path / "path.svg"
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "toric", "path", "--p", "3", "--q", "4", "--current", "p^99999 q",
+        "--svg", str(target),
+    )
+    assert time.monotonic() - start < 2.0
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the figure's dot grid has 13333533334 dots, about 2400036 MB; "
+        "at most 4000000 dots are drawn\n"
+    )
+    assert not target.exists()
+
+
 def test_toric_svg_unwritable_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "path.svg"
     code, out, err = run(

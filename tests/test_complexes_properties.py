@@ -9,9 +9,12 @@ line's points share one index g, its h-currents sit at g + 1, g strictly
 increases along the walk, and the lines cover the admissible currents
 once each.  So the generators come out sorted line by line, the homology
 is rank 1 at each line's index, and those ranks equal the bitset column
-reduction in gf2_oracle.py.  The homology is Z/2 in every certified even
-index and 0 in odd ones, and the knot-filtered class of index 2k appears
-exactly at ``linking_threshold``.
+reduction in gf2_oracle.py.  Each half-line is named and ordered as one
+batch, equal to its per-current names sorted, also at its ends: a first
+point with P = 0, a last with Q = 0, no b or h, one point, the current
+"1".  The homology is Z/2 in every certified even index and 0 in odd ones,
+and the knot-filtered class of index 2k appears exactly at
+``linking_threshold``.
 The lines and the runs of N(p,q) are one walk: the lines of degree D are as
 many as the repeats of the value D, and the k-th line is the index-2k
 class, at (D, B) = (N_k, repeats - 1), with ``homology_representative``
@@ -40,7 +43,13 @@ from echtk.complexes import (  # noqa: E402
     linking_threshold,
     required_degree,
 )
-from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree  # noqa: E402
+from echtk.currents import (  # noqa: E402
+    KnotParams,
+    ReebCurrent,
+    _half_line_renderer,
+    admissible_exponents,
+    degree,
+)
 from echtk.exact import InfRat  # noqa: E402
 from echtk.indices import _index_evaluator, ech_index, ech_index_from_components  # noqa: E402
 from echtk.nseq import lattice_count, nk, runs  # noqa: E402
@@ -51,6 +60,7 @@ from gf2_oracle import (  # noqa: E402
     bitset_columns,
     bitset_ranks,
     differential,
+    half_lines,
     keep_mask,
     line_currents,
 )
@@ -217,6 +227,36 @@ def test_generator_stream_is_sorted_by_index_then_name(window):
               for text, e in block]
     assert [(g, text, D) for D, text, g, _ in stream] == expected
     assert all(ReebCurrent(*e).name() == text for _, text, _, e in stream)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(pq=COPRIME_UP_TO_30, max_degree=st.integers(0, 120))
+@hypothesis.example(pq=(1, 1), max_degree=0)
+@hypothesis.example(pq=(3, 4), max_degree=120)
+@hypothesis.example(pq=(7, 2), max_degree=120)
+def test_half_line_renderer_names_and_orders_each_half_line(pq, max_degree):
+    p, q = pq
+    kp = KnotParams(p, q)
+    render = _half_line_renderer(kp, max_degree)
+    cases = set()
+    for (B, H, P0, Q0, n), exponents in half_lines(kp, max_degree):
+        block = render(B, H, P0, Q0, n)
+        assert block == sorted((ReebCurrent(*e).name(), e) for e in exponents)
+        cases.update(
+            case for case, hit in [
+                ("first P = 0", P0 == 0 and n > 1),
+                ("last Q = 0", exponents[-1][3] == 0 and n > 1),
+                ("empty prefix", B == H == 0 and n > 1),
+                ("prefix", B + H > 0 and n > 1),
+                ("single point", n == 1),
+                ("empty current", block == [("1", (0, 0, 0, 0))]),
+            ] if hit
+        )
+    # the empty current is in every window; the half-line from q^q to p^p
+    # (c = pq) is in every window that reaches it, behind b and behind h
+    assert {"single point", "empty current"} <= cases
+    if max_degree >= 2 * p * q:
+        assert len(cases) == 6, cases
 
 
 @hypothesis.settings(max_examples=60, deadline=None)

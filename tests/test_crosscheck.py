@@ -7,11 +7,16 @@ from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 
 
 def test_failure_names_the_current_and_the_pair(monkeypatch):
-    original = crosscheck.lattice_count
-    monkeypatch.setattr(crosscheck, "lattice_count", lambda p, q, bound: original(p, q, bound) + 1)
+    # one extra representation of n = 0 shifts every strict count past w = 0,
+    # so the first current of positive degree, q, is the first to fail
+    original = crosscheck._walk
+    monkeypatch.setattr(
+        crosscheck, "_walk",
+        lambda p, q, top: ((n, a0, count + (n == 0)) for n, a0, count in original(p, q, top)),
+    )
     with pytest.raises(AssertionError) as info:
         crosscheck.verify_index_identities(2, 3, 12)
-    assert str(info.value) == "path index mismatch at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"
+    assert str(info.value) == "path index mismatch at (B,H,P,Q)=(0,0,0,1), (p,q)=(2,3)"
 
 
 # Each fault shifts the closed form at one current of T(2,3); the fused pass

@@ -6,7 +6,7 @@ import pytest
 from echtk.currents import (
     KnotParams,
     ReebCurrent,
-    _namer,
+    _half_line_renderer,
     action,
     admissible_exponents,
     degree,
@@ -15,6 +15,7 @@ from echtk.currents import (
 )
 from echtk.exact import InfRat
 from echtk.nseq import NSeq, nk, runs
+from gf2_oracle import half_lines
 
 
 KP = KnotParams(3, 4)
@@ -211,6 +212,10 @@ def loop_name(B, H, P, Q):
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (1, 5), (2, 3), (3, 4), (5, 7), (2, 9)])
 def test_window_names_match_current_names(p, q):
     kp = KnotParams(p, q)
-    name = _namer(kp, 60)
-    for e in admissible_exponents(kp, 60):
-        assert name(*e) == ReebCurrent(*e).name() == loop_name(*e), e
+    render = _half_line_renderer(kp, 60)
+    named = []
+    for (B, H, P0, Q0, n), _ in half_lines(kp, 60):
+        for name, e in render(B, H, P0, Q0, n):
+            assert name == ReebCurrent(*e).name() == loop_name(*e), e
+            named.append(e)
+    assert sorted(named) == sorted(admissible_exponents(kp, 60))
