@@ -22,7 +22,7 @@ from . import __version__
 from .complexes import (
     ComplexSpec,
     WindowError,
-    _generators,
+    _generator_rows,
     d_squared_is_zero,
     homology,
     knot_filtered_homology,
@@ -138,14 +138,7 @@ def _cmd_generators(args) -> None:
     kp = KnotParams(args.p, args.q)
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
-    spec = ComplexSpec(kp, args.max_degree)
-
-    def half_lines():
-        for D, index, block in _generators(spec):
-            head, tail = f"{D},", f",{index}\n"  # rendered once; the names are strings
-            yield [f"{head}{name}{tail}" for name, _ in block]
-
-    lines = chain.from_iterable(half_lines())
+    lines = chain.from_iterable(_generator_rows(ComplexSpec(kp, args.max_degree)))
     _emit(args, ["degree", "generator", "index"], lines, _meta(kp, maxDegree=args.max_degree))
 
 

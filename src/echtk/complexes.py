@@ -13,12 +13,14 @@ at the index g that all its points share (its h-currents sit at g + 1).
 Walked in (D, B) order the indices g strictly increase, so the generators
 come out in (index, name) order one line at a time, with no global sort,
 and H_g is 1 exactly at the index of a line.  Each half of a line, its
-points or its h-currents, is named and put in name order as one batch by
-:func:`echtk.currents._half_line_renderer`, not one current at a time.  The knot filtration key
-(D, B) is constant on a line, so the lines of a filtered subcomplex are a
-prefix of the walk.  Every column lies inside its line, so
-:func:`d_squared_is_zero` checks d^2 = 0 one line at a time, and no
-command holds more of the complex than one line.
+points or its h-currents, is put in name order as one batch by
+:func:`echtk.currents._half_line_renderer`: as finished ``generators``
+rows, or, for :func:`enumerate_currents`, as exponents with no name
+rendered.  The knot filtration key (D, B) is constant on a line, so the
+lines of a filtered subcomplex are a prefix of the walk.  Every column
+lies inside its line, so :func:`d_squared_is_zero` checks d^2 = 0 one line
+at a time, one lookup per target, and no command holds more of the
+complex than one line.
 
 The lines of degree D are the representations counted by
 :func:`echtk.nseq._walk` with p and q swapped, so the k-th line is the
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, starmap
 
 from .currents import KnotParams, ReebCurrent, _half_line_renderer, degree
 from .exact import InfRat, coerce
@@ -78,33 +81,44 @@ def _line(kp: KnotParams, D: int, B: int, P0: int, m: int, H: int) -> list[Expon
     return [(B, H, P0 + i * p, Q0 - (i + H) * q) for i in range(m - H)]
 
 
-def _generators(spec: ComplexSpec) -> Iterator[tuple[int, int, list[tuple[str, Exponents]]]]:
-    """``(degree, ech_index, block)`` for each nonempty half of every line of
-    degree at most the cutoff, where ``block`` is the (canonical name,
-    exponents) pairs of the half sorted by name: line by line, its points at
-    g, then its h-currents at g + 1.  The concatenated blocks list every
-    admissible current once, in increasing (ech_index, name) order.  Each
-    half is named and ordered as one batch by
-    :func:`echtk.currents._half_line_renderer`."""
+def _half_lines(spec: ComplexSpec) -> Iterator[tuple[int, int, int, int, int, int, int]]:
+    """``(D, g, B, H, P0, Q0, n)`` for each nonempty half of every line of
+    degree at most the cutoff: line by line, its n = m points at g, then,
+    when m > 1, its m - 1 h-currents at g + 1, each half as the currents
+    b^B h^H p^P q^Q with P = P0 + i*p and Q = Q0 - i*q."""
     kp = spec.kp
     p, q = kp.p, kp.q
-    render = _half_line_renderer(kp, spec.max_degree)
     for g, D, B, P0, m in _lines(kp, spec.max_degree):
         Q0 = (D - kp.pq * B - q * P0) // p
-        yield D, g, render(B, 0, P0, Q0, m)
+        yield D, g, B, 0, P0, Q0, m
         if m > 1:  # the i-th h-current has the P of point i and the Q of point i + 1
-            yield D, g + 1, render(B, 1, P0, Q0 - q, m - 1)
+            yield D, g + 1, B, 1, P0, Q0 - q, m - 1
+
+
+def _generator_rows(spec: ComplexSpec) -> Iterator[list[str]]:
+    """The finished CSV rows ``degree,generator,index`` of each half-line,
+    rendered whole by :func:`echtk.currents._half_line_renderer`.  The
+    concatenated blocks list every admissible current once, in increasing
+    (ech_index, name) order."""
+    rows, _ = _half_line_renderer(spec.kp, spec.max_degree)
+    return starmap(rows, _half_lines(spec))
 
 
 def enumerate_currents(spec: ComplexSpec) -> list[ReebCurrent]:
     """All admissible currents of degree at most the cutoff, sorted by
-    (ech_index, canonical name)."""
-    return [ReebCurrent(*e) for _, _, block in _generators(spec) for _, e in block]
+    (ech_index, canonical name), in the order of the generator rows but
+    with no name rendered."""
+    _, exponents = _half_line_renderer(spec.kp, spec.max_degree)
+    return [ReebCurrent(*e) for half in _half_lines(spec) for e in exponents(*half[2:])]
 
 
 def _squares_vanish(columns: list[tuple[int, ...]]) -> bool:
     """Whether d^2 = 0 for the GF(2) columns given as row positions into
-    the same list."""
+    the same list, each row at most once per column.  When no column names
+    a row whose own column is nonempty, every square is a sum of empty
+    columns, so this is exact."""
+    if not any(map(columns.__getitem__, chain.from_iterable(columns))):
+        return True
     for col in columns:
         acc: set[int] = set()
         for row in col:
@@ -117,17 +131,18 @@ def _squares_vanish(columns: list[tuple[int, ...]]) -> bool:
 def d_squared_is_zero(spec: ComplexSpec) -> bool:
     """Whether d^2 = 0 on the complex below the cutoff, checked one line at a
     time: the block of a line's m points and m - 1 h-currents, where the
-    h-current h*b^B*p^P*q^Q hits b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q)."""
+    h-current h*b^B*p^P*q^Q hits b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q).  Each
+    target's row is found with one lookup."""
     kp = spec.kp
     p, q = kp.p, kp.q
     for _, D, B, P0, m in _lines(kp, spec.max_degree):
         points = _line(kp, D, B, P0, m, 0)
-        row = {e: i for i, e in enumerate(points)}
+        row = dict(zip(points, range(m))).get
         columns: list[tuple[int, ...]] = [()] * m
         for _, _, P, Q in _line(kp, D, B, P0, m, 1):
-            a, b = (B, 0, P + p, Q), (B, 0, P, Q + q)
-            assert a in row and b in row, "a column must stay inside its line"
-            columns.append((row[a], row[b]))
+            a, b = row((B, 0, P + p, Q)), row((B, 0, P, Q + q))
+            assert a is not None and b is not None, "a column must stay inside its line"
+            columns.append((a, b))
         if not _squares_vanish(columns):
             return False
     return True

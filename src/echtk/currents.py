@@ -150,50 +150,51 @@ def _join(b: str, h: str, p: str, q: str) -> str:
     return " ".join([s for s in (b, h, p, q) if s]) or "1"
 
 
-_Named = tuple[str, tuple[int, int, int, int]]  # (canonical name, (B, H, P, Q))
-
-
-def _half_line_renderer(
-    kp: KnotParams, max_degree: int
-) -> Callable[[int, int, int, int, int], list[_Named]]:
-    """``render(B, H, P0, Q0, n)``: the (name, exponents) pairs of the n
-    currents b^B h^H p^P q^Q with P = P0 + i*p and Q = Q0 - i*q (i < n), of
-    degree at most the cutoff, sorted by name.  Each name equals
-    ``ReebCurrent(B, H, P, Q).name()``.
+def _half_line_renderer(kp: KnotParams, max_degree: int) -> tuple[
+    Callable[[int, int, int, int, int, int, int], list[str]],
+    Callable[[int, int, int, int, int], list[tuple[int, int, int, int]]],
+]:
+    """``(rows, exponents)`` for the half-lines of degree at most the cutoff:
+    the n currents b^B h^H p^P q^Q with P = P0 + i*p and Q = Q0 - i*q
+    (i < n), in name order.  ``rows(D, g, B, H, P0, Q0, n)`` gives each
+    current as the finished CSV row ``f"{D},{name},{g}\\n"``, where ``name``
+    equals ``ReebCurrent(B, H, P, Q).name()``; ``exponents(B, H, P0, Q0,
+    n)`` gives its (B, H, P, Q) and renders no name.
 
     Every power and every ``b``/``h`` prefix is rendered once per window, so
-    a name is the prefix, ``p^P``, a space and ``q^Q`` in one f-string; only
-    the first current can have P = 0 and only the last Q = 0, and those two
-    go through :func:`_join`.  A name's place in its half-line depends on P
-    alone: the ``q`` factor follows a space (or nothing), which sorts before
-    any character that lengthens a ``p`` factor, and P = 0 (a name with no
-    ``p``) sorts last.  So the order is one sort per (P0, n), kept in a
-    bounded cache."""
+    a row is the head, ``p^P``, a space, ``q^Q`` and the tail in one
+    f-string; only the first current can have P = 0 and only the last
+    Q = 0, and those two go through :func:`_join`.  A name's place in its
+    half-line depends on P alone: the ``q`` factor follows a space (or
+    nothing), which sorts before any character that lengthens a ``p``
+    factor, and P = 0 (a name with no ``p``) sorts last.  So the order is
+    one sort per (P0, n), kept in a bounded cache that both share."""
     p, q = kp.p, kp.q
     tops = (max_degree // kp.pq, 1, max_degree // q, max_degree // p)
     bs, hs, ps, qs = ([_power(orbit, m) for m in range(top + 1)] for orbit, top in zip(ORBITS, tops))
     heads = [[" ".join([s for s in (b, h) if s] + [""]) for b in bs] for h in hs]
 
     @lru_cache(maxsize=4096)
-    def order(P0: int, n: int) -> tuple[tuple[int, ...], int]:
-        """The points i in name order, and the place of the last one."""
+    def order(P0: int, n: int) -> tuple[tuple[int, ...], list[str], int]:
+        """The points i in name order, their ``p`` factors in that order,
+        and the place of the last point."""
         rank = tuple(sorted(range(n), key=[ps[P0 + i * p] or "q" for i in range(n)].__getitem__))
-        return rank, rank.index(n - 1)
+        return rank, [ps[P0 + i * p] for i in rank], rank.index(n - 1)
 
-    def render(B: int, H: int, P0: int, Q0: int, n: int) -> list[_Named]:
-        rank, last = order(P0, n)
-        head = heads[H][B]
-        block = [
-            (f"{head}{ps[(P := P0 + i * p)]} {qs[(Q := Q0 - i * q)]}", (B, H, P, Q)) for i in rank
-        ]
+    def rows(D: int, g: int, B: int, H: int, P0: int, Q0: int, n: int) -> list[str]:
+        rank, pstrs, last = order(P0, n)
+        head, tail = f"{D},{heads[H][B]}", f",{g}\n"
+        block = [f"{head}{P} {qs[Q0 - i * q]}{tail}" for P, i in zip(pstrs, rank)]
         if P0 == 0:  # the first current, sorted last
-            block[-1] = (_join(bs[B], hs[H], "", qs[Q0]), block[-1][1])
+            block[-1] = f"{D},{_join(bs[B], hs[H], '', qs[Q0])}{tail}"
         if Q0 == (n - 1) * q:  # the last current has Q = 0
-            e = block[last][1]
-            block[last] = (_join(bs[B], hs[H], ps[e[2]], ""), e)
+            block[last] = f"{D},{_join(bs[B], hs[H], ps[P0 + (n - 1) * p], '')}{tail}"
         return block
 
-    return render
+    def exponents(B: int, H: int, P0: int, Q0: int, n: int) -> list[tuple[int, int, int, int]]:
+        return [(B, H, P0 + i * p, Q0 - i * q) for i in order(P0, n)[0]]
+
+    return rows, exponents
 
 
 def admissible_exponents(kp: KnotParams, max_degree: int) -> Iterator[tuple[int, int, int, int]]:

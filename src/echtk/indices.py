@@ -290,13 +290,21 @@ def j0_index(alpha: ReebCurrent, beta: ReebCurrent, kp: KnotParams) -> int:
     )
 
 
+# Rows of a cz-table that one run holds: 10^6 rows took 429 MB max RSS in
+# CSV and 436 MB as a table, about 430 bytes a row, so this budget is about
+# 860 MB (2-vCPU VM, CPython 3.11).
+_MAX_CZ_ROWS = 2_000_000
+_CZ_ROW_BYTES = 430
+
+
 def cz_table(kp: KnotParams, max_action: Fraction | int = 2) -> list[tuple[str, Fraction, int]]:
     """All single-orbit iterates with action up to the bound, sorted by
     (action, cz_orb, label).
 
     Rows are (label, action, cz); iterates of h beyond the first are not
     admissible currents but their Conley-Zehnder indices are still
-    well-defined, so they belong in the table.
+    well-defined, so they belong in the table.  A bound with more rows than
+    the budget is refused before any row is built.
     """
     max_action = Fraction(max_action)
     if max_action <= 0:
@@ -305,10 +313,18 @@ def cz_table(kp: KnotParams, max_action: Fraction | int = 2) -> list[tuple[str, 
     pq = p * q
     # the i-th iterate of an orbit of period n has action i/n, sorted as
     # the integer i*pq/n; iterates run while i/n <= max_action
+    orbits = (("b", 1), ("h", 1), ("p", p), ("q", q))
+    tops = [max_action.numerator * n // max_action.denominator for _, n in orbits]
+    rows = sum(tops)
+    if rows > _MAX_CZ_ROWS:
+        raise ValueError(
+            f"the table up to this action has {rows} rows, about "
+            f"{rows * _CZ_ROW_BYTES // 10**6} MB; at most {_MAX_CZ_ROWS} rows are held"
+        )
     keyed: list[tuple[int, int, str]] = []
-    for orbit, n in (("b", 1), ("h", 1), ("p", p), ("q", q)):
+    for (orbit, n), top in zip(orbits, tops):
         step = pq // n
-        for i in range(1, max_action.numerator * n // max_action.denominator + 1):
+        for i in range(1, top + 1):
             label = orbit if i == 1 else f"{orbit}^{i}"
             keyed.append((i * step, cz_orb(orbit, i, kp), label))
     keyed.sort()

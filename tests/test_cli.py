@@ -281,6 +281,24 @@ def test_homology_refuses_a_huge_window_at_once(capsys):
     assert err == f"error: index window up to {10**21} needs max_degree >= {nk(3, 4, 5 * 10**20)}\n"
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("max_action,rows", [
+    ("1e400", 9 * 10**400),  # parsed exactly: 10**400 iterates of b and h, 3 and 4 times that of p and q
+    ("10000000000", 9 * 10**10),
+    ("2000007/9", 2_000_007),
+])
+def test_cz_table_over_the_row_budget_is_refused_before_building(capsys, fmt, max_action, rows):
+    start = time.monotonic()
+    code, out, err = run(capsys, "cz-table", "--p", "3", "--q", "4",
+                         "--max-action", max_action, "--format", fmt)
+    assert time.monotonic() - start < 2.0
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: the table up to this action has {rows} rows, about "
+        f"{rows * 430 // 10**6} MB; at most 2000000 rows are held\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["homology", "knot-filtered"])
 @pytest.mark.parametrize("window", [
     ["--max-index", str(10**21)],

@@ -19,10 +19,15 @@ The lines and the runs of N(p,q) are one walk: the lines of degree D are as
 many as the repeats of the value D, and the k-th line is the index-2k
 class, at (D, B) = (N_k, repeats - 1), with ``homology_representative``
 as its first point.
+The CLI's generator rows and ``enumerate_currents`` equal the independent
+enumeration sorted by (index, name), and the d^2 test on GF(2) columns
+equals a parity count of the rows each column reaches.
 The closed-form index evaluator on exponent tuples equals the ledger
 expansion and the lattice-path index, has the parity of H, and satisfies
 the h/b step relations."""
 
+import contextlib
+import io
 from collections import Counter
 from math import gcd
 
@@ -31,12 +36,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from echtk.cli import main  # noqa: E402
 from echtk.complexes import (  # noqa: E402
     ComplexSpec,
-    _generators,
+    _generator_rows,
+    _squares_vanish,
     _line,
     _lines,
     d_squared_is_zero,
+    enumerate_currents,
     homology,
     homology_representative,
     knot_filtered_homology,
@@ -223,10 +231,13 @@ def test_generator_stream_is_sorted_by_index_then_name(window):
     max_degree = b_top * p * q + extra
     currents = [ReebCurrent(*e) for e in admissible_exponents(kp, max_degree)]
     expected = sorted((ech_index(c, kp), c.name(), degree(c, kp)) for c in currents)
-    stream = [(D, text, g, e) for D, g, block in _generators(ComplexSpec(kp, max_degree))
-              for text, e in block]
-    assert [(g, text, D) for D, text, g, _ in stream] == expected
-    assert all(ReebCurrent(*e).name() == text for _, text, _, e in stream)
+    blocks = list(_generator_rows(ComplexSpec(kp, max_degree)))
+    assert [row for block in blocks for row in block] == [
+        f"{D},{text},{g}\n" for g, text, D in expected
+    ]
+    # one block per half-line: its rows share one degree and one index
+    assert all(block and len({(r.split(",")[0], r.split(",")[2]) for r in block}) == 1
+               for block in blocks)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -237,11 +248,15 @@ def test_generator_stream_is_sorted_by_index_then_name(window):
 def test_half_line_renderer_names_and_orders_each_half_line(pq, max_degree):
     p, q = pq
     kp = KnotParams(p, q)
-    render = _half_line_renderer(kp, max_degree)
+    rows, ordered = _half_line_renderer(kp, max_degree)
     cases = set()
     for (B, H, P0, Q0, n), exponents in half_lines(kp, max_degree):
-        block = render(B, H, P0, Q0, n)
-        assert block == sorted((ReebCurrent(*e).name(), e) for e in exponents)
+        named = sorted((ReebCurrent(*e).name(), e) for e in exponents)
+        first = ReebCurrent(*exponents[0])
+        D, g = degree(first, kp), ech_index(first, kp)
+        block = rows(D, g, B, H, P0, Q0, n)
+        assert block == [f"{D},{name},{g}\n" for name, _ in named]
+        assert ordered(B, H, P0, Q0, n) == [e for _, e in named]
         cases.update(
             case for case, hit in [
                 ("first P = 0", P0 == 0 and n > 1),
@@ -249,7 +264,7 @@ def test_half_line_renderer_names_and_orders_each_half_line(pq, max_degree):
                 ("empty prefix", B == H == 0 and n > 1),
                 ("prefix", B + H > 0 and n > 1),
                 ("single point", n == 1),
-                ("empty current", block == [("1", (0, 0, 0, 0))]),
+                ("empty current", block == ["0,1,0\n"]),
             ] if hit
         )
     # the empty current is in every window; the half-line from q^q to p^p
@@ -257,6 +272,57 @@ def test_half_line_renderer_names_and_orders_each_half_line(pq, max_degree):
     assert {"single point", "empty current"} <= cases
     if max_degree >= 2 * p * q:
         assert len(cases) == 6, cases
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(pq=COPRIME_UP_TO_30, max_degree=st.integers(0, 120))
+@hypothesis.example(pq=(1, 1), max_degree=0)
+@hypothesis.example(pq=(2, 1), max_degree=60)
+@hypothesis.example(pq=(7, 3), max_degree=120)
+def test_generator_rows_match_the_exponent_reference(pq, max_degree):
+    """The CLI's CSV rows, and enumerate_currents, are the window listed by
+    the independent enumeration and sorted by (index, name)."""
+    p, q = pq
+    kp = KnotParams(p, q)
+    keyed = sorted((ech_index(c, kp), c.name(), c)
+                   for c in map(ReebCurrent._make, admissible_exponents(kp, max_degree)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["generators", "--p", str(p), "--q", str(q),
+                     "--max-degree", str(max_degree), "--format", "csv"])
+    assert code == 0
+    assert out.getvalue() == "degree,generator,index\n" + "".join(
+        f"{degree(c, kp)},{name},{g}\n" for g, name, c in keyed
+    )
+    assert enumerate_currents(ComplexSpec(kp, max_degree)) == [c for _, _, c in keyed]
+
+
+def squares_by_parity(columns):
+    """d^2 = 0 counted out: for each column, how often each row is reached
+    through the columns it names, mod 2."""
+    for col in columns:
+        reached = Counter(r for row in col for r in columns[row])
+        if any(n % 2 for n in reached.values()):
+            return False
+    return True
+
+
+# up to 8 columns, each naming distinct rows of the same list: self-references,
+# rows named by several columns, and empty columns all occur
+COLUMNS = st.integers(1, 8).flatmap(lambda m: st.lists(
+    st.lists(st.integers(0, m - 1), max_size=4, unique=True).map(tuple), min_size=m, max_size=m
+))
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(columns=COLUMNS)
+@hypothesis.example(columns=[])
+@hypothesis.example(columns=[(), (), (0, 1), (2,)])
+@hypothesis.example(columns=[(), (), (0, 1), (2,), (2,)])
+@hypothesis.example(columns=[(0,)])
+@hypothesis.example(columns=[(1,), (0,)])
+def test_squares_vanish_matches_a_parity_count(columns):
+    assert _squares_vanish(columns) == squares_by_parity(columns)
 
 
 @hypothesis.settings(max_examples=60, deadline=None)

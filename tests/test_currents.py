@@ -212,10 +212,10 @@ def loop_name(B, H, P, Q):
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (1, 5), (2, 3), (3, 4), (5, 7), (2, 9)])
 def test_window_names_match_current_names(p, q):
     kp = KnotParams(p, q)
-    render = _half_line_renderer(kp, 60)
+    rows, ordered = _half_line_renderer(kp, 60)
     named = []
     for (B, H, P0, Q0, n), _ in half_lines(kp, 60):
-        for name, e in render(B, H, P0, Q0, n):
-            assert name == ReebCurrent(*e).name() == loop_name(*e), e
+        for row, e in zip(rows(0, 0, B, H, P0, Q0, n), ordered(B, H, P0, Q0, n)):
+            assert row == f"0,{ReebCurrent(*e).name()},0\n" == f"0,{loop_name(*e)},0\n", e
             named.append(e)
     assert sorted(named) == sorted(admissible_exponents(kp, 60))

@@ -89,6 +89,15 @@ def test_cz_table_rejects_a_nonpositive_bound():
     assert cz_table(KnotParams(3, 4), Fraction(1, 5)) == []
 
 
+def test_cz_table_counts_its_rows_exactly_against_the_budget(monkeypatch):
+    # (3,4) up to action 1 has 1 + 1 + 3 + 4 = 9 rows; up to 4/3 one more
+    # iterate of p and one of q: 11
+    monkeypatch.setattr(indices, "_MAX_CZ_ROWS", 9)
+    assert len(cz_table(KP, 1)) == 9
+    with pytest.raises(ValueError, match="has 11 rows, about 0 MB; at most 9 rows are held$"):
+        cz_table(KP, Fraction(4, 3))
+
+
 def test_cz_in_triv_examples():
     assert cz_in_triv("b", 1, "page", KP) == 25
     for k in range(1, 5):
