@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
@@ -46,7 +47,19 @@ class UsageError(Exception):
     pass
 
 
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_STR_DIGITS = 4300  # CPython's default int/str conversion limit, set from 3.10.7 on
+
+
 def _parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing first more digits, or a larger decimal
+    exponent, than Python converts between int and str: ``Fraction("1e10000000")``
+    alone takes seconds, and no result that large could be printed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _STR_DIGITS
+    exponent = _EXPONENT.search(text)
+    if sum(map(str.isdigit, text)) > limit or exponent and abs(int(exponent[1])) > limit:
+        raise UsageError(
+            f"bad rational value {text!r}: more than {limit} digits or exponent above {limit}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

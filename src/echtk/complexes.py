@@ -32,25 +32,29 @@ docstring says why); the tests build the whole boundary matrix from it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain, starmap
+from typing import NamedTuple
 
 from .currents import KnotParams, ReebCurrent, _half_line_renderer, degree
-from .exact import InfRat, coerce
+from .exact import InfRat, _tuple_new, _ValidatedTuple, coerce
 from .indices import _index_evaluator, ech_index
 from .nseq import _walk, nk, repeat_count
 
 Exponents = tuple[int, int, int, int]  # (B, H, P, Q) of b^B h^H p^P q^Q
 
 
-@dataclass(frozen=True)
-class ComplexSpec:
+class _SpecFields(NamedTuple):
     kp: KnotParams
     max_degree: int
 
-    def __post_init__(self) -> None:
-        if self.max_degree < 0:
+
+class ComplexSpec(_ValidatedTuple, _SpecFields):
+    __slots__ = ()
+
+    def __new__(cls, kp: KnotParams, max_degree: int) -> "ComplexSpec":
+        if max_degree < 0:
             raise ValueError("degree cutoff must be nonnegative")
+        return _tuple_new(cls, (kp, max_degree))
 
 
 def _lines(kp: KnotParams, top: int) -> Iterator[tuple[int, int, int, int, int]]:
@@ -114,15 +118,16 @@ def enumerate_currents(spec: ComplexSpec) -> list[ReebCurrent]:
 
 def _squares_vanish(columns: list[tuple[int, ...]]) -> bool:
     """Whether d^2 = 0 for the GF(2) columns given as row positions into
-    the same list, each row at most once per column.  When no column names
-    a row whose own column is nonempty, every square is a sum of empty
+    the same list; a row named twice by one column cancels.  When no column
+    names a row whose own column is nonempty, every square is a sum of empty
     columns, so this is exact."""
     if not any(map(columns.__getitem__, chain.from_iterable(columns))):
         return True
     for col in columns:
         acc: set[int] = set()
         for row in col:
-            acc.symmetric_difference_update(columns[row])
+            for target in columns[row]:  # one toggle per occurrence
+                acc ^= {target}
         if acc:
             return False
     return True

@@ -14,63 +14,33 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import InfRat
+from .exact import InfRat, _tuple_new, _ValidatedTuple
 from .nseq import _check_pq
 
 ORBITS = ("b", "h", "p", "q")
 
 
-@dataclass(frozen=True)
-class KnotParams:
-    """The coprime pair (p, q)."""
-
+class _PQ(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        _check_pq(self.p, self.q)
+
+class KnotParams(_ValidatedTuple, _PQ):
+    """The coprime pair (p, q)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> "KnotParams":
+        _check_pq(p, q)
+        return _tuple_new(cls, (p, q))
 
     @property
     def pq(self) -> int:
         return self.p * self.q
-
-
-_tuple_new = tuple.__new__
-_tuple_eq = tuple.__eq__
-_tuple_ne = tuple.__ne__
-
-
-class _ValidatedTuple:
-    """Mixin for a named tuple whose ``__new__`` validates: ``_make``,
-    ``_replace``, pickle and copy all go through ``cls(...)``, and a value
-    equals only a value of its own class, never a bare tuple."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return self.__class__, tuple(self)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return _tuple_eq(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    # tuple defines its own __ne__, which would not follow __eq__
-    def __ne__(self, other):
-        if other.__class__ is self.__class__:
-            return _tuple_ne(self, other)
-        return True if isinstance(other, tuple) else NotImplemented
-
-    __hash__ = tuple.__hash__  # defining __eq__ would otherwise unset it
 
 
 class _Exponents(NamedTuple):
@@ -98,10 +68,6 @@ class ReebCurrent(_ValidatedTuple, _Exponents):
             if H > 1:
                 raise ValueError("hyperbolic orbit multiplicity must be 0 or 1")
         return _tuple_new(cls, (B, H, P, Q))
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(self)
 
     def exponents(self) -> tuple[int, int, int, int]:
         return tuple(self)

@@ -12,9 +12,8 @@ against plain rational scalars.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -27,18 +26,57 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class InfRat:
+_tuple_new = tuple.__new__
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
+
+
+class _ValidatedTuple:
+    """Mixin for a named tuple whose ``__new__`` validates: ``_make``,
+    ``_replace``, pickle and copy all go through ``cls(...)``, and a value
+    equals only a value of its own class, never a bare tuple."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _tuple_eq(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    # tuple defines its own __ne__, which would not follow __eq__
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return _tuple_ne(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__  # defining __eq__ would otherwise unset it
+
+
+class _InfRatFields(NamedTuple):
+    rat: Fraction
+    delta: int
+
+
+class InfRat(_ValidatedTuple, _InfRatFields):
     """A number of the form ``rat + delta*d`` with d a formal positive
-    infinitesimal."""
+    infinitesimal, held as the named tuple ``(rat, delta)``.  It equals the
+    int or Fraction ``rat`` when ``delta`` is 0, and compares and computes
+    as a number: ``+``, ``-`` and ``*`` never concatenate or repeat."""
 
-    rat: Fraction = Fraction(0)
-    delta: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rat", _as_fraction(self.rat))
-        if not isinstance(self.delta, int) or isinstance(self.delta, bool):
+    def __new__(cls, rat: Scalar = Fraction(0), delta: int = 0) -> "InfRat":
+        rat = _as_fraction(rat)
+        if not isinstance(delta, int) or isinstance(delta, bool):
             raise TypeError("delta coefficient must be an integer")
+        return _tuple_new(cls, (rat, delta))
 
     # arithmetic ------------------------------------------------------
 
@@ -70,30 +108,30 @@ class InfRat:
 
     __rmul__ = __mul__
 
-    # order -----------------------------------------------------------
-
-    def _key(self) -> tuple[Fraction, int]:
-        return (self.rat, self.delta)
+    # order: the tuple order of (rat, delta) against the coerced operand
 
     def __lt__(self, other: "InfRat | Scalar") -> bool:
-        return self._key() < coerce(other)._key()
+        return tuple.__lt__(self, coerce(other))
 
     def __le__(self, other: "InfRat | Scalar") -> bool:
-        return self._key() <= coerce(other)._key()
+        return tuple.__le__(self, coerce(other))
 
     def __gt__(self, other: "InfRat | Scalar") -> bool:
-        return self._key() > coerce(other)._key()
+        return tuple.__gt__(self, coerce(other))
 
     def __ge__(self, other: "InfRat | Scalar") -> bool:
-        return self._key() >= coerce(other)._key()
+        return tuple.__ge__(self, coerce(other))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (InfRat, int, Fraction)):
-            return self._key() == coerce(other)._key()
-        return NotImplemented
+            return _tuple_eq(self, coerce(other))
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the negated __eq__ above, not the mixin's class test
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        # a value equal to its rational part hashes as that int or Fraction
+        return tuple.__hash__(self) if self.delta else hash(self.rat)
 
     # rendering -------------------------------------------------------
 
@@ -109,15 +147,13 @@ class InfRat:
 
 
 def coerce(x: "InfRat | Scalar") -> InfRat:
-    if isinstance(x, InfRat):
-        return x
-    return InfRat(_as_fraction(x), 0)
+    return x if isinstance(x, InfRat) else InfRat(x)
 
 
 def cmp_inf(x: "InfRat | Scalar", y: "InfRat | Scalar") -> int:
     """Three-way lexicographic comparison: -1, 0 or +1."""
-    a, b = coerce(x)._key(), coerce(y)._key()
-    return (a > b) - (a < b)
+    a, b = coerce(x), coerce(y)
+    return tuple.__gt__(a, b) - tuple.__lt__(a, b)
 
 
 def floor_inf(x: "InfRat | Scalar") -> int:

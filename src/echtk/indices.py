@@ -13,11 +13,12 @@ the lattice-path count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .currents import KnotParams, ReebCurrent
+from .exact import _tuple_new, _ValidatedTuple
 
 TRIVIALIZATIONS = (
     "constant",
@@ -98,7 +99,7 @@ class _IndexEvaluator:
                 sums.append(sums[-1] + _cz_elliptic(s, period, i))
 
 
-# one per (p, q), keyed by plain ints: hashing KnotParams costs a Python-level call
+# one per (p, q), keyed by the plain ints its callers hold
 _index_evaluator = cache(_IndexEvaluator)
 
 
@@ -121,16 +122,25 @@ def cz_orb(orbit: str, iterate: int, kp: KnotParams) -> int:
     raise ValueError(f"unknown orbit {orbit!r}")
 
 
-@dataclass(frozen=True)
-class InvariantLedger:
-    """Relative Chern numbers, intersection pairings and trivialization
-    offsets for one (p, q), stored exactly as computed once and for all."""
-
+class _LedgerFields(NamedTuple):
     p: int
     q: int
-    chern: dict = field(default_factory=dict)
-    qpair: dict = field(default_factory=dict)
-    offsets: dict = field(default_factory=dict)
+    chern: dict
+    qpair: dict
+    offsets: dict
+
+
+class InvariantLedger(_ValidatedTuple, _LedgerFields):
+    """Relative Chern numbers, intersection pairings and trivialization
+    offsets for one (p, q), stored exactly as computed once and for all.
+    A table left out starts as a fresh empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int, chern: dict | None = None,
+                qpair: dict | None = None, offsets: dict | None = None) -> "InvariantLedger":
+        tables = [{} if t is None else t for t in (chern, qpair, offsets)]
+        return _tuple_new(cls, (p, q, *tables))
 
     @classmethod
     def for_params(cls, kp: KnotParams) -> "InvariantLedger":
@@ -204,20 +214,16 @@ class InvariantLedger:
         return self.p * self.q - self.p - self.q
 
 
+@cache  # one per (p, q): a KnotParams hashes as the tuple (p, q)
 def ledger(kp: KnotParams) -> InvariantLedger:
-    return _ledger(kp.p, kp.q)
-
-
-@cache
-def _ledger(p: int, q: int) -> InvariantLedger:
-    return InvariantLedger.for_params(KnotParams(p, q))
+    return InvariantLedger.for_params(kp)
 
 
 @cache
 def _orbibundle_pairings(p: int, q: int) -> tuple[int, ...]:
     """The ten orbibundle pairings Q(Z_i, Z_j) of the ledger for (p, q), in
     the order bb, hh, pp, qq, bh, bp, bq, hp, hq, pq."""
-    led = _ledger(p, q)
+    led = ledger(KnotParams(p, q))
     names = ("Z_b", "Z_h", "Z_p", "Z_q")
     squares = [led.q_pairing(a, a) for a in names]
     crosses = [led.q_pairing(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]

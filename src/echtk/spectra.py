@@ -8,13 +8,12 @@ and tolerance claims never depend on floating-point rounding.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
 from .currents import KnotParams
-from .exact import InfRat
+from .exact import InfRat, _ValidatedTuple
 from .nseq import runs
 
 _GUARD = 6  # extra decimal digits carried through fixed-point roots
@@ -42,9 +41,9 @@ def _fixed_strs(values: Sequence[int], scale_digits: int, digits: int) -> list[s
     scale_digits to digits >= 1 decimals, as text.  The sign is that of the
     unrounded value, so a small negative value renders as -0.000..."""
     drop = 10 ** (scale_digits - digits)
-    half = drop // 2
-    padded = [str((abs(x) + half) // drop).zfill(digits + 1) for x in values]
-    return [f"{'-' if x < 0 else ''}{s[:-digits]}.{s[-digits:]}" for x, s in zip(values, padded)]
+    half, unit = drop // 2, 10**digits
+    pos, neg = f"%d.%0{digits}d".__mod__, f"-%d.%0{digits}d".__mod__
+    return [(neg if x < 0 else pos)(divmod((abs(x) + half) // drop, unit)) for x in values]
 
 
 def _weyl_fixed(kp: KnotParams) -> Callable[[int, Iterable[int]], list[int]]:
@@ -147,12 +146,15 @@ def weyl_sup(kp: KnotParams, k_max: int) -> str:
     return _weyl_sup(kp, runs(kp.p, kp.q, k_max))
 
 
-@dataclass(frozen=True)
-class CobordismResult:
+class _CobordismFields(NamedTuple):
     applicable: bool
     consistent: bool
     obstructed_at: int | None
     k_max: int
+
+
+class CobordismResult(_ValidatedTuple, _CobordismFields):
+    __slots__ = ()
 
     def describe(self) -> str:
         if not self.applicable:
@@ -188,11 +190,14 @@ def cobordism_obstruction(
     return CobordismResult(True, True, None, k_max)
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class _BoundFields(NamedTuple):
     hypothesis_met: bool
     bound_squared: Fraction | None
     bound: str | None  # decimal string of the square root
+
+
+class BoundResult(_ValidatedTuple, _BoundFields):
+    __slots__ = ()
 
     def describe(self) -> str:
         if not self.hypothesis_met:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .currents import KnotParams, ReebCurrent, _tuple_new, _ValidatedTuple
+from .currents import KnotParams, ReebCurrent
+from .exact import _tuple_new, _ValidatedTuple
 from .nseq import _corner_columns, _hull, lattice_count
 
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -297,6 +299,36 @@ def test_cz_table_over_the_row_budget_is_refused_before_building(capsys, fmt, ma
         f"error: the table up to this action has {rows} rows, about "
         f"{rows * 430 // 10**6} MB; at most 2000000 rows are held\n"
     )
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+BOUND = ["bounds", "action-linking", "--p", "3", "--q", "4", "--Delta", "1", "--V"]
+
+
+@pytest.mark.parametrize("argv", [
+    BOUND + ["1e999999999"],
+    BOUND + ["1e-2000000"],
+    ["cz-table", "--p", "3", "--q", "4", "--max-action", "1e-9999999"],
+    BOUND + ["1" * (LIMIT + 1)],
+    BOUND + [f"1e{LIMIT + 1}"],
+])
+def test_rational_past_the_int_string_limit_is_refused_before_parsing(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 2.0
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: bad rational value {argv[-1]!r}: more than {LIMIT} digits or exponent above {LIMIT}\n"
+    )
+
+
+def test_rational_at_the_int_string_limit_is_parsed(capsys):
+    code, out, _ = run(capsys, "cz-table", "--p", "3", "--q", "4",
+                       "--max-action", f"1e-{LIMIT}", "--format", "csv")
+    assert code == 0 and out == "orbit,action,cz_orb\n"
+    assert cli._parse_fraction(" " + "9" * LIMIT + " ") == 10**LIMIT - 1
+    assert cli._parse_fraction(f"-1E+{LIMIT}") == -(10**LIMIT)
+    assert cli._parse_fraction("1e-4_0") == Fraction(1, 10**40)
 
 
 @pytest.mark.parametrize("command", ["homology", "knot-filtered"])

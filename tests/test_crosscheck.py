@@ -53,7 +53,7 @@ def test_the_fused_pass_reads_the_ledger(monkeypatch):
     # both P and Q, in the fused pass rather than the sample pass
     led = indices.InvariantLedger.for_params(KnotParams(2, 3))
     led.qpair[("Z_p", "Z_q", "orbibundle")] = 2
-    monkeypatch.setattr(indices, "_ledger", lambda p, q: led)
+    monkeypatch.setattr(indices, "ledger", lambda kp: led)
     indices._orbibundle_pairings.cache_clear()
     try:
         with pytest.raises(AssertionError) as info:

@@ -264,7 +264,7 @@ def test_components_read_the_pairings_from_the_ledger(monkeypatch):
     # consistency guard fires; the cached pairing table is rebuilt around it
     led = indices.InvariantLedger.for_params(KP)
     led.qpair[("Z_p", "Z_q", "orbibundle")] = 2
-    monkeypatch.setattr(indices, "_ledger", lambda p, q: led)
+    monkeypatch.setattr(indices, "ledger", lambda kp: led)
     indices._orbibundle_pairings.cache_clear()
     try:
         unaffected = ReebCurrent(B=2, H=1)
