@@ -1,17 +1,20 @@
 """Command-line front end.
 
-Every subcommand is a thin adapter over the library: it parses flags,
-calls one library entry point, and renders rows as an aligned table, CSV,
-or JSON.  JSON output carries a metadata block; table and CSV sections
-contain data only, so repeated runs are byte-identical.  Invalid input
-exits with status 2 and an index window the degree cutoff does not
-certify with status 1, each with one ``error: ...`` line on stderr.
+Every subcommand is a thin adapter over the library: ``_cmd_x(args, kp)``
+checks its flags, calls one library entry point and returns a header, its
+rows as CSV lines and its metadata fields.  ``main`` builds the (p, q)
+once and renders the rows as an aligned table, CSV, or JSON.  JSON output
+carries a metadata block; table and CSV sections contain data only, so
+repeated runs are byte-identical.  Invalid input exits with status 2 and
+an index window the degree cutoff does not certify with status 1, each
+with one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections.abc import Iterable
@@ -48,18 +51,18 @@ class UsageError(Exception):
 
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-_STR_DIGITS = 4300  # CPython's default int/str conversion limit, set from 3.10.7 on
+# CPython's int/str conversion limit, 4300 by default from 3.10.7 on
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _parse_fraction(text: str) -> Fraction:
     """``Fraction(text)``, refusing first more digits, or a larger decimal
     exponent, than Python converts between int and str: ``Fraction("1e10000000")``
     alone takes seconds, and no result that large could be printed."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _STR_DIGITS
     exponent = _EXPONENT.search(text)
-    if sum(map(str.isdigit, text)) > limit or exponent and abs(int(exponent[1])) > limit:
+    if sum(map(str.isdigit, text)) > _LIMIT or exponent and abs(int(exponent[1])) > _LIMIT:
         raise UsageError(
-            f"bad rational value {text!r}: more than {limit} digits or exponent above {limit}")
+            f"bad rational value {text!r}: more than {_LIMIT} digits or exponent above {_LIMIT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -82,7 +85,7 @@ def _k_max(args) -> int:
     return args.k_max
 
 
-def _emit(args, header: list[str], lines: Iterable[str], meta: dict) -> None:
+def _emit(fmt: str, header: list[str], lines: Iterable[str], meta: dict) -> None:
     """Write the rows in the chosen format.  Each row is one finished CSV
     line, its cells joined by commas and ended by a newline.  No cell holds
     a comma, a quote, a backslash or a non-ASCII or control character, so
@@ -98,7 +101,6 @@ def _emit(args, header: list[str], lines: Iterable[str], meta: dict) -> None:
     widths first, so it holds the lines, not their cells, and splits them
     again to render; rows are right-stripped, so the last column needs no
     width."""
-    fmt = getattr(args, "format", "table")
     out = sys.stdout
     if fmt == "csv":
         out.write(",".join(header) + "\n")
@@ -120,18 +122,12 @@ def _emit(args, header: list[str], lines: Iterable[str], meta: dict) -> None:
         out.writelines(template.format(*line.split(",")).rstrip() + "\n" for line in lines)
 
 
-def _meta(kp: KnotParams, **extra) -> dict:
-    # "limit" is the only perturbation regime the library computes in
-    meta = {"p": kp.p, "q": kp.q, "deltaMode": "limit", "toolVersion": __version__}
-    meta.update(extra)
-    return meta
-
-
 # -- subcommands --------------------------------------------------------
 
+Rows = tuple[list[str], Iterable[str], dict]  # header, CSV lines, meta fields
 
-def _cmd_nseq(args) -> None:
-    kp = KnotParams(args.p, args.q)
+
+def _cmd_nseq(args, kp: KnotParams) -> Rows:
     spans = runs(kp.p, kp.q, _k_max(args))
 
     def run_lines():
@@ -143,23 +139,20 @@ def _cmd_nseq(args) -> None:
             yield [f"{i}{mid}{tail}" for i, tail in zip(range(k, k + length), tails)]
             k += length
 
-    lines = chain.from_iterable(run_lines())
-    _emit(args, ["k", "N_k", "repeats"], lines, _meta(kp, kMax=args.k_max))
+    return ["k", "N_k", "repeats"], chain.from_iterable(run_lines()), {"kMax": args.k_max}
 
 
-def _cmd_generators(args) -> None:
-    kp = KnotParams(args.p, args.q)
+def _cmd_generators(args, kp: KnotParams) -> Rows:
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
     lines = chain.from_iterable(_generator_rows(ComplexSpec(kp, args.max_degree)))
-    _emit(args, ["degree", "generator", "index"], lines, _meta(kp, maxDegree=args.max_degree))
+    return ["degree", "generator", "index"], lines, {"maxDegree": args.max_degree}
 
 
-def _cmd_cz_table(args) -> None:
-    kp = KnotParams(args.p, args.q)
+def _cmd_cz_table(args, kp: KnotParams) -> Rows:
     table = cz_table(kp, _parse_fraction(args.max_action))
     lines = [f"{label},{render_fraction(act)},{cz}\n" for label, act, cz in table]
-    _emit(args, ["orbit", "action", "cz_orb"], lines, _meta(kp, maxAction=args.max_action))
+    return ["orbit", "action", "cz_orb"], lines, {"maxAction": args.max_action}
 
 
 def _window_spec(args, kp: KnotParams) -> ComplexSpec:
@@ -174,35 +167,27 @@ def _window_spec(args, kp: KnotParams) -> ComplexSpec:
     return ComplexSpec(kp, args.max_degree)
 
 
-def _cmd_homology(args) -> None:
-    kp = KnotParams(args.p, args.q)
+def _cmd_homology(args, kp: KnotParams) -> Rows:
     spec = _window_spec(args, kp)
-    meta = _meta(kp, maxIndex=args.max_index, maxDegree=spec.max_degree,
-                 validatedWindow=f"indices 0..{args.max_index}")
+    fields = {"maxIndex": args.max_index, "maxDegree": spec.max_degree,
+              "validatedWindow": f"indices 0..{args.max_index}"}
     ranks = homology(spec, args.max_index)  # refuses an uncertified window before any check
     if args.check_d_squared:
-        meta["dSquaredZero"] = d_squared_is_zero(spec)
-    lines = [f"{i},{ranks[i]}\n" for i in range(args.max_index + 1)]
-    _emit(args, ["index", "rank"], lines, meta)
+        fields["dSquaredZero"] = d_squared_is_zero(spec)
+    return ["index", "rank"], [f"{i},{ranks[i]}\n" for i in range(args.max_index + 1)], fields
 
 
-def _cmd_knot_filtered(args) -> None:
-    kp = KnotParams(args.p, args.q)
+def _cmd_knot_filtered(args, kp: KnotParams) -> Rows:
     level = parse_infrat(args.filtration)
     spec = _window_spec(args, kp)
     ranks = knot_filtered_homology(spec, level, args.max_index)
     lines = [f"{i},{ranks[i]}\n" for i in range(args.max_index + 1)]
-    _emit(
-        args,
-        ["index", "rank"],
-        lines,
-        _meta(kp, filtration=render(level), maxIndex=args.max_index,
-              maxDegree=spec.max_degree),
-    )
+    fields = {"filtration": render(level), "maxIndex": args.max_index,
+              "maxDegree": spec.max_degree}
+    return ["index", "rank"], lines, fields
 
 
-def _cmd_spectrum(args) -> None:
-    kp = KnotParams(args.p, args.q)
+def _cmd_spectrum(args, kp: KnotParams) -> Rows:
     scan = _error_runs(kp, _k_max(args))
 
     def run_lines():
@@ -214,12 +199,10 @@ def _cmd_spectrum(args) -> None:
             yield [f"{i}{mid}{tail}{e}\n"
                    for i, tail, e in zip(range(k, k + len(errors)), tails, errors)]
 
-    lines = chain.from_iterable(run_lines())
-    _emit(args, ["k", "c_k", "c_k_link", "e_k"], lines, _meta(kp, kMax=args.k_max))
+    return ["k", "c_k", "c_k_link", "e_k"], chain.from_iterable(run_lines()), {"kMax": args.k_max}
 
 
-def _cmd_weyl(args) -> None:
-    kp = KnotParams(args.p, args.q)
+def _cmd_weyl(args, kp: KnotParams) -> Rows:
     k_max = _k_max(args)
     sup = weyl_sup(kp, k_max)
     if args.plot_data:
@@ -232,61 +215,55 @@ def _cmd_weyl(args) -> None:
     else:
         header = ["quantity", "value"]
         lines = [f"sup|e_k|,{sup}\n"]
-    _emit(args, header, lines, _meta(kp, kMax=k_max, supAbsError=sup))
+    return header, lines, {"kMax": k_max, "supAbsError": sup}
 
 
-def _cmd_obstruct(args) -> None:
+def _cmd_obstruct(args, kp: None) -> Rows:
     frm = _parse_pair(getattr(args, "from"))
     to = _parse_pair(args.to)
     result = cobordism_obstruction(frm, to, _k_max(args))
-    lines = [result.describe() + "\n"]
-    meta = {
-        "from": list(frm),
-        "to": list(to),
-        "kMax": args.k_max,
-        "toolVersion": __version__,
-    }
-    _emit(args, ["result"], lines, meta)
+    fields = {"from": list(frm), "to": list(to), "kMax": args.k_max}
+    return ["result"], [result.describe() + "\n"], fields
 
 
-def _cmd_bounds(args) -> None:
-    kp = KnotParams(args.p, args.q)
+def _cmd_bounds(args, kp: KnotParams) -> Rows:
     if args.which == "action-linking":
         if args.Delta is None or args.V is None:
             raise UsageError("action-linking needs --Delta and --V")
         result = action_linking_bound(kp, _parse_fraction(args.Delta), _parse_fraction(args.V))
-        meta = _meta(kp, Delta=args.Delta, V=args.V)
+        flag, fields = "--V", {"Delta": args.Delta, "V": args.V}
     else:
         if args.d is None or args.calabi is None:
             raise UsageError("calabi needs --d and --calabi")
         if kp.p < 2 or kp.q < 2:
             raise UsageError("the mean-action bound needs p, q >= 2")
         result = calabi_mean_action_bound(kp, _parse_fraction(args.d), _parse_fraction(args.calabi))
-        meta = _meta(kp, d=args.d, calabi=args.calabi)
+        flag, fields = "--calabi", {"d": args.d, "calabi": args.calabi}
+    squared = result.bound_squared
+    # a flag inside the parse limit can still give a fraction too long to print
+    if squared is not None and max(squared.numerator, squared.denominator) >= 10**_LIMIT:
+        raise UsageError(f"{flag} gives a bound_squared of more than {_LIMIT} digits")
     bound = "n/a" if result.bound is None else result.bound
-    squared = "n/a" if result.bound_squared is None else render_fraction(result.bound_squared)
+    squared = "n/a" if squared is None else render_fraction(squared)
     lines = [
         f"hypothesis_met,{str(result.hypothesis_met).lower()}\n",
         f"bound,{bound}\n",
         f"bound_squared,{squared}\n",
     ]
-    _emit(args, ["quantity", "value"], lines, meta)
+    return ["quantity", "value"], lines, fields
 
 
-def _cmd_toric(args) -> None:
-    kp = KnotParams(args.p, args.q)
+def _cmd_toric(args, kp: KnotParams) -> Rows:
     current = ReebCurrent.from_name(args.current)
     path = current_to_path(current, kp)
-    verts = vertices(path)
-    lines = [f"{x},{y}\n" for x, y in verts]
-    meta = _meta(
-        kp,
-        current=current.name(),
-        label=path.label,
-        segmentSteps=path.m,
-        index=path_index(path),
-        filtrationValue=path.filtration_value,
-    )
+    lines = [f"{x},{y}\n" for x, y in vertices(path)]
+    fields = {
+        "current": current.name(),
+        "label": path.label,
+        "segmentSteps": path.m,
+        "index": path_index(path),
+        "filtrationValue": path.filtration_value,
+    }
     if args.svg:
         doc = path_svg(path)  # an over-budget figure is refused before the file is opened
         try:
@@ -294,8 +271,8 @@ def _cmd_toric(args) -> None:
                 fh.write(doc)
         except OSError as exc:
             raise UsageError(f"cannot write --svg file {args.svg}: {exc.strerror or exc}") from exc
-        meta["svg"] = args.svg
-    _emit(args, ["x", "y"], lines, meta)
+        fields["svg"] = args.svg
+    return ["x", "y"], lines, fields
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,77 +282,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = {"choices": ("table", "csv", "json"), "default": "table"}
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, required=True)
+    common.add_argument("--q", type=int, required=True)
+    common.add_argument("--format", **formats)
 
-    def add_common(sp, pq=True):
-        if pq:
-            sp.add_argument("--p", type=int, required=True)
-            sp.add_argument("--q", type=int, required=True)
-        sp.add_argument(
-            "--format", choices=("table", "csv", "json"), default="table"
-        )
+    def command(name, func, help, parents=(common,)):
+        sp = sub.add_parser(name, help=help, parents=parents)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("nseq", help="the sequence N_k(p,q) with repeat counts")
-    add_common(sp)
+    sp = command("nseq", _cmd_nseq, "the sequence N_k(p,q) with repeat counts")
     sp.add_argument("--k-max", type=int, required=True)
-    sp.set_defaults(func=_cmd_nseq)
 
-    sp = sub.add_parser("generators", help="chain complex generators up to a degree")
-    add_common(sp)
+    sp = command("generators", _cmd_generators, "chain complex generators up to a degree")
     sp.add_argument("--max-degree", type=int, required=True)
-    sp.set_defaults(func=_cmd_generators)
 
-    sp = sub.add_parser("cz-table", help="Conley-Zehnder indices by action")
-    add_common(sp)
+    sp = command("cz-table", _cmd_cz_table, "Conley-Zehnder indices by action")
     sp.add_argument("--max-action", default="2")
-    sp.set_defaults(func=_cmd_cz_table)
 
-    sp = sub.add_parser("homology", help="homology ranks over a validated window")
-    add_common(sp)
+    sp = command("homology", _cmd_homology, "homology ranks over a validated window")
     sp.add_argument("--max-index", type=int, required=True)
     sp.add_argument("--max-degree", type=int, default=None)
     sp.add_argument("--check-d-squared", action="store_true")
-    sp.set_defaults(func=_cmd_homology)
 
-    sp = sub.add_parser("knot-filtered", help="homology of a knot filtration level")
-    add_common(sp)
+    sp = command("knot-filtered", _cmd_knot_filtered, "homology of a knot filtration level")
     sp.add_argument("--max-index", type=int, required=True)
     sp.add_argument("--filtration", required=True, help="level like 12, 7/2, or 12+1*d")
     sp.add_argument("--max-degree", type=int, default=None)
-    sp.set_defaults(func=_cmd_knot_filtered)
 
-    sp = sub.add_parser("spectrum", help="action and linking spectra with Weyl errors")
-    add_common(sp)
+    sp = command("spectrum", _cmd_spectrum, "action and linking spectra with Weyl errors")
     sp.add_argument("--k-max", type=int, required=True)
-    sp.set_defaults(func=_cmd_spectrum)
 
-    sp = sub.add_parser("weyl", help="Weyl-law error scan")
-    add_common(sp)
+    sp = command("weyl", _cmd_weyl, "Weyl-law error scan")
     sp.add_argument("--k-max", type=int, required=True)
     sp.add_argument("--plot-data", action="store_true", help="emit per-k rows")
-    sp.set_defaults(func=_cmd_weyl)
 
-    sp = sub.add_parser("obstruct", help="symplectic cobordism obstruction scan")
+    # no (p, q); --format last, where the help and usage have always put it
+    sp = command("obstruct", _cmd_obstruct, "symplectic cobordism obstruction scan", ())
     sp.add_argument("--from", required=True, metavar="P,Q")
     sp.add_argument("--to", required=True, metavar="P,Q")
     sp.add_argument("--k-max", type=int, required=True)
-    add_common(sp, pq=False)
-    sp.set_defaults(func=_cmd_obstruct)
+    sp.add_argument("--format", **formats)
 
-    sp = sub.add_parser("bounds", help="quantitative dynamics bounds")
-    sp.add_argument("which", choices=("action-linking", "calabi"))
-    add_common(sp)
+    # a positional comes first among the missing arguments an error lists, so
+    # it is a parent ahead of (p, q)
+    which = argparse.ArgumentParser(add_help=False)
+    which.add_argument("which", choices=("action-linking", "calabi"))
+    sp = command("bounds", _cmd_bounds, "quantitative dynamics bounds", (which, common))
     sp.add_argument("--Delta", default=None, help="rotation offset (rational)")
     sp.add_argument("--V", default=None, help="contact volume (rational)")
     sp.add_argument("--d", default=None, help="boundary twist in (-1/pq, 0]")
     sp.add_argument("--calabi", default=None, help="Calabi invariant (rational)")
-    sp.set_defaults(func=_cmd_bounds)
 
-    sp = sub.add_parser("toric", help="lattice-path form of a generator")
-    sp.add_argument("what", choices=("path",))
-    add_common(sp)
+    what = argparse.ArgumentParser(add_help=False)
+    what.add_argument("what", choices=("path",))
+    sp = command("toric", _cmd_toric, "lattice-path form of a generator", (what, common))
     sp.add_argument("--current", required=True, help='generator like "h p q"')
     sp.add_argument("--svg", default=None, help="write a figure to this file")
-    sp.set_defaults(func=_cmd_toric)
 
     return parser
 
@@ -384,13 +349,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
-    except WindowError as exc:  # a ValueError, so caught first: exit 1
-        print(f"error: {exc}", file=sys.stderr)
+        kp = None if args.command == "obstruct" else KnotParams(args.p, args.q)
+        header, lines, fields = args.func(args, kp)
+        # "limit" is the only perturbation regime the library computes in
+        meta = ({**fields, "toolVersion": __version__} if kp is None else
+                {"p": kp.p, "q": kp.q, "deltaMode": "limit", "toolVersion": __version__, **fields})
+        _emit(args.format, header, lines, meta)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at exit
+        # cannot raise again, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, WindowError) else 2  # an uncertified window exits 1
     return 0
 
 

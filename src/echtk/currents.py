@@ -69,9 +69,6 @@ class ReebCurrent(_ValidatedTuple, _Exponents):
                 raise ValueError("hyperbolic orbit multiplicity must be 0 or 1")
         return _tuple_new(cls, (B, H, P, Q))
 
-    def exponents(self) -> tuple[int, int, int, int]:
-        return tuple(self)
-
     def multiplicity(self, orbit: str) -> int:
         return {"b": self.B, "h": self.H, "p": self.P, "q": self.Q}[orbit]
 

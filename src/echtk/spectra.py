@@ -61,23 +61,6 @@ def _weyl_fixed(kp: KnotParams) -> Callable[[int, Iterable[int]], list[int]]:
     return errors
 
 
-def weyl_error_str(kp: KnotParams, k: int, value: int) -> str:
-    return _fixed_strs(_weyl_fixed(kp)(value, [k]), _WEYL_SCALE, _WEYL_DIGITS)[0]
-
-
-def weyl_error_within(kp: KnotParams, k: int, value: int, bound: Fraction) -> bool:
-    """Exact check that |N_k/pq - sqrt(2k/pq)| <= bound, done by squaring."""
-    # |value - sqrt(t)| <= c with t = 2*k*pq and c = bound*pq
-    t = 2 * k * kp.pq
-    c = Fraction(bound) * kp.pq
-    if c.denominator == 1:
-        ci = c.numerator
-        return (value + ci) ** 2 >= t and (value - ci <= 0 or (value - ci) ** 2 <= t)
-    upper = (value + c) ** 2 >= t
-    lower = value - c <= 0 or (value - c) ** 2 <= t
-    return upper and lower
-
-
 class SpectrumEntry(NamedTuple):
     """Index k of the action spectrum, held as plain integers: ``value`` is
     N_k and ``repeats`` the number of j <= k with N_j = N_k.  ``ck`` is one

@@ -39,7 +39,7 @@ def components_reference(c: ReebCurrent, kp: KnotParams) -> int:
     """Q(Z) plus every cz_orb term of the current (the Chern term is zero)."""
     cz = sum(
         cz_orb(orbit, i, kp)
-        for orbit, mult in zip("bhpq", c.exponents())
+        for orbit, mult in zip("bhpq", tuple(c))
         for i in range(1, mult + 1)
     )
     return q_form(c, kp) + cz

@@ -31,12 +31,12 @@ from echtk.spectra import (
     calabi_mean_action_bound,
     cobordism_obstruction,
     sqrt_decimal,
-    weyl_error_within,
 )
 
 from gf2_oracle import differential
 from golden_tables import CZ_TABLE_T34, TABLE_T34, TABLE_T34_OMITTED, TABLE_T35
 from nseq_oracle import nk_prefix
+from weyl_oracle import weyl_error_within
 
 
 @contextmanager

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +235,67 @@ def test_json_metadata_block(capsys):
     assert doc["rows"] == [[str(i), "1" if i % 2 == 0 else "0"] for i in range(11)]
 
 
+COMMON_META = [("deltaMode", "limit"), ("toolVersion", __version__)]
+JSON_METAS = [
+    (("nseq", "--p", "3", "--q", "4", "--k-max", "5"), [("kMax", 5)]),
+    (("generators", "--p", "2", "--q", "5", "--max-degree", "6"), [("maxDegree", 6)]),
+    (("cz-table", "--p", "3", "--q", "4", "--max-action", "1/2"), [("maxAction", "1/2")]),
+    (("spectrum", "--p", "2", "--q", "7", "--k-max", "3"), [("kMax", 3)]),
+    (("homology", "--p", "3", "--q", "4", "--max-index", "4"),
+     [("maxIndex", 4), ("maxDegree", 4), ("validatedWindow", "indices 0..4")]),
+    (("homology", "--p", "3", "--q", "4", "--max-index", "4", "--check-d-squared"),
+     [("maxIndex", 4), ("maxDegree", 4), ("validatedWindow", "indices 0..4"),
+      ("dSquaredZero", True)]),
+    (("homology", "--p", "2", "--q", "7", "--max-index", "4", "--max-degree", "30"),
+     [("maxIndex", 4), ("maxDegree", 30), ("validatedWindow", "indices 0..4")]),
+    (("homology", "--p", "2", "--q", "7", "--max-index", "4", "--max-degree", "30",
+      "--check-d-squared"),
+     [("maxIndex", 4), ("maxDegree", 30), ("validatedWindow", "indices 0..4"),
+      ("dSquaredZero", True)]),
+    (("knot-filtered", "--p", "3", "--q", "4", "--max-index", "6", "--filtration", "24/2+1*d"),
+     [("filtration", "12+1*d"), ("maxIndex", 6), ("maxDegree", 6)]),
+    (("weyl", "--p", "2", "--q", "3", "--k-max", "10"),
+     [("kMax", 10), ("supAbsError", "0.414213562373")]),
+    (("weyl", "--p", "2", "--q", "3", "--k-max", "10", "--plot-data"),
+     [("kMax", 10), ("supAbsError", "0.414213562373")]),
+    (("bounds", "action-linking", "--p", "2", "--q", "3", "--Delta", "1/10", "--V", "1/10"),
+     [("Delta", "1/10"), ("V", "1/10")]),
+    (("bounds", "action-linking", "--p", "2", "--q", "3", "--Delta", "5", "--V", "1/10"),
+     [("Delta", "5"), ("V", "1/10")]),
+    (("bounds", "calabi", "--p", "2", "--q", "3", "--d=-1/20", "--calabi", "1/20"),
+     [("d", "-1/20"), ("calabi", "1/20")]),
+    (("bounds", "calabi", "--p", "3", "--q", "4", "--d=0", "--calabi", "7"),
+     [("d", "0"), ("calabi", "7")]),
+    (("toric", "path", "--p", "3", "--q", "4", "--current", "h p q"),
+     [("current", "h p q"), ("label", "h"), ("segmentSteps", 1), ("index", 41),
+      ("filtrationValue", 19)]),
+]
+
+
+@pytest.mark.parametrize("argv, fields", JSON_METAS, ids=[" ".join(a) for a, _ in JSON_METAS])
+def test_every_json_meta_is_pinned_in_order(capsys, argv, fields):
+    # p, q, deltaMode and toolVersion, then the command's own fields
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    p, q = int(argv[argv.index("--p") + 1]), int(argv[argv.index("--q") + 1])
+    assert list(json.loads(out)["meta"].items()) == [("p", p), ("q", q), *COMMON_META, *fields]
+
+
+def test_obstruct_and_svg_json_metas_are_pinned_in_order(tmp_path, capsys):
+    code, out, _ = run(capsys, "obstruct", "--from", "2,7", "--to", "3,4", "--k-max", "20",
+                       "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["meta"].items()) == [
+        ("from", [2, 7]), ("to", [3, 4]), ("kMax", 20), ("toolVersion", __version__)]
+    target = str(tmp_path / "path.svg")
+    code, out, _ = run(capsys, "toric", "path", "--p", "3", "--q", "4", "--current", "h p q",
+                       "--svg", target, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["meta"].items()) == [
+        ("p", 3), ("q", 4), *COMMON_META, ("current", "h p q"), ("label", "h"),
+        ("segmentSteps", 1), ("index", 41), ("filtrationValue", 19), ("svg", target)]
+
+
 def test_knot_filtered_command(capsys):
     code, out, _ = run(
         capsys, "knot-filtered", "--p", "3", "--q", "4", "--max-index", "20",
@@ -320,6 +384,45 @@ def test_rational_past_the_int_string_limit_is_refused_before_parsing(capsys, ar
     assert err == (
         f"error: bad rational value {argv[-1]!r}: more than {LIMIT} digits or exponent above {LIMIT}\n"
     )
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (BOUND + [f"1e-{LIMIT}"], "--V"),  # bound_squared = 1/(12 * 10**4300)
+    (["bounds", "calabi", "--p", "3", "--q", "4", "--d", "0", "--calabi", f"1e-{LIMIT - 1}"],
+     "--calabi"),
+])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_bound_squared_past_the_int_string_limit_is_refused(capsys, argv, flag, fmt):
+    # the flag parses, but the fraction it gives has one digit too many to print
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} gives a bound_squared of more than {LIMIT} digits\n"
+
+
+@pytest.mark.parametrize("argv", [
+    BOUND + [f"1e-{LIMIT - 2}"],
+    ["bounds", "calabi", "--p", "3", "--q", "4", "--d", "0", "--calabi", f"1e-{LIMIT - 2}"],
+])
+def test_bound_squared_at_the_int_string_limit_is_printed(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    squared = dict(line.split(",") for line in out.splitlines())["bound_squared"]
+    assert squared == f"1/{12 * 10**(LIMIT - 2)}" and len(squared) == 2 + LIMIT
+
+
+def test_a_closed_pipe_ends_the_run_quietly():
+    # the reader takes one line and closes the pipe while rows still stream
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "echtk", "nseq", "--p", "3", "--q", "4", "--k-max", "200000",
+         "--format", "csv"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"k,N_k,repeats\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 1
 
 
 def test_rational_at_the_int_string_limit_is_parsed(capsys):

@@ -60,8 +60,8 @@ def test_enumerate_matches_brute_force():
     for p, q in [(2, 3), (3, 4), (1, 2)]:
         kp = KnotParams(p, q)
         got = enumerate_currents(ComplexSpec(kp, 30))
-        assert sorted(got, key=lambda c: c.exponents()) == sorted(
-            brute_enumerate(kp, 30), key=lambda c: c.exponents()
+        assert sorted(got, key=tuple) == sorted(
+            brute_enumerate(kp, 30), key=tuple
         )
 
 

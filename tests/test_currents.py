@@ -137,7 +137,7 @@ def test_bool_and_int_subclass_multiplicities_are_accepted_as_given():
     assert c.B is True and c.H is True and c.P is False and type(c.Q) is _Mult
     assert c == ReebCurrent(1, 1, 0, 3)
     assert hash(c) == hash(ReebCurrent(1, 1, 0, 3))
-    assert ReebCurrent(B=True).exponents() == (True, 0, 0, 0)
+    assert tuple(ReebCurrent(B=True)) == (True, 0, 0, 0)
 
 
 def test_names_and_json():

@@ -22,11 +22,10 @@ from echtk.spectra import (
     cobordism_obstruction,
     linking_spectrum,
     sqrt_decimal,
-    weyl_error_str,
-    weyl_error_within,
     weyl_sup,
 )
 from nseq_oracle import nk_prefix
+from weyl_oracle import weyl_error_str, weyl_error_within
 
 KP = KnotParams(3, 4)
 COPRIME_UP_TO_8 = [(p, q) for q in range(2, 9) for p in range(1, q) if gcd(p, q) == 1]

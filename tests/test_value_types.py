@@ -144,7 +144,7 @@ def test_pickle_and_copy_round_trip_through_the_constructor(value, monkeypatch):
 
 def test_unpacks_and_indexes_like_a_tuple():
     B, H, P, Q = CURRENT
-    assert (B, H, P, Q) == (1, 0, 2, 0) == CURRENT.exponents()
+    assert (B, H, P, Q) == (1, 0, 2, 0) == tuple(CURRENT)
     assert CURRENT[2] == CURRENT.P == 2
     kp, anchor, m, label = PATH
     assert (kp, anchor, m, label) == (KP, (1, 4), 1, "h")
