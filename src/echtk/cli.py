@@ -33,7 +33,7 @@ from .complexes import (
     required_degree,
 )
 from .currents import KnotParams, ReebCurrent
-from .exact import delta_suffix, parse as parse_infrat, render, render_fraction
+from .exact import _LIMIT, delta_suffix, parse as parse_infrat, render, render_fraction
 from .indices import cz_table
 from .nseq import runs
 from .spectra import (
@@ -51,8 +51,6 @@ class UsageError(Exception):
 
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-# CPython's int/str conversion limit, 4300 by default from 3.10.7 on
-_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -67,6 +65,13 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational value {text!r}: {exc}") from exc
+
+
+def _short_numbers(flag: str, text: str) -> str:
+    """``text``, refused when a number in it has more digits than int() takes."""
+    if max(map(len, re.findall(r"\d+", text)), default=0) > _LIMIT:
+        raise UsageError(f"{flag} has a number of more than {_LIMIT} digits")
+    return text
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -178,7 +183,7 @@ def _cmd_homology(args, kp: KnotParams) -> Rows:
 
 
 def _cmd_knot_filtered(args, kp: KnotParams) -> Rows:
-    level = parse_infrat(args.filtration)
+    level = parse_infrat(_short_numbers("--filtration", args.filtration))
     spec = _window_spec(args, kp)
     ranks = knot_filtered_homology(spec, level, args.max_index)
     lines = [f"{i},{ranks[i]}\n" for i in range(args.max_index + 1)]
@@ -254,7 +259,7 @@ def _cmd_bounds(args, kp: KnotParams) -> Rows:
 
 
 def _cmd_toric(args, kp: KnotParams) -> Rows:
-    current = ReebCurrent.from_name(args.current)
+    current = ReebCurrent.from_name(_short_numbers("--current", args.current))
     path = current_to_path(current, kp)
     lines = [f"{x},{y}\n" for x, y in vertices(path)]
     fields = {

@@ -18,9 +18,9 @@ points or its h-currents, is put in name order as one batch by
 rows, or, for :func:`enumerate_currents`, as exponents with no name
 rendered.  The knot filtration key (D, B) is constant on a line, so the
 lines of a filtered subcomplex are a prefix of the walk.  Every column
-lies inside its line, so :func:`d_squared_is_zero` checks d^2 = 0 one line
-at a time, one lookup per target, and no command holds more of the
-complex than one line.
+lies inside its line and names only points, whose columns are empty, so
+:func:`d_squared_is_zero` looks up each h-current's two targets among the
+points of its line, and no command holds more of the complex than one line.
 
 The lines of degree D are the representations counted by
 :func:`echtk.nseq._walk` with p and q swapped, so the k-th line is the
@@ -32,11 +32,11 @@ docstring says why); the tests build the whole boundary matrix from it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, starmap
+from itertools import starmap
 from typing import NamedTuple
 
 from .currents import KnotParams, ReebCurrent, _half_line_renderer, degree
-from .exact import InfRat, _tuple_new, _ValidatedTuple, coerce
+from .exact import InfRat, _check_budget, _tuple_new, _ValidatedTuple, coerce
 from .indices import _index_evaluator, ech_index
 from .nseq import _walk, nk, repeat_count
 
@@ -116,40 +116,17 @@ def enumerate_currents(spec: ComplexSpec) -> list[ReebCurrent]:
     return [ReebCurrent(*e) for half in _half_lines(spec) for e in exponents(*half[2:])]
 
 
-def _squares_vanish(columns: list[tuple[int, ...]]) -> bool:
-    """Whether d^2 = 0 for the GF(2) columns given as row positions into
-    the same list; a row named twice by one column cancels.  When no column
-    names a row whose own column is nonempty, every square is a sum of empty
-    columns, so this is exact."""
-    if not any(map(columns.__getitem__, chain.from_iterable(columns))):
-        return True
-    for col in columns:
-        acc: set[int] = set()
-        for row in col:
-            for target in columns[row]:  # one toggle per occurrence
-                acc ^= {target}
-        if acc:
-            return False
-    return True
-
-
 def d_squared_is_zero(spec: ComplexSpec) -> bool:
-    """Whether d^2 = 0 on the complex below the cutoff, checked one line at a
-    time: the block of a line's m points and m - 1 h-currents, where the
-    h-current h*b^B*p^P*q^Q hits b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q).  Each
-    target's row is found with one lookup."""
+    """Whether d^2 = 0 below the cutoff: each h-current h*b^B*p^P*q^Q hits
+    b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q), both points of its own line, and a
+    point has no boundary, so every square is a sum of empty columns."""
     kp = spec.kp
     p, q = kp.p, kp.q
     for _, D, B, P0, m in _lines(kp, spec.max_degree):
-        points = _line(kp, D, B, P0, m, 0)
-        row = dict(zip(points, range(m))).get
-        columns: list[tuple[int, ...]] = [()] * m
+        points = set(_line(kp, D, B, P0, m, 0))
         for _, _, P, Q in _line(kp, D, B, P0, m, 1):
-            a, b = row((B, 0, P + p, Q)), row((B, 0, P, Q + q))
-            assert a is not None and b is not None, "a column must stay inside its line"
-            columns.append((a, b))
-        if not _squares_vanish(columns):
-            return False
+            if (B, 0, P + p, Q) not in points or (B, 0, P, Q + q) not in points:
+                raise AssertionError("a column must stay inside its line")  # also under -O
     return True
 
 
@@ -184,12 +161,8 @@ def _certify(spec: ComplexSpec, max_index: int) -> None:
     need = required_degree(spec.kp, max_index)
     if spec.max_degree < need:
         raise WindowError(max_index, need)
-    rows = max_index + 1
-    if rows > _MAX_INDEX_ROWS:
-        raise ValueError(
-            f"index window up to {max_index} has {rows} rows, about "
-            f"{rows * _ROW_BYTES // 10**6} MB; at most {_MAX_INDEX_ROWS} rows are held"
-        )
+    _check_budget(f"index window up to {max_index}", max_index + 1, "rows", _MAX_INDEX_ROWS,
+                  _ROW_BYTES, "held")
 
 
 def _counted(spec: ComplexSpec, max_index: int, den: int, bound: tuple[int, int]) -> dict[int, int]:

@@ -6,16 +6,20 @@ and smaller than any positive rational.  A number is a pair ``r + s*d``
 with ``r`` rational and ``s`` an integer; the total order is lexicographic
 in ``(r, s)``, which is correct for any concrete value of ``d`` small
 enough.  No ``d**2`` terms ever arise, so products are only defined
-against plain rational scalars.
+against plain rational scalars.  :func:`_check_budget` words every
+over-budget refusal, within Python's int/str limit ``_LIMIT``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Union
 
 Scalar = Union[int, Fraction]
+# CPython's int/str conversion limit, 4300 by default from 3.10.7 on
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _as_fraction(x: Scalar) -> Fraction:
@@ -170,6 +174,15 @@ def floor_inf(x: "InfRat | Scalar") -> int:
 def ceil_inf(x: "InfRat | Scalar") -> int:
     """Smallest integer >= x."""
     return -floor_inf(-coerce(x))
+
+
+def _check_budget(what: str, count: int, unit: str, budget: int, item_bytes: int, verb: str) -> None:
+    """Refuse more than ``budget`` items of ``item_bytes`` each in one run; a
+    count past Python's int/str limit is given as a power of ten."""
+    if count > budget:
+        size = (f"10^{_LIMIT} or more {unit}" if count >= 10**_LIMIT
+                else f"{count} {unit}, about {count * item_bytes // 10**6} MB")
+        raise ValueError(f"{what} has {size}; at most {budget} {unit} are {verb}")
 
 
 def render_fraction(f: Fraction) -> str:

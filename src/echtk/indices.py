@@ -18,7 +18,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .currents import KnotParams, ReebCurrent
-from .exact import _tuple_new, _ValidatedTuple
+from .exact import _check_budget, _tuple_new, _ValidatedTuple
 
 TRIVIALIZATIONS = (
     "constant",
@@ -39,10 +39,10 @@ def _cz_elliptic(s: int, period: int, i: int) -> int:
 
 class _IndexEvaluator:
     """The closed-form ECH index on the exponents (B, H, P, Q) of an
-    admissible current for one (p, q), the ledger's bilinear expansion of
-    the same value, and the prefix sums of cz_orb over the iterates of p
-    and q that both read.  The sums grow through exactly the iterate a call
-    reads past their end, so no caller sizes them."""
+    admissible current for one (p, q), the expansion of the same value over
+    the ledger's pairings (read once), and the prefix sums of cz_orb over the
+    iterates of p and q that both read.  The sums grow through exactly the
+    iterate a call reads past their end, so no caller sizes them."""
 
     def __init__(self, p: int, q: int):
         self.p, self.q = p, q
@@ -50,6 +50,7 @@ class _IndexEvaluator:
         sum_p = self.sum_p = [0]
         sum_q = self.sum_q = [0]
         grow = self.grow
+        pairings = ()  # the ledger's, read on the first call: most evaluators never need them
 
         def index(B: int, H: int, P: int, Q: int) -> int:
             try:
@@ -71,6 +72,7 @@ class _IndexEvaluator:
             )
 
         def components(B: int, H: int, P: int, Q: int) -> int:
+            nonlocal pairings
             try:
                 cz = sum_p[P] + sum_q[Q]
             except IndexError:
@@ -78,7 +80,8 @@ class _IndexEvaluator:
                 return components(B, H, P, Q)
             # zero Chern term, the ledger's pairings expanded bilinearly,
             # and the CZ sums: cz_orb is 2si + 1 on b^i and 2s on h
-            bb, hh, pp, qq, bh, bp, bq, hp, hq, pq = _orbibundle_pairings(p, q)
+            pairings = pairings or _orbibundle_pairings(p, q)
+            bb, hh, pp, qq, bh, bp, bq, hp, hq, pq = pairings
             qterm = (
                 B * B * bb
                 + H * H * hh
@@ -219,7 +222,6 @@ def ledger(kp: KnotParams) -> InvariantLedger:
     return InvariantLedger.for_params(kp)
 
 
-@cache
 def _orbibundle_pairings(p: int, q: int) -> tuple[int, ...]:
     """The ten orbibundle pairings Q(Z_i, Z_j) of the ledger for (p, q), in
     the order bb, hh, pp, qq, bh, bp, bq, hp, hq, pq."""
@@ -321,12 +323,8 @@ def cz_table(kp: KnotParams, max_action: Fraction | int = 2) -> list[tuple[str, 
     # the integer i*pq/n; iterates run while i/n <= max_action
     orbits = (("b", 1), ("h", 1), ("p", p), ("q", q))
     tops = [max_action.numerator * n // max_action.denominator for _, n in orbits]
-    rows = sum(tops)
-    if rows > _MAX_CZ_ROWS:
-        raise ValueError(
-            f"the table up to this action has {rows} rows, about "
-            f"{rows * _CZ_ROW_BYTES // 10**6} MB; at most {_MAX_CZ_ROWS} rows are held"
-        )
+    _check_budget("the table up to this action", sum(tops), "rows", _MAX_CZ_ROWS,
+                  _CZ_ROW_BYTES, "held")
     keyed: list[tuple[int, int, str]] = []
     for (orbit, n), top in zip(orbits, tops):
         step = pq // n

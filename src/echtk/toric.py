@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .currents import KnotParams, ReebCurrent
-from .exact import _tuple_new, _ValidatedTuple
+from .exact import _check_budget, _tuple_new, _ValidatedTuple
 from .nseq import _corner_columns, _hull, lattice_count
 
 
@@ -159,12 +159,8 @@ def svg(path: LatticePath, size: int = 480) -> str:
     w = path.filtration_value
     x_max = max(max(v[0] for v in verts), 1) + 1
     y_max = max(max(v[1] for v in verts), 1) + 1
-    dots = (x_max + 1) * (y_max + 1)
-    if dots > _MAX_SVG_DOTS:
-        raise ValueError(
-            f"the figure's dot grid has {dots} dots, about "
-            f"{dots * _DOT_BYTES // 10**6} MB; at most {_MAX_SVG_DOTS} dots are drawn"
-        )
+    _check_budget("the figure's dot grid", (x_max + 1) * (y_max + 1), "dots", _MAX_SVG_DOTS,
+                  _DOT_BYTES, "drawn")
     span = max(x_max, y_max)
     step, px = size * kp.pq, kp.pq * (span + 3)  # units per lattice step, per pixel
     view = step * (span + 3)

@@ -10,19 +10,18 @@ with the cutoff through ``knot_filtration``, and the members of a line are
 found by solving its equation, not by the library's walk.
 
 The whole boundary matrix (:func:`differential`) is built here, from
-``admissible_exponents``, which uses none of the facts of the walk.
+``admissible_exponents``, which uses none of the facts of the walk, and
+its d^2 is formed here too (:func:`squares_vanish`): each column squared
+as the XOR of the bitsets of the columns it names.  The library forms no
+such sum; it only checks that each h-current's targets are points of its
+line.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from echtk.complexes import (
-    ComplexSpec,
-    _squares_vanish,
-    homology,
-    knot_filtered_homology,
-)
+from echtk.complexes import ComplexSpec, homology, knot_filtered_homology
 from echtk.currents import ReebCurrent, admissible_exponents, knot_filtration
 from echtk.indices import _index_evaluator
 from echtk.nseq import lattice_count
@@ -46,7 +45,7 @@ class BoundaryMatrix:
         return [ReebCurrent(*e) for e in self.exponents]
 
     def d_squared_is_zero(self):
-        return _squares_vanish(self.columns)
+        return squares_vanish(self.columns)
 
 
 def _complex(spec):
@@ -69,8 +68,29 @@ def differential(spec):
 
 
 def bitset_columns(columns):
-    """Sparse row-position columns as int bitsets."""
-    return [sum(1 << row for row in col) for col in columns]
+    """Sparse row-position columns as int bitsets over GF(2): one bit
+    toggled per occurrence, so a row named twice cancels."""
+    bitsets = []
+    for col in columns:
+        bits = 0
+        for row in col:
+            bits ^= 1 << row
+        bitsets.append(bits)
+    return bitsets
+
+
+def squares_vanish(columns):
+    """Whether d^2 = 0 for the GF(2) columns given as row positions into
+    the same list: each column's square is the XOR of the bitsets of the
+    columns it names, one per occurrence, so a row named twice cancels."""
+    bitsets = bitset_columns(columns)
+    for col in columns:
+        square = 0
+        for row in col:
+            square ^= bitsets[row]
+        if square:
+            return False
+    return True
 
 
 def bitset_ranks(grading, columns):

@@ -105,7 +105,9 @@ SCAN_CSV_SHA256 = {
 }
 
 # `homology ... --check-d-squared`: sha256 of the output for each of these
-# arguments, recorded while the flag still built the whole boundary matrix
+# arguments; the first three were recorded while the flag still built the
+# whole boundary matrix, the degree-300 window (the benchmark's) while it
+# still squared each line's GF(2) block
 HOMOLOGY_D2_SHA256 = {
     "--p 3 --q 4 --max-index 160 --max-degree 40 --format json":
         "8b07666cc388a6037f6a142efd963053c359c8a88c562f3a3b15b5d62e273701",
@@ -113,6 +115,8 @@ HOMOLOGY_D2_SHA256 = {
         "d6554ac65ef74456b0ed26f0d95e8d3269f49a75de3f6c9b6f24bfaf8d4baba0",
     "--p 2 --q 7 --max-index 60 --format csv":
         "5490a16edd348889d2c0e28521b34494a934d3ef0349b5344b0d0ce222c7e83e",
+    "--p 3 --q 4 --max-index 7700 --max-degree 300 --format json":
+        "b65c48606ab4036a09ca470c2139719b08efbcfcc9a59f112839f67f3c746be0",
 }
 
 # sha256 digests from lattice_path_oracle.py: `vertices` of every admissible

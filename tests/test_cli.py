@@ -425,6 +425,51 @@ def test_a_closed_pipe_ends_the_run_quietly():
     assert proc.wait(timeout=60) == 1
 
 
+HUGE = "9" * LIMIT
+HALF = "9" * (LIMIT // 2 + 50)  # a current whose figure has 10**(LIMIT + 100) dots or so
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["homology", "--p", "3", "--q", "4", "--max-index", HUGE, "--max-degree", HUGE],
+     f"index window up to {HUGE} has 10^{LIMIT} or more rows; at most 5000000 rows are held"),
+    (["cz-table", "--p", "3", "--q", "4", "--max-action", f"1e{LIMIT}"],
+     f"the table up to this action has 10^{LIMIT} or more rows; "
+     "at most 2000000 rows are held"),
+    (["toric", "path", "--p", "3", "--q", "4", "--current", f"p^{HALF} q^{HALF}", "--svg", "x.svg"],
+     f"the figure's dot grid has 10^{LIMIT} or more dots; at most 4000000 dots are drawn"),
+    (["knot-filtered", "--p", "3", "--q", "4", "--max-index", "3", "--filtration", "1" + HUGE],
+     f"--filtration has a number of more than {LIMIT} digits"),
+    (["toric", "path", "--p", "3", "--q", "4", "--current", "p^1" + "0" * LIMIT],
+     f"--current has a number of more than {LIMIT} digits"),
+], ids=["homology", "cz-table", "toric-svg", "filtration", "current"])
+def test_a_number_past_the_int_string_limit_is_refused_in_words(
+    capsys, monkeypatch, tmp_path, argv, message
+):
+    # each used to end in Python's own int/str limit text; none writes a file
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n" and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_an_over_budget_count_is_printed_while_python_can_print_it(capsys):
+    # 1e{LIMIT - 1} gives 9 * 10**(LIMIT - 1) rows, LIMIT digits, the most
+    # Python prints; one more power of ten passes the limit
+    code, _, err = run(capsys, "cz-table", "--p", "3", "--q", "4", "--max-action", f"1e{LIMIT - 1}")
+    rows = 9 * 10 ** (LIMIT - 1)
+    assert code == 2 and err == (
+        f"error: the table up to this action has {rows} rows, about "
+        f"{rows * 430 // 10**6} MB; at most 2000000 rows are held\n"
+    )
+    code, _, err = run(capsys, "cz-table", "--p", "3", "--q", "4", "--max-action", f"1e{LIMIT}")
+    assert code == 2 and err == (
+        f"error: the table up to this action has 10^{LIMIT} or more rows; "
+        "at most 2000000 rows are held\n"
+    )
+
+
 def test_rational_at_the_int_string_limit_is_parsed(capsys):
     code, out, _ = run(capsys, "cz-table", "--p", "3", "--q", "4",
                        "--max-action", f"1e-{LIMIT}", "--format", "csv")

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +12,8 @@ from echtk.cli import main
 from echtk.complexes import (
     ComplexSpec,
     WindowError,
+    _line,
     _lines,
-    _squares_vanish,
     d_squared_is_zero,
     enumerate_currents,
     homology,
@@ -30,6 +34,7 @@ from gf2_oracle import (
     differential,
     keep_mask,
     line_currents,
+    squares_vanish,
     subcomplex_ranks,
 )
 
@@ -105,9 +110,10 @@ def test_d_squared_detects_a_nonzero_square():
 
 
 def test_squares_vanish_detects_a_nonzero_square():
-    # one h-current hitting two points, then a column through the h-current
-    assert _squares_vanish([(), (), (0, 1)])
-    assert not _squares_vanish([(), (), (0, 1), (2,)])
+    # the oracle's d^2: one h-current hitting two points, then a column
+    # through the h-current
+    assert squares_vanish([(), (), (0, 1)])
+    assert not squares_vanish([(), (), (0, 1), (2,)])
 
 
 def test_per_line_d_squared_check_refuses_a_column_outside_its_line(monkeypatch):
@@ -121,18 +127,51 @@ def test_per_line_d_squared_check_refuses_a_column_outside_its_line(monkeypatch)
         d_squared_is_zero(ComplexSpec(KP, 40))
 
 
-def test_per_line_d_squared_check_squares_each_line_as_a_path(monkeypatch):
-    # h-current i hits points i + 1 and i; the first nonzero square stops the check
-    blocks = []
+@pytest.mark.parametrize("step", [-1, 1])
+def test_per_line_d_squared_check_refuses_a_column_with_one_target_outside(monkeypatch, step):
+    # every h-current moved one place along its line, (P, Q) -> (P + step*p,
+    # Q - step*q): back, only the first one's q-target leaves the line;
+    # forward, only the last one's p-target
+    line = complexes._line
 
-    def squares_vanish(columns):
-        blocks.append(columns)
-        return len(blocks) < 5
+    def stepped(kp, D, B, P0, m, H):
+        return [(b, h, P + h * step * kp.p, Q - h * step * kp.q)
+                for b, h, P, Q in line(kp, D, B, P0, m, H)]
 
-    monkeypatch.setattr(complexes, "_squares_vanish", squares_vanish)
-    assert not d_squared_is_zero(ComplexSpec(KP, 40))
-    lines = list(_lines(KP, 40))[:5]
-    assert blocks == [[()] * m + [(i + 1, i) for i in range(m - 1)] for *_, m in lines]
+    monkeypatch.setattr(complexes, "_line", stepped)
+    with pytest.raises(AssertionError, match="inside its line"):
+        d_squared_is_zero(ComplexSpec(KP, 40))
+
+
+def test_per_line_d_squared_check_refuses_under_python_dash_o():
+    # the refusal is a raise, not an assert statement, so -O keeps the check
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "from echtk import complexes\n"
+        "from echtk.currents import KnotParams\n"
+        "line = complexes._line\n"
+        "complexes._line = lambda kp, D, B, P0, m, H: "
+        "[(b, h, P, Q + h) for b, h, P, Q in line(kp, D, B, P0, m, H)]\n"
+        "complexes.d_squared_is_zero(complexes.ComplexSpec(KnotParams(3, 4), 40))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("AssertionError: a column must stay inside its line\n")
+
+
+def test_each_h_current_hits_the_two_points_it_sits_between():
+    # h-current i of a line hits point i + 1 (P + p) and point i (Q + q),
+    # the targets d_squared_is_zero looks up, so every line is a path
+    for p, q in [(1, 1), (1, 2), (2, 3), (3, 4), (2, 7), (5, 7)]:
+        kp = KnotParams(p, q)
+        for _, D, B, P0, m in _lines(kp, 80):
+            points, h_currents = _line(kp, D, B, P0, m, 0), _line(kp, D, B, P0, m, 1)
+            assert len(points) == m and len(h_currents) == m - 1
+            for i, (b, h, P, Q) in enumerate(h_currents):
+                assert (b, h) == (B, 1)
+                assert points[i + 1] == (B, 0, P + p, Q) and points[i] == (B, 0, P, Q + q)
 
 
 def test_a_small_window_grows_the_index_evaluator_only_as_far_as_its_walk():

@@ -54,12 +54,12 @@ def test_the_fused_pass_reads_the_ledger(monkeypatch):
     led = indices.InvariantLedger.for_params(KnotParams(2, 3))
     led.qpair[("Z_p", "Z_q", "orbibundle")] = 2
     monkeypatch.setattr(indices, "ledger", lambda kp: led)
-    indices._orbibundle_pairings.cache_clear()
+    indices._index_evaluator.cache_clear()
     try:
         with pytest.raises(AssertionError) as info:
             crosscheck.verify_index_identities(2, 3, 12)
     finally:
-        indices._orbibundle_pairings.cache_clear()
+        indices._index_evaluator.cache_clear()
     assert str(info.value) == "component mismatch at (B,H,P,Q)=(0,0,1,1), (p,q)=(2,3)"
 
 

@@ -261,18 +261,18 @@ def test_components_raise_when_the_closed_form_disagrees(monkeypatch):
 
 def test_components_read_the_pairings_from_the_ledger(monkeypatch):
     # a ledger with one pairing changed must change the components, so the
-    # consistency guard fires; the cached pairing table is rebuilt around it
+    # consistency guard fires; the cached evaluator is rebuilt around it
     led = indices.InvariantLedger.for_params(KP)
     led.qpair[("Z_p", "Z_q", "orbibundle")] = 2
     monkeypatch.setattr(indices, "ledger", lambda kp: led)
-    indices._orbibundle_pairings.cache_clear()
+    indices._index_evaluator.cache_clear()
     try:
         unaffected = ReebCurrent(B=2, H=1)
         assert ech_index_from_components(unaffected, KP) == ech_index(unaffected, KP)
         with pytest.raises(RuntimeError, match=r"^index inconsistency for p q at \(p,q\)=\(3,4\): "):
             ech_index_from_components(ReebCurrent(P=1, Q=1), KP)
     finally:
-        indices._orbibundle_pairings.cache_clear()
+        indices._index_evaluator.cache_clear()
 
 
 def test_pure_binding_page_trivialization_check():
