@@ -269,6 +269,8 @@ def _cmd_toric(args, kp: KnotParams) -> Rows:
         "index": path_index(path),
         "filtrationValue": path.filtration_value,
     }
+    if args.format == "json" and fields["index"] >= 10**_LIMIT:  # twice the digits of --current
+        raise UsageError(f"--current gives a path index of more than {_LIMIT} digits")
     if args.svg:
         doc = path_svg(path)  # an over-budget figure is refused before the file is opened
         try:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 from .currents import KnotParams, ReebCurrent, _half_line_renderer, degree
 from .exact import InfRat, _check_budget, _tuple_new, _ValidatedTuple, coerce
 from .indices import _index_evaluator, ech_index
-from .nseq import _walk, nk, repeat_count
+from .nseq import _walk, lattice_count, nk
 
 Exponents = tuple[int, int, int, int]  # (B, H, P, Q) of b^B h^H p^P q^Q
 
@@ -203,7 +203,8 @@ def knot_filtered_homology(
 
 def linking_threshold(kp: KnotParams, k: int) -> InfRat:
     """Filtration level at which the index-2k class first appears."""
-    return InfRat(nk(kp.p, kp.q, k), repeat_count(kp.p, kp.q, k) - 1)
+    value = nk(kp.p, kp.q, k)
+    return InfRat(value, k - lattice_count(kp.p, kp.q, value - 1))  # repeats - 1
 
 
 def homology_representative(spec: ComplexSpec, index: int) -> ReebCurrent:
@@ -218,7 +219,7 @@ def homology_representative(spec: ComplexSpec, index: int) -> ReebCurrent:
         raise WindowError(index, value)
     # the first point of the index-2k line, (D, B) = (N_k, repeats - 1)
     P0 = value * pow(q, -1, p) % p
-    rep = ReebCurrent(*_line(spec.kp, value, repeat_count(p, q, k) - 1, P0, 1, 0)[0])
+    rep = ReebCurrent(*_line(spec.kp, value, k - lattice_count(p, q, value - 1), P0, 1, 0)[0])
     assert degree(rep, spec.kp) == value
     assert ech_index(rep, spec.kp) == index
     return rep

@@ -2,9 +2,12 @@
 
 ``N_k(p,q)`` is the k-th smallest nonnegative integer combination
 ``a*p + b*q`` counted with multiplicity.  One value is found by binary
-search on triangle lattice-point counts, each a floor sum; a whole prefix
-comes as runs of equal values from the closed representation count of
-:func:`_walk`, which also lays out the lines of the chain complex.
+search on triangle lattice-point counts, each a floor sum, among the
+p + q + 2 values that the lattice-area bounds of :func:`_bracket` leave;
+the same bounds settle the order of two sequences far out
+(:func:`_ordered_from`).  A whole prefix comes as runs of equal values
+from the closed representation count of :func:`_walk`, which also lays
+out the lines of the chain complex.
 :class:`NSeq` keeps a deliberately independent brute-force path for
 cross-validation.  The partition conditions are read off lattice paths,
 each one upper hull of integer floor points (:func:`partition`).
@@ -12,7 +15,7 @@ each one upper hull of integer floor points (:func:`partition`).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -55,23 +58,49 @@ def lattice_count(p: int, q: int, bound: int) -> int:
     return n + _floor_sum(n, q, p, bound % p)
 
 
-def nk(p: int, q: int, k: int) -> int:
-    """k-th value (with multiplicity) of the sorted combinations a*p + b*q."""
-    _check_pq(p, q)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return 0
-    lo, hi = 0, max(p, q)
-    while lattice_count(p, q, hi) < k + 1:
-        lo, hi = hi, hi * 2
+def _least(holds: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Least n in lo..hi with holds(n), for a holds that is true at hi and
+    stays true from its least true n on."""
     while lo < hi:
         mid = (lo + hi) // 2
-        if lattice_count(p, q, mid) >= k + 1:
+        if holds(mid):
             hi = mid
         else:
             lo = mid + 1
     return lo
+
+
+def _bracket(p: int, q: int, k: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= N_k <= hi <= lo + p + q + 1.  The unit squares at
+    the lattice points cover the triangle px + qy <= n and lie inside
+    px + qy <= n + s, s = p + q, so n^2 <= 2pq*lattice_count(n) <= (n + s)^2:
+    lattice_count(hi) > k, and lattice_count(n) > k needs n >= lo."""
+    s, two_pq = p + q, 2 * p * q
+    return max(0, isqrt(two_pq * (k + 1) - 1) + 1 - s), isqrt(two_pq * k) + 1
+
+
+def nk(p: int, q: int, k: int) -> int:
+    """k-th value (with multiplicity) of the sorted combinations a*p + b*q:
+    the least n in :func:`_bracket` with lattice_count(n) > k."""
+    _check_pq(p, q)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return _least(lambda n: lattice_count(p, q, n) > k, *_bracket(p, q, k))
+
+
+def _ordered_from(src: tuple[int, int], dst: tuple[int, int]) -> int:
+    """Least j0 with sqrt(2P*j0) - sqrt(2P'*j0) >= c = s_src + 1, for
+    P = pq > P' = p'q'; by :func:`_bracket`, every j >= j0 then has
+    N_j(src) >= sqrt(2Pj) - s_src >= sqrt(2P'j) + 1 >= N_j(dst).  The
+    difference grows with j and reaches c by j = 2Pc^2/(P - P')^2, as
+    sqrt(2P) - sqrt(2P') > (P - P')/sqrt(2P).  ``proven`` is that test squared."""
+    P, P2, c = src[0] * src[1], dst[0] * dst[1], src[0] + src[1] + 1
+
+    def proven(j: int) -> bool:
+        lhs = 2 * j * (P - P2) - c * c
+        return lhs >= 0 and lhs * lhs >= 8 * c * c * P2 * j
+
+    return _least(proven, 0, 2 * P * c * c // (P - P2) ** 2 + 1)
 
 
 def runs(p: int, q: int, k_max: int) -> Iterator[tuple[int, int]]:
@@ -163,17 +192,10 @@ class NSeq:
 
     def _grow(self, k: int) -> None:
         while len(self._vals) <= k:
-            self._bound = 2 * self._bound + max(self.p, self.q)
-            vals = []
-            a = 0
-            while a * self.p <= self._bound:
-                b = 0
-                while a * self.p + b * self.q <= self._bound:
-                    vals.append(a * self.p + b * self.q)
-                    b += 1
-                a += 1
-            vals.sort()
-            self._vals = vals
+            p, q = self.p, self.q
+            bound = self._bound = 2 * self._bound + max(p, q)
+            self._vals = sorted(a * p + b * q for a in range(bound // p + 1)
+                                for b in range((bound - a * p) // q + 1))
 
     def value(self, k: int) -> int:
         if k < 0:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .currents import KnotParams
 from .exact import InfRat, _ValidatedTuple
-from .nseq import runs
+from .nseq import _ordered_from, runs
 
 _GUARD = 6  # extra decimal digits carried through fixed-point roots
 _WEYL_DIGITS = 12  # decimals of every rendered Weyl error
@@ -150,17 +150,20 @@ class CobordismResult(_ValidatedTuple, _CobordismFields):
 def cobordism_obstruction(
     frm: tuple[int, int], to: tuple[int, int], k_max: int
 ) -> CobordismResult:
-    """Scan for a violation of N_k(p,q) >= N_k(p',q'), stopping at the first."""
+    """Scan for a violation of N_k(p,q) >= N_k(p',q'), stopping at the first.
+    For pq > p'q' it stops at k_max or at the j0 from which the lattice-area
+    bounds prove the order (:func:`nseq._ordered_from`); for pq = p'q' at k_max."""
     kp_from = KnotParams(*frm)
     kp_to = KnotParams(*to)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if kp_from.pq < kp_to.pq:
         return CobordismResult(False, False, None, k_max)
+    top = k_max if kp_from.pq == kp_to.pq else min(k_max, _ordered_from(frm, to))
     # merge the two run streams: the order of N_k can change only where a run starts
-    src, dst = runs(kp_from.p, kp_from.q, k_max), runs(kp_to.p, kp_to.q, k_max)
+    src, dst = runs(kp_from.p, kp_from.q, top), runs(kp_to.p, kp_to.q, top)
     k = src_end = dst_end = 0  # first index past the current run of each stream
-    while k <= k_max:
+    while k <= top:
         if k == src_end:
             a, length = next(src)
             src_end += length

@@ -6,7 +6,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from echtk.exact import render, render_fraction
 from echtk.indices import _index_evaluator, ech_index
 from echtk.nseq import NSeq, nk
 from echtk.spectra import action_spectrum, weyl_sup
+from echtk.toric import current_to_path, path_index
 from golden_tables import (
     GENERATORS_T34_300_CSV_LINES,
     GENERATORS_T34_300_CSV_SHA256,
@@ -597,6 +598,41 @@ def test_bounds_calabi(capsys):
     rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
     assert rows["hypothesis_met"] == "true"
     assert rows["bound_squared"] == "1/120"
+
+
+@pytest.mark.parametrize("svg", [[], ["--svg", "x.svg"]], ids=["plain", "svg"])
+def test_toric_json_refuses_a_path_index_past_the_int_string_limit(
+    capsys, monkeypatch, tmp_path, svg
+):
+    # the JSON meta prints the index, which has about twice the digits of the current
+    monkeypatch.chdir(tmp_path)
+    argv = ["toric", "path", "--p", "3", "--q", "4", "--current", f"p^{HALF} q^{HALF}"]
+    code, out, err = run(capsys, *argv, "--format", "json", *svg)
+    assert code == 2 and out == ""
+    assert err == f"error: --current gives a path index of more than {LIMIT} digits\n"
+    assert not any(tmp_path.iterdir())
+    for fmt in ("table", "csv"):  # these print only the vertices
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and err == "" and len(out.splitlines()) == 5
+
+
+def test_toric_json_prints_a_path_index_of_as_many_digits_as_python_prints(capsys):
+    # p^P for T(3,4) has index 2 * lattice_count(4P - 1), about 4P^2/3
+    P = isqrt(3 * 10**LIMIT // 4) - 10**6
+    code, out, err = run(capsys, "toric", "path", "--p", "3", "--q", "4", "--current", f"p^{P}",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    index = json.loads(out)["meta"]["index"]
+    assert index == path_index(current_to_path(ReebCurrent(0, 0, P, 0), KnotParams(3, 4)))
+    assert len(str(index)) == LIMIT
+
+
+def test_obstruct_far_out_answers_where_the_bounds_settle_the_order(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "obstruct", "--from", "5,7", "--to", "3,4",
+                         "--k-max", str(10**18), "--format", "csv")
+    assert time.monotonic() - start < 2.0
+    assert (code, out, err) == (0, f"result\nconsistent up to k={10**18}\n", "")
 
 
 def test_toric_path_vertices(capsys):

@@ -9,6 +9,7 @@ import pytest
 from echtk.exact import InfRat, floor_inf
 from echtk.nseq import (
     NSeq,
+    _bracket,
     _walk,
     lattice_count,
     nk,
@@ -19,7 +20,7 @@ from echtk.nseq import (
 )
 from golden_tables import PARTITION_DIGEST
 from lattice_path_oracle import partition_digest, partition_reference
-from nseq_oracle import lattice_count_rows, nk_prefix
+from nseq_oracle import lattice_count_rows, nk_doubling, nk_prefix
 
 
 def brute_sequence(p, q, k_max):
@@ -87,6 +88,37 @@ def test_lattice_count_property_against_the_row_loop():
     @hypothesis.given(p=sizes, q=sizes, bound=bounds)
     def check(p, q, bound):
         assert lattice_count(p, q, bound) == lattice_count_rows(p, q, bound)
+
+    check()
+
+
+def test_lattice_count_lies_between_the_two_triangle_areas():
+    # unit squares at the lattice points cover px + qy <= n and lie in px + qy <= n + p + q
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sizes = st.one_of(st.just(1), st.integers(1, 60), st.integers(1, 10**6))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(p=sizes, q=sizes, n=st.one_of(st.integers(0, 300), st.integers(0, 10**30)))
+    def check(p, q, n):
+        assert n * n <= 2 * p * q * lattice_count(p, q, n) <= (n + p + q) ** 2
+
+    check()
+
+
+def test_nk_property_against_the_doubling_search():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sizes = st.one_of(st.just(1), st.integers(1, 60), st.integers(1, 10**6))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(p=sizes, q=sizes, k=st.one_of(st.integers(0, 300), st.integers(0, 10**30)))
+    def check(p, q, k):
+        hypothesis.assume(gcd(p, q) == 1)
+        value = nk(p, q, k)
+        assert value == nk_doubling(p, q, k)
+        lo, hi = _bracket(p, q, k)
+        assert lo <= value <= hi <= lo + p + q + 1
 
     check()
 

@@ -1,16 +1,18 @@
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
 
 import pytest
 
+from echtk import spectra
 from echtk.cli import main
 from echtk.currents import KnotParams
 from echtk.exact import InfRat, render, render_fraction
-from echtk.nseq import NSeq, nk, nk_closed_form, repeat_count
+from echtk.nseq import NSeq, _ordered_from, nk, nk_closed_form, repeat_count, runs
 from echtk.spectra import (
     _error_runs,
     _fixed_strs,
@@ -235,6 +237,72 @@ def test_cobordism_run_merge_equals_the_zip_scan():
         res = cobordism_obstruction(frm, to, k_max)
         assert (res.applicable, res.consistent, res.obstructed_at) == zip_scan(frm, to, k_max)
         assert res.k_max == k_max
+
+
+PAIRS_TO_12 = [(p, q) for q in range(1, 13) for p in range(1, 13) if gcd(p, q) == 1]
+
+
+def test_cobordism_of_close_products_equals_the_zip_scan():
+    # with P - P' in {1, 2} the bounds settle the order late, often past k_max
+    rng = random.Random(8)
+    close = [(a, b) for a in PAIRS_TO_12 for b in PAIRS_TO_12
+             if a[0] * a[1] - b[0] * b[1] in (1, 2)]
+    settled = []
+    for frm, to in rng.sample(close, 40):
+        k_max = rng.randint(0, 3000)
+        res = cobordism_obstruction(frm, to, k_max)
+        assert (res.applicable, res.consistent, res.obstructed_at) == zip_scan(frm, to, k_max)
+        settled.append(_ordered_from(frm, to) <= k_max)
+    assert any(settled) and not all(settled)
+
+
+def test_the_order_holds_where_the_bounds_settle_it():
+    # N_j(src) >= N_j(dst) on the 2001 indices from j0 on, by the brute-force sequences
+    pairs = [(p, q) for q in range(1, 9) for p in range(1, 9) if gcd(p, q) == 1]
+    seqs = {pair: NSeq(*pair) for pair in pairs}
+    for frm in pairs:
+        for to in pairs:
+            if frm[0] * frm[1] > to[0] * to[1]:
+                j0 = _ordered_from(frm, to)
+                src, dst = seqs[frm].prefix(j0 + 2000), seqs[to].prefix(j0 + 2000)
+                assert all(a >= b for a, b in zip(src[j0:], dst[j0:])), (frm, to, j0)
+
+
+def test_the_order_is_settled_from_the_least_j_the_square_roots_allow():
+    # j0 is the least j with sqrt(2Pj) - sqrt(2P'j) >= p + q + 1, here in 60-digit decimals
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for frm in PAIRS_TO_12:
+            for to in PAIRS_TO_12:
+                P, P2, c = frm[0] * frm[1], to[0] * to[1], frm[0] + frm[1] + 1
+                if P > P2:
+                    j0 = _ordered_from(frm, to)
+                    gap = [Decimal(2 * P * j).sqrt() - Decimal(2 * P2 * j).sqrt()
+                           for j in (j0 - 1, j0)]
+                    assert gap[0] < c <= gap[1], (frm, to, j0)
+
+
+def test_the_scan_reads_the_runs_up_to_where_the_order_is_settled(monkeypatch):
+    tops = []
+
+    def recorded(p, q, k_max):
+        tops.append(k_max)
+        return runs(p, q, k_max)
+
+    monkeypatch.setattr(spectra, "runs", recorded)
+    for frm, to, k_max, top in [((5, 7), (3, 4), 10**18, 15), ((5, 7), (3, 4), 10, 10),
+                                ((5, 6), (3, 10), 3000, 3000), ((3, 4), (3, 4), 700, 700)]:
+        tops.clear()
+        assert cobordism_obstruction(frm, to, k_max).consistent
+        assert tops == [top, top]
+
+
+def test_cobordism_of_equal_products_scans_to_k_max():
+    # pq = p'q' = 30: no bound settles the order, so every index is compared
+    for frm, to in [((5, 6), (3, 10)), ((3, 10), (5, 6)), ((1, 30), (2, 15)), ((6, 5), (5, 6))]:
+        for k_max in (0, 1, 29, 500, 3000):
+            res = cobordism_obstruction(frm, to, k_max)
+            assert (res.applicable, res.consistent, res.obstructed_at) == zip_scan(frm, to, k_max)
 
 
 def test_cobordism_at_a_billion():
