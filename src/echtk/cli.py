@@ -177,8 +177,9 @@ def _cmd_homology(args, kp: KnotParams) -> Rows:
     fields = {"maxIndex": args.max_index, "maxDegree": spec.max_degree,
               "validatedWindow": f"indices 0..{args.max_index}"}
     ranks = homology(spec, args.max_index)  # refuses an uncertified window before any check
-    if args.check_d_squared:
-        fields["dSquaredZero"] = d_squared_is_zero(spec)
+    if args.check_d_squared:  # on the complex the ranks rest on, not the whole cutoff
+        window = ComplexSpec(kp, required_degree(kp, args.max_index))
+        fields["dSquaredZero"] = d_squared_is_zero(window)
     return ["index", "rank"], [f"{i},{ranks[i]}\n" for i in range(args.max_index + 1)], fields
 
 

@@ -10,17 +10,17 @@ in steps of (p, -q), and the m - 1 currents h*b^B*p^P*q^Q with
 qP + pQ = c - pq, each of which hits the two neighbouring points it sits
 between.  A line is therefore a path: it adds exactly 1 to the homology,
 at the index g that all its points share (its h-currents sit at g + 1).
-Walked in (D, B) order the indices g strictly increase, so the generators
-come out in (index, name) order one line at a time, with no global sort,
-and H_g is 1 exactly at the index of a line.  Each half of a line, its
-points or its h-currents, is put in name order as one batch by
-:func:`echtk.currents._half_line_renderer`: as finished ``generators``
-rows, or, for :func:`enumerate_currents`, as exponents with no name
-rendered.  The knot filtration key (D, B) is constant on a line, so the
-lines of a filtered subcomplex are a prefix of the walk.  Every column
-lies inside its line and names only points, whose columns are empty, so
-:func:`d_squared_is_zero` looks up each h-current's two targets among the
-points of its line, and no command holds more of the complex than one line.
+:func:`_lines` yields one record ``(g, D, B, P0, Q0, m)`` per line, in
+(D, B) order, where g strictly increases, so the generators come out in
+(index, name) order one line at a time, with no global sort, and H_g is 1
+exactly at the index of a line.  :func:`_line_renderer` puts each line in
+name order, points then h-currents, as finished ``generators`` rows or as
+exponents with no name rendered.  The knot filtration key (D, B) is
+constant on a line, so the lines of a filtered subcomplex are a prefix of
+the walk.  Every column lies inside its line and names only points, whose
+columns are empty, so :func:`d_squared_is_zero` looks up each h-current's
+two targets among the points of its line, and no command holds more of
+the complex than one line.
 
 The lines of degree D are the representations counted by
 :func:`echtk.nseq._walk` with p and q swapped, so the k-th line is the
@@ -31,11 +31,12 @@ docstring says why); the tests build the whole boundary matrix from it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from functools import lru_cache
 from itertools import starmap
 from typing import NamedTuple
 
-from .currents import KnotParams, ReebCurrent, _half_line_renderer, degree
+from .currents import ORBITS, KnotParams, ReebCurrent, _join, _power, degree
 from .exact import InfRat, _check_budget, _tuple_new, _ValidatedTuple, coerce
 from .indices import _index_evaluator, ech_index
 from .nseq import _walk, lattice_count, nk
@@ -57,74 +58,106 @@ class ComplexSpec(_ValidatedTuple, _SpecFields):
         return _tuple_new(cls, (kp, max_degree))
 
 
-def _lines(kp: KnotParams, top: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """``(g, D, B, P0, m)`` for every nonempty line of degree D <= top, in
-    (D, B) order: its m points b^B*p^P*q^Q with qP + pQ = c = D - pq*B are
-    P = P0, P0 + p, ..., they share the ECH index g, and g strictly
-    increases along the walk.  The walk of the representations
+def _lines(kp: KnotParams, top: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """``(g, D, B, P0, Q0, m)`` for every nonempty line of degree D <= top,
+    in (D, B) order: its m points b^B*p^P*q^Q with qP + pQ = D - pq*B are
+    (P, Q) = (P0 + i*p, Q0 - i*q) for i < m, they share the ECH index g, and
+    g strictly increases along the walk.  The walk of the representations
     D = P*q + Q*p gives P0 = D/q mod p, the same for every B of one D, and
     their count n; m = n - B falls by one per B, so D has n lines."""
     p, q = kp.p, kp.q
     index = _index_evaluator(p, q).index
     last = -1
     for D, P0, n in _walk(q, p, top):
-        Q0 = (D - q * P0) // p  # the first point of line B has Q = Q0 - q*B
+        Q = (D - q * P0) // p  # the first point of line B has Q0 = Q - q*B
         for B in range(n):
-            g = index(B, 0, P0, Q0 - q * B)
+            Q0 = Q - q * B
+            g = index(B, 0, P0, Q0)
             assert g > last, "line indices must increase along the walk"
             last = g
-            yield g, D, B, P0, n - B
+            yield g, D, B, P0, Q0, n - B
 
 
-def _line(kp: KnotParams, D: int, B: int, P0: int, m: int, H: int) -> list[Exponents]:
-    """The exponents of the m points (H = 0) or the m - 1 h-currents (H = 1)
-    of the line (D, B) that starts at P0: the i-th h-current has the P of
-    point i and the Q of point i + 1."""
+def _line_renderer(kp: KnotParams, max_degree: int) -> tuple[
+    Callable[..., list[str]], Callable[..., list[Exponents]]
+]:
+    """``(rows, exponents)`` for the lines of degree at most the cutoff, each
+    taking a record of :func:`_lines`.  ``rows(*line)`` gives the line's
+    points at g, then its h-currents at g + 1, each half in name order, as
+    finished CSV rows ``f"{D},{name},{index}\\n"`` where ``name`` equals
+    ``ReebCurrent(B, H, P, Q).name()``; ``exponents(*line)`` gives their
+    (B, H, P, Q) in the same order and renders no name.  The i-th h-current
+    has the P of point i and the Q of point i + 1, so a half is the
+    n = m - H currents with P = P0 + i*p and Q = Q0 - (i + H)*q.
+
+    Every power and every ``b``/``h`` prefix is rendered once per window, so
+    a row is the head, ``p^P``, a space, ``q^Q`` and the tail in one
+    f-string; only the first current of a half can have P = 0 and only the
+    last Q = 0, and those two go through :func:`echtk.currents._join`.  A
+    name's place in its half depends on P alone: the ``q`` factor follows a
+    space (or nothing), which sorts before any character that lengthens a
+    ``p`` factor, and P = 0 (a name with no ``p``) sorts last.  So the order
+    is one sort per (P0, n), kept in a bounded cache that both share."""
     p, q = kp.p, kp.q
-    Q0 = (D - kp.pq * B - q * P0) // p
-    return [(B, H, P0 + i * p, Q0 - (i + H) * q) for i in range(m - H)]
+    tops = (max_degree // kp.pq, 1, max_degree // q, max_degree // p)
+    bs, hs, ps, qs = ([_power(orbit, m) for m in range(top + 1)] for orbit, top in zip(ORBITS, tops))
+    heads = [[" ".join([s for s in (b, h) if s] + [""]) for b in bs] for h in hs]
 
+    @lru_cache(maxsize=4096)
+    def order(P0: int, n: int) -> tuple[tuple[int, ...], list[str], int]:
+        """The currents i of a half in name order, their ``p`` factors in
+        that order, and the place of the last one."""
+        rank = tuple(sorted(range(n), key=[ps[P0 + i * p] or "q" for i in range(n)].__getitem__))
+        return rank, [ps[P0 + i * p] for i in rank], rank.index(n - 1)
 
-def _half_lines(spec: ComplexSpec) -> Iterator[tuple[int, int, int, int, int, int, int]]:
-    """``(D, g, B, H, P0, Q0, n)`` for each nonempty half of every line of
-    degree at most the cutoff: line by line, its n = m points at g, then,
-    when m > 1, its m - 1 h-currents at g + 1, each half as the currents
-    b^B h^H p^P q^Q with P = P0 + i*p and Q = Q0 - i*q."""
-    kp = spec.kp
-    p, q = kp.p, kp.q
-    for g, D, B, P0, m in _lines(kp, spec.max_degree):
-        Q0 = (D - kp.pq * B - q * P0) // p
-        yield D, g, B, 0, P0, Q0, m
-        if m > 1:  # the i-th h-current has the P of point i and the Q of point i + 1
-            yield D, g + 1, B, 1, P0, Q0 - q, m - 1
+    def rows(g: int, D: int, B: int, P0: int, Q0: int, m: int) -> list[str]:
+        block: list[str] = []
+        for H in range(min(m, 2)):  # the points, then the h-currents
+            n, Qh = m - H, Q0 - H * q
+            rank, pstrs, last = order(P0, n)
+            head, tail = f"{D},{heads[H][B]}", f",{g + H}\n"
+            half = [f"{head}{P} {qs[Qh - i * q]}{tail}" for P, i in zip(pstrs, rank)]
+            if P0 == 0:  # the first current, sorted last
+                half[-1] = f"{D},{_join(bs[B], hs[H], '', qs[Qh])}{tail}"
+            if Qh == (n - 1) * q:  # the last current has Q = 0
+                half[last] = f"{D},{_join(bs[B], hs[H], ps[P0 + (n - 1) * p], '')}{tail}"
+            block += half
+        return block
+
+    def exponents(g: int, D: int, B: int, P0: int, Q0: int, m: int) -> list[Exponents]:
+        return [(B, H, P0 + i * p, Q0 - (i + H) * q) for H in range(min(m, 2))
+                for i in order(P0, m - H)[0]]
+
+    return rows, exponents
 
 
 def _generator_rows(spec: ComplexSpec) -> Iterator[list[str]]:
-    """The finished CSV rows ``degree,generator,index`` of each half-line,
-    rendered whole by :func:`echtk.currents._half_line_renderer`.  The
-    concatenated blocks list every admissible current once, in increasing
-    (ech_index, name) order."""
-    rows, _ = _half_line_renderer(spec.kp, spec.max_degree)
-    return starmap(rows, _half_lines(spec))
+    """The finished CSV rows ``degree,generator,index`` of each line,
+    rendered whole by :func:`_line_renderer`.  The concatenated blocks list
+    every admissible current once, in increasing (ech_index, name) order."""
+    rows, _ = _line_renderer(spec.kp, spec.max_degree)
+    return starmap(rows, _lines(spec.kp, spec.max_degree))
 
 
 def enumerate_currents(spec: ComplexSpec) -> list[ReebCurrent]:
     """All admissible currents of degree at most the cutoff, sorted by
     (ech_index, canonical name), in the order of the generator rows but
     with no name rendered."""
-    _, exponents = _half_line_renderer(spec.kp, spec.max_degree)
-    return [ReebCurrent(*e) for half in _half_lines(spec) for e in exponents(*half[2:])]
+    _, exponents = _line_renderer(spec.kp, spec.max_degree)
+    return [ReebCurrent(*e) for line in _lines(spec.kp, spec.max_degree) for e in exponents(*line)]
 
 
 def d_squared_is_zero(spec: ComplexSpec) -> bool:
-    """Whether d^2 = 0 below the cutoff: each h-current h*b^B*p^P*q^Q hits
-    b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q), both points of its own line, and a
-    point has no boundary, so every square is a sum of empty columns."""
-    kp = spec.kp
-    p, q = kp.p, kp.q
-    for _, D, B, P0, m in _lines(kp, spec.max_degree):
-        points = set(_line(kp, D, B, P0, m, 0))
-        for _, _, P, Q in _line(kp, D, B, P0, m, 1):
+    """Whether d^2 = 0 below the cutoff, on the currents the complex lists:
+    the first m of a line are its points, and each later h*b^B*p^P*q^Q hits
+    b^B*p^(P+p)*q^Q and b^B*p^P*q^(Q+q), which must be among them.  A point
+    has no boundary, so every square is a sum of empty columns."""
+    p, q = spec.kp.p, spec.kp.q
+    _, exponents = _line_renderer(spec.kp, spec.max_degree)
+    for line in _lines(spec.kp, spec.max_degree):
+        currents, m = exponents(*line), line[-1]
+        points = set(currents[:m])
+        for B, _, P, Q in currents[m:]:
             if (B, 0, P + p, Q) not in points or (B, 0, P, Q + q) not in points:
                 raise AssertionError("a column must stay inside its line")  # also under -O
     return True
@@ -171,7 +204,7 @@ def _counted(spec: ComplexSpec, max_index: int, den: int, bound: tuple[int, int]
     The indices and the keys both increase along the walk, so the kept
     lines are its prefix up to the first index or key past the window."""
     ranks = dict.fromkeys(range(max_index + 1), 0)
-    for g, D, B, _, _ in _lines(spec.kp, spec.max_degree):
+    for g, D, B, _, _, _ in _lines(spec.kp, spec.max_degree):
         if g > max_index or (D * den, B) > bound:
             break
         ranks[g] = 1
@@ -217,9 +250,9 @@ def homology_representative(spec: ComplexSpec, index: int) -> ReebCurrent:
     value = nk(p, q, k)
     if value > spec.max_degree:
         raise WindowError(index, value)
-    # the first point of the index-2k line, (D, B) = (N_k, repeats - 1)
-    P0 = value * pow(q, -1, p) % p
-    rep = ReebCurrent(*_line(spec.kp, value, k - lattice_count(p, q, value - 1), P0, 1, 0)[0])
+    # the first point of the index-2k line (D, B) = (N_k, repeats - 1), on qP + pQ = D - pq*B
+    B, P0 = k - lattice_count(p, q, value - 1), value * pow(q, -1, p) % p
+    rep = ReebCurrent(B, 0, P0, (value - spec.kp.pq * B - q * P0) // p)
     assert degree(rep, spec.kp) == value
     assert ech_index(rep, spec.kp) == index
     return rep

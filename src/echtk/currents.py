@@ -8,14 +8,15 @@ formulas in these exponents.
 :class:`ReebCurrent` is a named tuple of the exponents whose constructor
 validates them, so a current unpacks like ``B, H, P, Q = c`` and costs one
 tuple to build; it equals only another current, never a bare tuple.
+:func:`_power` and :func:`_join` make its name, and the names of whole
+lines of the chain complex in :func:`echtk.complexes._line_renderer`.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import InfRat, _tuple_new, _ValidatedTuple
@@ -111,53 +112,6 @@ def _power(orbit: str, mult: int) -> str:
 def _join(b: str, h: str, p: str, q: str) -> str:
     """The canonical name from the four rendered factors."""
     return " ".join([s for s in (b, h, p, q) if s]) or "1"
-
-
-def _half_line_renderer(kp: KnotParams, max_degree: int) -> tuple[
-    Callable[[int, int, int, int, int, int, int], list[str]],
-    Callable[[int, int, int, int, int], list[tuple[int, int, int, int]]],
-]:
-    """``(rows, exponents)`` for the half-lines of degree at most the cutoff:
-    the n currents b^B h^H p^P q^Q with P = P0 + i*p and Q = Q0 - i*q
-    (i < n), in name order.  ``rows(D, g, B, H, P0, Q0, n)`` gives each
-    current as the finished CSV row ``f"{D},{name},{g}\\n"``, where ``name``
-    equals ``ReebCurrent(B, H, P, Q).name()``; ``exponents(B, H, P0, Q0,
-    n)`` gives its (B, H, P, Q) and renders no name.
-
-    Every power and every ``b``/``h`` prefix is rendered once per window, so
-    a row is the head, ``p^P``, a space, ``q^Q`` and the tail in one
-    f-string; only the first current can have P = 0 and only the last
-    Q = 0, and those two go through :func:`_join`.  A name's place in its
-    half-line depends on P alone: the ``q`` factor follows a space (or
-    nothing), which sorts before any character that lengthens a ``p``
-    factor, and P = 0 (a name with no ``p``) sorts last.  So the order is
-    one sort per (P0, n), kept in a bounded cache that both share."""
-    p, q = kp.p, kp.q
-    tops = (max_degree // kp.pq, 1, max_degree // q, max_degree // p)
-    bs, hs, ps, qs = ([_power(orbit, m) for m in range(top + 1)] for orbit, top in zip(ORBITS, tops))
-    heads = [[" ".join([s for s in (b, h) if s] + [""]) for b in bs] for h in hs]
-
-    @lru_cache(maxsize=4096)
-    def order(P0: int, n: int) -> tuple[tuple[int, ...], list[str], int]:
-        """The points i in name order, their ``p`` factors in that order,
-        and the place of the last point."""
-        rank = tuple(sorted(range(n), key=[ps[P0 + i * p] or "q" for i in range(n)].__getitem__))
-        return rank, [ps[P0 + i * p] for i in rank], rank.index(n - 1)
-
-    def rows(D: int, g: int, B: int, H: int, P0: int, Q0: int, n: int) -> list[str]:
-        rank, pstrs, last = order(P0, n)
-        head, tail = f"{D},{heads[H][B]}", f",{g}\n"
-        block = [f"{head}{P} {qs[Q0 - i * q]}{tail}" for P, i in zip(pstrs, rank)]
-        if P0 == 0:  # the first current, sorted last
-            block[-1] = f"{D},{_join(bs[B], hs[H], '', qs[Q0])}{tail}"
-        if Q0 == (n - 1) * q:  # the last current has Q = 0
-            block[last] = f"{D},{_join(bs[B], hs[H], ps[P0 + (n - 1) * p], '')}{tail}"
-        return block
-
-    def exponents(B: int, H: int, P0: int, Q0: int, n: int) -> list[tuple[int, int, int, int]]:
-        return [(B, H, P0 + i * p, Q0 - i * q) for i in order(P0, n)[0]]
-
-    return rows, exponents
 
 
 def admissible_exponents(kp: KnotParams, max_degree: int) -> Iterator[tuple[int, int, int, int]]:

@@ -150,15 +150,17 @@ class CobordismResult(_ValidatedTuple, _CobordismFields):
 def cobordism_obstruction(
     frm: tuple[int, int], to: tuple[int, int], k_max: int
 ) -> CobordismResult:
-    """Scan for a violation of N_k(p,q) >= N_k(p',q'), stopping at the first.
-    For pq > p'q' it stops at k_max or at the j0 from which the lattice-area
-    bounds prove the order (:func:`nseq._ordered_from`); for pq = p'q' at k_max."""
+    """Scan for a violation of N_k(p,q) >= N_k(p',q'), stopping at the first,
+    at k_max, or where the lattice-area bounds prove the order for pq > p'q'
+    (:func:`nseq._ordered_from`); the same pair in either order has none."""
     kp_from = KnotParams(*frm)
     kp_to = KnotParams(*to)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if kp_from.pq < kp_to.pq:
         return CobordismResult(False, False, None, k_max)
+    if sorted(frm) == sorted(to):  # N_k(p,q) = N_k(q,p) for every k
+        return CobordismResult(True, True, None, k_max)
     top = k_max if kp_from.pq == kp_to.pq else min(k_max, _ordered_from(frm, to))
     # merge the two run streams: the order of N_k can change only where a run starts
     src, dst = runs(kp_from.p, kp_from.q, top), runs(kp_to.p, kp_to.q, top)

@@ -17,7 +17,6 @@ such sum; it only checks that each h-current's targets are points of its
 line.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -163,21 +162,6 @@ def line_currents(kp, D, B):
 
     c = D - pq * B
     return [(B, 0, P, Q) for P, Q in solutions(c)], [(B, 1, P, Q) for P, Q in solutions(c - pq)]
-
-
-
-def half_lines(kp, max_degree):
-    """``((B, H, P0, Q0, n), exponents)`` for each half-line of the window:
-    the n admissible currents with one B, H and qP + pQ, grouped from
-    ``admissible_exponents`` and listed by P from (P0, Q0)."""
-    groups = defaultdict(list)
-    for e in admissible_exponents(kp, max_degree):
-        B, H, P, Q = e
-        groups[B, H, kp.q * P + kp.p * Q].append(e)
-    for (B, H, _), exponents in groups.items():
-        exponents.sort()
-        _, _, P0, Q0 = exponents[0]
-        yield (B, H, P0, Q0, len(exponents)), exponents
 
 
 def assert_ranks_match_oracle(kp, max_degree, levels):

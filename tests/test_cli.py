@@ -515,6 +515,24 @@ def test_homology_checks_d_squared_without_the_boundary_matrix(capsys):
     assert '"dSquaredZero": true' in out
 
 
+def test_homology_checks_d_squared_on_the_window_not_the_whole_cutoff(capsys, monkeypatch):
+    # the window needs degree 4: the check walks that complex, not 10**11 degrees
+    checked = []
+    monkeypatch.setattr(cli, "d_squared_is_zero", lambda spec: checked.append(spec) or True)
+    run(capsys, "homology", "--p", "3", "--q", "4", "--max-index", "3",
+        "--max-degree", "99999999999", "--check-d-squared")
+    assert checked == [ComplexSpec(KnotParams(3, 4), 4)]
+    monkeypatch.undo()
+    start = time.monotonic()
+    code, out, err = run(capsys, "homology", "--p", "3", "--q", "4", "--max-index", "3",
+                         "--max-degree", "99999999999", "--check-d-squared", "--format", "json")
+    assert time.monotonic() - start < 2.0
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["meta"]["maxDegree"] == 99999999999 and doc["meta"]["dSquaredZero"] is True
+    assert doc["rows"] == [["0", "1"], ["1", "0"], ["2", "1"], ["3", "0"]]
+
+
 @pytest.mark.parametrize("argv", sorted(HOMOLOGY_D2_SHA256))
 def test_homology_d_squared_output_matches_its_golden_digest(capsys, argv):
     code, out, _ = run(capsys, "homology", *argv.split(), "--check-d-squared")
@@ -633,6 +651,15 @@ def test_obstruct_far_out_answers_where_the_bounds_settle_the_order(capsys):
                          "--k-max", str(10**18), "--format", "csv")
     assert time.monotonic() - start < 2.0
     assert (code, out, err) == (0, f"result\nconsistent up to k={10**18}\n", "")
+
+
+def test_obstruct_with_the_same_pair_answers_at_once(capsys):
+    for frm, to in [("3,4", "4,3"), ("3,4", "3,4")]:
+        start = time.monotonic()
+        code, out, err = run(capsys, "obstruct", "--from", frm, "--to", to,
+                             "--k-max", str(10**18), "--format", "csv")
+        assert time.monotonic() - start < 2.0
+        assert (code, out, err) == (0, f"result\nconsistent up to k={10**18}\n", "")
 
 
 def test_toric_path_vertices(capsys):

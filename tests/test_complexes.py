@@ -12,7 +12,7 @@ from echtk.cli import main
 from echtk.complexes import (
     ComplexSpec,
     WindowError,
-    _line,
+    _line_renderer,
     _lines,
     d_squared_is_zero,
     enumerate_currents,
@@ -116,13 +116,20 @@ def test_squares_vanish_detects_a_nonzero_square():
     assert not squares_vanish([(), (), (0, 1), (2,)])
 
 
+def moved_exponents(monkeypatch, move):
+    """Patch the renderer's ``exponents`` so that ``move(kp, e)`` replaces
+    each current e of every line it lists."""
+    renderer = complexes._line_renderer
+
+    def patched(kp, max_degree):
+        rows, exponents = renderer(kp, max_degree)
+        return rows, lambda *line: [move(kp, *e) for e in exponents(*line)]
+
+    monkeypatch.setattr(complexes, "_line_renderer", patched)
+
+
 def test_per_line_d_squared_check_refuses_a_column_outside_its_line(monkeypatch):
-    line = complexes._line
-
-    def shifted(kp, D, B, P0, m, H):
-        return [(b, h, P, Q + h) for b, h, P, Q in line(kp, D, B, P0, m, H)]
-
-    monkeypatch.setattr(complexes, "_line", shifted)
+    moved_exponents(monkeypatch, lambda kp, b, h, P, Q: (b, h, P, Q + h))
     with pytest.raises(AssertionError, match="inside its line"):
         d_squared_is_zero(ComplexSpec(KP, 40))
 
@@ -132,13 +139,8 @@ def test_per_line_d_squared_check_refuses_a_column_with_one_target_outside(monke
     # every h-current moved one place along its line, (P, Q) -> (P + step*p,
     # Q - step*q): back, only the first one's q-target leaves the line;
     # forward, only the last one's p-target
-    line = complexes._line
-
-    def stepped(kp, D, B, P0, m, H):
-        return [(b, h, P + h * step * kp.p, Q - h * step * kp.q)
-                for b, h, P, Q in line(kp, D, B, P0, m, H)]
-
-    monkeypatch.setattr(complexes, "_line", stepped)
+    moved_exponents(monkeypatch, lambda kp, b, h, P, Q: (b, h, P + h * step * kp.p,
+                                                        Q - h * step * kp.q))
     with pytest.raises(AssertionError, match="inside its line"):
         d_squared_is_zero(ComplexSpec(KP, 40))
 
@@ -150,9 +152,11 @@ def test_per_line_d_squared_check_refuses_under_python_dash_o():
     script = (
         "from echtk import complexes\n"
         "from echtk.currents import KnotParams\n"
-        "line = complexes._line\n"
-        "complexes._line = lambda kp, D, B, P0, m, H: "
-        "[(b, h, P, Q + h) for b, h, P, Q in line(kp, D, B, P0, m, H)]\n"
+        "renderer = complexes._line_renderer\n"
+        "def patched(kp, max_degree):\n"
+        "    rows, exponents = renderer(kp, max_degree)\n"
+        "    return rows, lambda *line: [(b, h, P, Q + h) for b, h, P, Q in exponents(*line)]\n"
+        "complexes._line_renderer = patched\n"
         "complexes.d_squared_is_zero(complexes.ComplexSpec(KnotParams(3, 4), 40))\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
@@ -163,12 +167,17 @@ def test_per_line_d_squared_check_refuses_under_python_dash_o():
 
 def test_each_h_current_hits_the_two_points_it_sits_between():
     # h-current i of a line hits point i + 1 (P + p) and point i (Q + q),
-    # the targets d_squared_is_zero looks up, so every line is a path
+    # the targets d_squared_is_zero looks up, so every line is a path; the
+    # renderer lists the m points first, each half in name order
     for p, q in [(1, 1), (1, 2), (2, 3), (3, 4), (2, 7), (5, 7)]:
         kp = KnotParams(p, q)
-        for _, D, B, P0, m in _lines(kp, 80):
-            points, h_currents = _line(kp, D, B, P0, m, 0), _line(kp, D, B, P0, m, 1)
+        _, exponents = _line_renderer(kp, 80)
+        for line in _lines(kp, 80):
+            _, D, B, P0, Q0, m = line
+            currents = exponents(*line)
+            points, h_currents = sorted(currents[:m]), sorted(currents[m:])
             assert len(points) == m and len(h_currents) == m - 1
+            assert points[0] == (B, 0, P0, Q0) and all(e[1] == 0 for e in points)
             for i, (b, h, P, Q) in enumerate(h_currents):
                 assert (b, h) == (B, 1)
                 assert points[i + 1] == (B, 0, P + p, Q) and points[i] == (B, 0, P, Q + q)
@@ -272,7 +281,7 @@ def test_integer_filtration_mask_matches_infrat_comparison():
                 continue
             kp = KnotParams(p, q)
             lines = [(D, B, keep_mask(kp, sum(line_currents(kp, D, B), [])))
-                     for _, D, B, _, _ in _lines(kp, 60)]
+                     for _, D, B, *_ in _lines(kp, 60)]
             for r in rationals:
                 for e in (-1, 0, 2):
                     cutoff = InfRat(r, e)

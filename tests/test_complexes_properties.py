@@ -41,7 +41,7 @@ from echtk.cli import main  # noqa: E402
 from echtk.complexes import (  # noqa: E402
     ComplexSpec,
     _generator_rows,
-    _line,
+    _line_renderer,
     _lines,
     d_squared_is_zero,
     enumerate_currents,
@@ -54,7 +54,6 @@ from echtk.complexes import (  # noqa: E402
 from echtk.currents import (  # noqa: E402
     KnotParams,
     ReebCurrent,
-    _half_line_renderer,
     admissible_exponents,
     degree,
 )
@@ -68,7 +67,6 @@ from gf2_oracle import (  # noqa: E402
     bitset_columns,
     bitset_ranks,
     differential,
-    half_lines,
     keep_mask,
     line_currents,
     squares_vanish,
@@ -207,7 +205,7 @@ CUTOFFS = WINDOWS.map(lambda w: (w[0], w[1] * w[0][0] * w[0][1] + w[2]))
 @hypothesis.given(window=WINDOWS)
 def test_lines_share_one_index_and_cover_the_window_once(window):
     """Each line's m points, found by solving qP + pQ = D - pq*B, share the
-    walk's index g and start at P0; its m - 1 h-currents sit at g + 1.  The
+    walk's index g and start at (P0, Q0); its m - 1 h-currents sit at g + 1.  The
     indices strictly increase along the walk, and the lines hold every
     admissible current of the window exactly once."""
     (p, q), b_top, extra = window
@@ -215,9 +213,9 @@ def test_lines_share_one_index_and_cover_the_window_once(window):
     max_degree = b_top * p * q + extra
     lines = list(_lines(kp, max_degree))
     members = Counter()
-    for g, D, B, P0, m in lines:
+    for g, D, B, P0, Q0, m in lines:
         points, h_currents = line_currents(kp, D, B)
-        assert len(points) == m and len(h_currents) == m - 1 and points[0][2] == P0
+        assert len(points) == m and len(h_currents) == m - 1 and points[0][2:] == (P0, Q0)
         assert {ech_index(ReebCurrent(*e), kp) for e in points} == {g}
         assert {ech_index(ReebCurrent(*e), kp) for e in h_currents} <= {g + 1}
         members.update(points + h_currents)
@@ -239,9 +237,12 @@ def test_generator_stream_is_sorted_by_index_then_name(window):
     assert [row for block in blocks for row in block] == [
         f"{D},{text},{g}\n" for g, text, D in expected
     ]
-    # one block per half-line: its rows share one degree and one index
-    assert all(block and len({(r.split(",")[0], r.split(",")[2]) for r in block}) == 1
-               for block in blocks)
+    # one block per line: its rows share one degree, and its points one
+    # index g, which its h-currents follow at g + 1
+    for block in blocks:
+        indices = [int(r.split(",")[2]) for r in block]
+        assert block and len({r.split(",")[0] for r in block}) == 1
+        assert {g - indices[0] for g in indices} <= {0, 1} and indices == sorted(indices)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -250,27 +251,36 @@ def test_generator_stream_is_sorted_by_index_then_name(window):
 @hypothesis.example(case=((3, 4), 120))
 @hypothesis.example(case=((7, 2), 120))
 def test_half_line_renderer_names_and_orders_each_half_line(case):
+    """``_line_renderer`` lists each line's points at g, then its h-currents
+    at g + 1, each half in name order; the halves are solved here from
+    qP + pQ = D - pq*(B + H), and together they hold the window once."""
     (p, q), max_degree = case
     kp = KnotParams(p, q)
-    rows, ordered = _half_line_renderer(kp, max_degree)
-    cases = set()
-    for (B, H, P0, Q0, n), exponents in half_lines(kp, max_degree):
-        named = sorted((ReebCurrent(*e).name(), e) for e in exponents)
-        first = ReebCurrent(*exponents[0])
-        D, g = degree(first, kp), ech_index(first, kp)
-        block = rows(D, g, B, H, P0, Q0, n)
-        assert block == [f"{D},{name},{g}\n" for name, _ in named]
-        assert ordered(B, H, P0, Q0, n) == [e for _, e in named]
-        cases.update(
-            case for case, hit in [
-                ("first P = 0", P0 == 0 and n > 1),
-                ("last Q = 0", exponents[-1][3] == 0 and n > 1),
-                ("empty prefix", B == H == 0 and n > 1),
-                ("prefix", B + H > 0 and n > 1),
-                ("single point", n == 1),
-                ("empty current", block == ["0,1,0\n"]),
-            ] if hit
-        )
+    rows, ordered = _line_renderer(kp, max_degree)
+    cases, listed = set(), Counter()
+    for line in _lines(kp, max_degree):
+        g, D, B, P0, _, _ = line
+        block, expected = rows(*line), []
+        for H, half in enumerate(line_currents(kp, D, B)):
+            n = len(half)
+            if half:
+                assert ech_index(ReebCurrent(*half[0]), kp) == g + H
+            named = sorted((ReebCurrent(*e).name(), e) for e in half)
+            expected += [(f"{D},{name},{g + H}\n", e) for name, e in named]
+            cases.update(
+                case for case, hit in [
+                    ("first P = 0", P0 == 0 and n > 1),
+                    ("last Q = 0", n > 1 and half[-1][3] == 0),
+                    ("empty prefix", B == H == 0 and n > 1),
+                    ("prefix", B + H > 0 and n > 1),
+                    ("single point", n == 1),
+                    ("empty current", block == ["0,1,0\n"]),
+                ] if hit
+            )
+        assert block == [row for row, _ in expected]
+        assert ordered(*line) == [e for _, e in expected]
+        listed.update(ordered(*line))
+    assert listed == Counter(admissible_exponents(kp, max_degree))
     # the empty current is in every window; the half-line from q^q to p^p
     # (c = pq) is in every window that reaches it, behind b and behind h
     assert {"single point", "empty current"} <= cases
@@ -350,10 +360,11 @@ def test_lines_are_the_runs_of_n(pq, max_degree):
     # every value up to the cutoff, its run whole: N_0..N_K with K = #lines - 1
     assert len(lines) == lattice_count(p, q, max_degree)
     spans = list(runs(p, q, len(lines) - 1))
-    assert Counter(D for _, D, _, _, _ in lines) == dict(spans)
+    assert Counter(D for _, D, *_ in lines) == dict(spans)
     expected = [(value, j) for value, length in spans for j in range(length)]
-    assert [(D, B) for _, D, B, _, _ in lines] == expected
+    assert [(D, B) for _, D, B, *_ in lines] == expected
     spec = ComplexSpec(kp, max_degree)
-    for k, (g, D, B, P0, m) in enumerate(lines):
+    # the representative of index 2k is the first point of line k
+    for k, (g, D, B, P0, Q0, m) in enumerate(lines):
         assert g == 2 * k
-        assert homology_representative(spec, 2 * k) == ReebCurrent(*_line(kp, D, B, P0, m, 0)[0])
+        assert homology_representative(spec, 2 * k) == ReebCurrent(B, 0, P0, Q0)

@@ -3,10 +3,10 @@ from math import gcd
 
 import pytest
 
+from echtk.complexes import _line_renderer, _lines
 from echtk.currents import (
     KnotParams,
     ReebCurrent,
-    _half_line_renderer,
     action,
     admissible_exponents,
     degree,
@@ -15,7 +15,6 @@ from echtk.currents import (
 )
 from echtk.exact import InfRat
 from echtk.nseq import NSeq, nk, runs
-from gf2_oracle import half_lines
 
 
 KP = KnotParams(3, 4)
@@ -212,10 +211,12 @@ def loop_name(B, H, P, Q):
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (1, 5), (2, 3), (3, 4), (5, 7), (2, 9)])
 def test_window_names_match_current_names(p, q):
     kp = KnotParams(p, q)
-    rows, ordered = _half_line_renderer(kp, 60)
+    rows, ordered = _line_renderer(kp, 60)
     named = []
-    for (B, H, P0, Q0, n), _ in half_lines(kp, 60):
-        for row, e in zip(rows(0, 0, B, H, P0, Q0, n), ordered(B, H, P0, Q0, n)):
-            assert row == f"0,{ReebCurrent(*e).name()},0\n" == f"0,{loop_name(*e)},0\n", e
+    for line in _lines(kp, 60):
+        g, D = line[:2]
+        for row, e in zip(rows(*line), ordered(*line), strict=True):
+            tail = f",{g + e[1]}\n"  # h-currents sit one index above the points
+            assert row == f"{D},{ReebCurrent(*e).name()}{tail}" == f"{D},{loop_name(*e)}{tail}", e
             named.append(e)
     assert sorted(named) == sorted(admissible_exponents(kp, 60))

@@ -14,6 +14,7 @@ from echtk.currents import KnotParams
 from echtk.exact import InfRat, render, render_fraction
 from echtk.nseq import NSeq, _ordered_from, nk, nk_closed_form, repeat_count, runs
 from echtk.spectra import (
+    CobordismResult,
     _error_runs,
     _fixed_strs,
     _weyl_fixed,
@@ -290,11 +291,13 @@ def test_the_scan_reads_the_runs_up_to_where_the_order_is_settled(monkeypatch):
         return runs(p, q, k_max)
 
     monkeypatch.setattr(spectra, "runs", recorded)
-    for frm, to, k_max, top in [((5, 7), (3, 4), 10**18, 15), ((5, 7), (3, 4), 10, 10),
-                                ((5, 6), (3, 10), 3000, 3000), ((3, 4), (3, 4), 700, 700)]:
+    # the same pair in either order reads no run: N_k(p,q) = N_k(q,p)
+    for frm, to, k_max, read in [((5, 7), (3, 4), 10**18, [15, 15]), ((5, 7), (3, 4), 10, [10, 10]),
+                                 ((5, 6), (3, 10), 3000, [3000, 3000]), ((3, 4), (3, 4), 700, []),
+                                 ((4, 3), (3, 4), 10**18, [])]:
         tops.clear()
         assert cobordism_obstruction(frm, to, k_max).consistent
-        assert tops == [top, top]
+        assert tops == read
 
 
 def test_cobordism_of_equal_products_scans_to_k_max():
@@ -303,6 +306,18 @@ def test_cobordism_of_equal_products_scans_to_k_max():
         for k_max in (0, 1, 29, 500, 3000):
             res = cobordism_obstruction(frm, to, k_max)
             assert (res.applicable, res.consistent, res.obstructed_at) == zip_scan(frm, to, k_max)
+
+
+def test_the_same_pair_in_either_order_is_consistent_up_to_k_max():
+    # N_k(p,q) = N_k(q,p): the two run streams the merge reads are equal, so
+    # it could find no violation, and the answer is the zip scan's
+    for p, q in [(1, 1), (1, 2), (2, 3), (3, 4), (5, 7), (2, 9)]:
+        for k_max in (0, 1, 17, 500):
+            assert list(runs(p, q, k_max)) == list(runs(q, p, k_max))
+            for frm, to in [((p, q), (q, p)), ((q, p), (p, q)), ((p, q), (p, q))]:
+                res = cobordism_obstruction(frm, to, k_max)
+                assert res == CobordismResult(True, True, None, k_max)
+                assert res[:3] == zip_scan(frm, to, k_max)
 
 
 def test_cobordism_at_a_billion():
