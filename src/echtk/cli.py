@@ -26,10 +26,9 @@ from . import __version__
 from .complexes import (
     ComplexSpec,
     WindowError,
+    _classes,
     _generator_rows,
     d_squared_is_zero,
-    homology,
-    knot_filtered_homology,
     required_degree,
 )
 from .currents import KnotParams, ReebCurrent
@@ -172,25 +171,29 @@ def _window_spec(args, kp: KnotParams) -> ComplexSpec:
     return ComplexSpec(kp, args.max_degree)
 
 
+def _rank_rows(spec: ComplexSpec, max_index: int, level=None) -> Iterable[str]:
+    """The rows ``index,rank``: 1 at the even indices below 2 * _classes."""
+    top = min(2 * _classes(spec, max_index, level), max_index + 1)
+    return chain((f"{i},{1 - i % 2}\n" for i in range(top)),
+                 (f"{i},0\n" for i in range(top, max_index + 1)))
+
+
 def _cmd_homology(args, kp: KnotParams) -> Rows:
     spec = _window_spec(args, kp)
     fields = {"maxIndex": args.max_index, "maxDegree": spec.max_degree,
               "validatedWindow": f"indices 0..{args.max_index}"}
-    ranks = homology(spec, args.max_index)  # refuses an uncertified window before any check
+    lines = _rank_rows(spec, args.max_index)  # refuses an uncertified window before any check
     if args.check_d_squared:  # on the complex the ranks rest on, not the whole cutoff
         window = ComplexSpec(kp, required_degree(kp, args.max_index))
         fields["dSquaredZero"] = d_squared_is_zero(window)
-    return ["index", "rank"], [f"{i},{ranks[i]}\n" for i in range(args.max_index + 1)], fields
+    return ["index", "rank"], lines, fields
 
 
 def _cmd_knot_filtered(args, kp: KnotParams) -> Rows:
     level = parse_infrat(_short_numbers("--filtration", args.filtration))
     spec = _window_spec(args, kp)
-    ranks = knot_filtered_homology(spec, level, args.max_index)
-    lines = [f"{i},{ranks[i]}\n" for i in range(args.max_index + 1)]
-    fields = {"filtration": render(level), "maxIndex": args.max_index,
-              "maxDegree": spec.max_degree}
-    return ["index", "rank"], lines, fields
+    fields = {"filtration": render(level), "maxIndex": args.max_index, "maxDegree": spec.max_degree}
+    return ["index", "rank"], _rank_rows(spec, args.max_index, level), fields
 
 
 def _cmd_spectrum(args, kp: KnotParams) -> Rows:
@@ -317,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("knot-filtered", _cmd_knot_filtered, "homology of a knot filtration level")
     sp.add_argument("--max-index", type=int, required=True)
-    sp.add_argument("--filtration", required=True, help="level like 12, 7/2, or 12+1*d")
+    sp.add_argument("--filtration", required=True,
+                    help="level like 12, 7/2, or 12+1*d; a negative one as --filtration=-1/2")
     sp.add_argument("--max-degree", type=int, default=None)
 
     sp = command("spectrum", _cmd_spectrum, "action and linking spectra with Weyl errors")

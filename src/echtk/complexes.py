@@ -12,21 +12,21 @@ between.  A line is therefore a path: it adds exactly 1 to the homology,
 at the index g that all its points share (its h-currents sit at g + 1).
 :func:`_lines` yields one record ``(g, D, B, P0, Q0, m)`` per line, in
 (D, B) order, where g strictly increases, so the generators come out in
-(index, name) order one line at a time, with no global sort, and H_g is 1
-exactly at the index of a line.  :func:`_line_renderer` puts each line in
-name order, points then h-currents, as finished ``generators`` rows or as
-exponents with no name rendered.  The knot filtration key (D, B) is
-constant on a line, so the lines of a filtered subcomplex are a prefix of
-the walk.  Every column lies inside its line and names only points, whose
+(index, name) order one line at a time, with no global sort.
+:func:`_line_renderer` puts each line in name order, points then
+h-currents, as finished ``generators`` rows or as exponents with no name
+rendered.  Every column lies inside its line and names only points, whose
 columns are empty, so :func:`d_squared_is_zero` looks up each h-current's
-two targets among the points of its line, and no command holds more of
-the complex than one line.
+two targets among the points of its line, holding one line at a time.
 
 The lines of degree D are the representations counted by
 :func:`echtk.nseq._walk` with p and q swapped, so the k-th line is the
-index-2k class.  :func:`echtk.currents.admissible_exponents` is a second
-enumeration that relies on none of this, kept for the crosscheck (its
-docstring says why); the tests build the whole boundary matrix from it.
+index-2k class and ``lattice_count(n)`` lines have degree at most n.  The
+knot filtration D + B*d is constant on a line, so a filtered subcomplex
+keeps a prefix of the classes, which :func:`_classes` counts with no walk.
+:func:`echtk.currents.admissible_exponents` is a second enumeration that
+relies on none of this, kept for the crosscheck (its docstring says why);
+the tests build the whole boundary matrix from it.
 """
 
 from __future__ import annotations
@@ -179,9 +179,9 @@ def required_degree(kp: KnotParams, max_index: int) -> int:
     return nk(kp.p, kp.q, (max_index + 1) // 2)
 
 
-# Rows of an index window that one run holds: homology at 10^6 rows took
-# 156 MB max RSS in CSV and 163 MB as a table, about 160 bytes a row, so
-# this budget is about 800 MB (2-vCPU VM, CPython 3.11).
+# Rows of an index window: about 160 bytes each (156 MB max RSS at 10^6) in
+# the homology and knot_filtered_homology dicts and a table's lines, while CSV
+# and JSON stream them, so this budget is about 800 MB (2-vCPU VM, CPython 3.11).
 _MAX_INDEX_ROWS = 5_000_000
 _ROW_BYTES = 160
 
@@ -198,40 +198,35 @@ def _certify(spec: ComplexSpec, max_index: int) -> None:
                   _ROW_BYTES, "held")
 
 
-def _counted(spec: ComplexSpec, max_index: int, den: int, bound: tuple[int, int]) -> dict[int, int]:
-    """Homology rank in each index 0..max_index of the lines whose key
-    (D * den, B) is at most ``bound``: 1 at the index of each, 0 elsewhere.
-    The indices and the keys both increase along the walk, so the kept
-    lines are its prefix up to the first index or key past the window."""
-    ranks = dict.fromkeys(range(max_index + 1), 0)
-    for g, D, B, _, _, _ in _lines(spec.kp, spec.max_degree):
-        if g > max_index or (D * den, B) > bound:
-            break
-        ranks[g] = 1
-    return ranks
+def _classes(spec: ComplexSpec, max_index: int, level: InfRat | int | None = None) -> int:
+    """The number K of classes in the window, of knot filtration at most
+    ``level`` = rat + e*d if given: H_g is 1 at the even g < 2K.  The lines
+    in (D, B) order are the classes in index order, at levels D + B*d, so
+    the kept ones, D < rat or D = rat and B <= e, are a prefix."""
+    _certify(spec, max_index)
+    if level is None:
+        return max_index // 2 + 1
+    rat, e = coerce(level)
+    p, q, n = spec.kp.p, spec.kp.q, rat.numerator // rat.denominator
+    kept = lattice_count(p, q, n)
+    if rat == n:
+        kept = min(kept, lattice_count(p, q, n - 1) + max(e + 1, 0))
+    return min(max_index // 2 + 1, kept)
 
 
 def homology(spec: ComplexSpec, max_index: int) -> dict[int, int]:
-    """Homology rank in each index 0..max_index.
-
-    Refuses when the degree cutoff does not certify the window, reporting
-    the cutoff that would.
-    """
-    _certify(spec, max_index)
-    # every line of the window has D <= max_degree and B <= D
-    return _counted(spec, max_index, 1, (spec.max_degree, spec.max_degree))
+    """Homology rank in each index 0..max_index; refuses a window the degree
+    cutoff does not certify, reporting the cutoff that would."""
+    top = 2 * _classes(spec, max_index)
+    return {i: int(i < top and i % 2 == 0) for i in range(max_index + 1)}
 
 
-def knot_filtered_homology(
-    spec: ComplexSpec, filtration: InfRat | int, max_index: int
-) -> dict[int, int]:
-    """Homology of the subcomplex of currents with knot filtration <= K.
-
-    On integers, D + B*d <= num/den + e*d is the lexicographic order of the
-    pairs (D * den, B) and (num, e); a cutoff below 0 keeps nothing."""
-    _certify(spec, max_index)
-    cutoff = coerce(filtration)
-    return _counted(spec, max_index, cutoff.rat.denominator, (cutoff.rat.numerator, cutoff.delta))
+def knot_filtered_homology(spec: ComplexSpec, filtration: InfRat | int,
+                           max_index: int) -> dict[int, int]:
+    """Homology of the subcomplex of currents with knot filtration <= K;
+    a cutoff below 0 keeps nothing."""
+    top = 2 * _classes(spec, max_index, filtration)
+    return {i: int(i < top and i % 2 == 0) for i in range(max_index + 1)}
 
 
 def linking_threshold(kp: KnotParams, k: int) -> InfRat:

@@ -1,13 +1,14 @@
 """Slow GF(2) oracle for the homology of the currents complex.
 
 Columns are int bitsets over row positions and are reduced left to right
-in the standard persistence style.  The library reduces nothing: it walks
-the lines of the complex, the points b^B p^P q^Q of one degree D and one B
-together with the h-currents between them, and puts rank 1 at the index
-of each line, which is a path.  This module is the independent check of
-that count, used only by the tests: the keep mask compares every current
-with the cutoff through ``knot_filtration``, and the members of a line are
-found by solving its equation, not by the library's walk.
+in the standard persistence style.  The library reduces nothing: each
+line of the complex, the points b^B p^P q^Q of one degree D and one B
+together with the h-currents between them, is a path with rank 1 at its
+index, and the library counts the lines of a window with ``lattice_count``.
+This module is the independent check of that count, used only by the
+tests: the keep mask compares every current with the cutoff through
+``knot_filtration``, and the members of a line are found by solving its
+equation, not by the library's walk.
 
 The whole boundary matrix (:func:`differential`) is built here, from
 ``admissible_exponents``, which uses none of the facts of the walk, and
@@ -168,8 +169,8 @@ def assert_ranks_match_oracle(kp, max_degree, levels):
     """The library's ranks equal the oracle's for the whole complex and for
     the knot-filtered subcomplex at each level: in every grading, and over
     the largest index window the cutoff certifies.  ``homology`` and
-    ``knot_filtered_homology`` count over the walk of lines; the oracle
-    reduces the matrix."""
+    ``knot_filtered_homology`` count the classes of the window with
+    ``lattice_count`` and walk no line; the oracle reduces the matrix."""
     spec = ComplexSpec(kp, max_degree)
     matrix = differential(spec)
     top = 2 * (lattice_count(kp.p, kp.q, max_degree) - 1)

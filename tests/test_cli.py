@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
@@ -311,6 +312,29 @@ def test_knot_filtered_command(capsys):
     )
     rows = dict(line.split(",") for line in out.splitlines()[1:])
     assert rows["18"] == "1" and rows["20"] == "0"
+
+
+def test_negative_filtration_takes_the_equals_form(capsys):
+    # argparse reads "-1/2" after a space as a flag; "--filtration=-1/2" is the value
+    code, out, _ = run(capsys, "knot-filtered", "--p", "3", "--q", "4", "--max-index", "20",
+                       "--filtration=-1/2", "--format", "csv")
+    assert code == 0
+    assert out == "index,rank\n" + "".join(f"{i},0\n" for i in range(21))
+
+
+@pytest.mark.parametrize("command", [["homology"], ["knot-filtered", "--filtration", "100000"]])
+def test_rank_rows_stream_without_holding_the_window(monkeypatch, command):
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main([*command, "--p", "3", "--q", "4", "--max-index", "100000",
+                         "--format", "csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 10**6
 
 
 def test_non_coprime_is_a_usage_error(capsys):

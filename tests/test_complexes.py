@@ -183,13 +183,17 @@ def test_each_h_current_hits_the_two_points_it_sits_between():
                 assert points[i + 1] == (B, 0, P + p, Q) and points[i] == (B, 0, P, Q + q)
 
 
-def test_a_small_window_grows_the_index_evaluator_only_as_far_as_its_walk():
+def test_a_small_window_grows_the_index_evaluator_only_as_far_as_its_walk(capsys):
+    # the d^2 check walks the lines of the window under a huge cutoff; the
+    # smaller cutoff first: an evaluator grown to the cutoff fails there
+    # instead of filling 10**15 // 3 prefix sums
     evaluator = _index_evaluator(3, 4)
     before = len(evaluator.sum_q)
-    # the smaller cutoff first: an evaluator grown to the cutoff fails there
-    # instead of filling 10**15 // 3 prefix sums
     for cutoff in (10**6, 10**15):
-        assert homology(ComplexSpec(KP, cutoff), 3) == {0: 1, 1: 0, 2: 1, 3: 0}
+        argv = ["homology", "--p", "3", "--q", "4", "--max-index", "3", "--max-degree", str(cutoff),
+                "--check-d-squared", "--format", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "index,rank\n0,1\n1,0\n2,1\n3,0\n"
         assert len(evaluator.sum_q) <= max(before, 8)
 
 
@@ -269,10 +273,11 @@ def test_knot_filtered_homology_examples():
     assert knot_filtered_homology(ComplexSpec(KP, 0), InfRat(0, 0), 0)[0] == 1
 
 
-def test_integer_filtration_mask_matches_infrat_comparison():
-    # the line key (D * den, B) <= (num, e) against knot_filtration of every
-    # point and h-current on the line: integer, non-integer and negative
-    # rational parts, each with a negative, zero and positive d coefficient
+def test_classes_count_the_leading_lines_under_the_level():
+    # the lines of the walk whose points and h-currents all lie at or below
+    # the level, counted up to the first that does not, and capped at the
+    # classes of the window: integer, non-integer and negative rational
+    # parts, each with a negative, zero and positive d coefficient
     rationals = [Fraction(-1), Fraction(0), Fraction(30), Fraction(61, 2), Fraction(22, 3),
                  Fraction(-1, 2)]
     for q in range(2, 7):
@@ -280,19 +285,23 @@ def test_integer_filtration_mask_matches_infrat_comparison():
             if gcd(p, q) != 1:
                 continue
             kp = KnotParams(p, q)
-            lines = [(D, B, keep_mask(kp, sum(line_currents(kp, D, B), [])))
-                     for _, D, B, *_ in _lines(kp, 60)]
+            spec = ComplexSpec(kp, 60)
+            max_index = 0
+            while required_degree(kp, max_index + 1) <= 60:
+                max_index += 1
+            levels = [[knot_filtration(ReebCurrent(*c), kp)
+                       for c in sum(line_currents(kp, D, B), [])] for _, D, B, *_ in _lines(kp, 60)]
             for r in rationals:
                 for e in (-1, 0, 2):
                     cutoff = InfRat(r, e)
-                    num, den = cutoff.rat.numerator, cutoff.rat.denominator
-                    for D, B, mask in lines:
-                        kept = (D * den, B) <= (num, e)
-                        assert set(mask(cutoff)) == {kept}, (p, q, cutoff, D, B)
+                    kept = next((i for i, line in enumerate(levels)
+                                 if not all(level <= cutoff for level in line)), len(levels))
+                    expected = min(kept, max_index // 2 + 1)
+                    assert complexes._classes(spec, max_index, cutoff) == expected, (p, q, cutoff)
 
 
 def test_knot_filtered_cut_matches_the_full_window_mask():
-    # knot_filtered_homology stops the walk at the first line past K; the
+    # knot_filtered_homology counts the lines at or below K; the
     # oracle masks the whole degree-60 window.  Negative, non-integer, inside
     # and above-the-window rational parts, each with e in {-1, 0, 2}
     rationals = [Fraction(-5, 2), Fraction(-1), Fraction(-1, 3), Fraction(0), Fraction(22, 3),

@@ -30,6 +30,7 @@ the h/b step relations."""
 import contextlib
 import io
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -40,6 +41,7 @@ st = hypothesis.strategies
 from echtk.cli import main  # noqa: E402
 from echtk.complexes import (  # noqa: E402
     ComplexSpec,
+    _classes,
     _generator_rows,
     _line_renderer,
     _lines,
@@ -193,6 +195,22 @@ def test_knot_filtered_class_appears_at_the_linking_threshold(pq, k):
     level = linking_threshold(kp, k)
     assert knot_filtered_homology(spec, level, 2 * k)[2 * k] == 1
     assert knot_filtered_homology(spec, level - InfRat(0, 1), 2 * k)[2 * k] == 0
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(
+    pq=COPRIME_UP_TO_30,
+    max_index=st.integers(0, 200),
+    num=st.one_of(st.integers(-20, 0), st.integers(0, 900)),
+    den=st.integers(1, 7),
+    e=st.integers(-3, 4),
+)
+def test_classes_are_the_thresholds_at_or_below_the_level(pq, max_index, num, den, e):
+    kp = KnotParams(*pq)
+    level = InfRat(Fraction(num, den), e)
+    spec = ComplexSpec(kp, required_degree(kp, max_index))
+    expected = sum(linking_threshold(kp, k) <= level for k in range(max_index // 2 + 1))
+    assert _classes(spec, max_index, level) == expected
 
 
 WINDOWS = st.tuples(COPRIME_UP_TO_30, st.integers(0, 3), st.integers(0, 40))
