@@ -136,12 +136,10 @@ def _cmd_nseq(args, kp: KnotParams) -> Rows:
 
     def run_lines():
         tails: list[str] = []  # f"{j}\n" for j = 1 up to the longest run so far
-        k = 0
-        for value, length in spans:
+        for k, value, length in spans:
             tails += map("{}\n".format, range(len(tails) + 1, length + 1))
             mid = f",{value},"  # N_k is rendered once per run
             yield [f"{i}{mid}{tail}" for i, tail in zip(range(k, k + length), tails)]
-            k += length
 
     return ["k", "N_k", "repeats"], chain.from_iterable(run_lines()), {"kMax": args.k_max}
 
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("bounds", _cmd_bounds, "quantitative dynamics bounds", (which, common))
     sp.add_argument("--Delta", default=None, help="rotation offset (rational)")
     sp.add_argument("--V", default=None, help="contact volume (rational)")
-    sp.add_argument("--d", default=None, help="boundary twist in (-1/pq, 0]")
+    sp.add_argument("--d", default=None, help="boundary twist in (-1/pq, 0], as --d=-1/20")
     sp.add_argument("--calabi", default=None, help="Calabi invariant (rational)")
 
     what = argparse.ArgumentParser(add_help=False)

@@ -11,7 +11,7 @@ qP + pQ = c - pq, each of which hits the two neighbouring points it sits
 between.  A line is therefore a path: it adds exactly 1 to the homology,
 at the index g that all its points share (its h-currents sit at g + 1).
 :func:`_lines` yields one record ``(g, D, B, P0, Q0, m)`` per line, in
-(D, B) order, where g strictly increases, so the generators come out in
+(D, B) order, the k-th at g = 2k, so the generators come out in
 (index, name) order one line at a time, with no global sort.
 :func:`_line_renderer` puts each line in name order, points then
 h-currents, as finished ``generators`` rows or as exponents with no name
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .currents import ORBITS, KnotParams, ReebCurrent, _join, _power, degree
 from .exact import InfRat, _check_budget, _tuple_new, _ValidatedTuple, coerce
-from .indices import _index_evaluator, ech_index
+from .indices import ech_index
 from .nseq import _walk, lattice_count, nk
 
 Exponents = tuple[int, int, int, int]  # (B, H, P, Q) of b^B h^H p^P q^Q
@@ -61,21 +61,17 @@ class ComplexSpec(_ValidatedTuple, _SpecFields):
 def _lines(kp: KnotParams, top: int) -> Iterator[tuple[int, int, int, int, int, int]]:
     """``(g, D, B, P0, Q0, m)`` for every nonempty line of degree D <= top,
     in (D, B) order: its m points b^B*p^P*q^Q with qP + pQ = D - pq*B are
-    (P, Q) = (P0 + i*p, Q0 - i*q) for i < m, they share the ECH index g, and
-    g strictly increases along the walk.  The walk of the representations
-    D = P*q + Q*p gives P0 = D/q mod p, the same for every B of one D, and
-    their count n; m = n - B falls by one per B, so D has n lines."""
+    (P, Q) = (P0 + i*p, Q0 - i*q) for i < m.  The walk of the representations
+    D = P*q + Q*p gives P0 = D/q mod p, the same for every B of one D, their
+    count n, and k = lattice_count(D - 1), the number of lines of lower
+    degree; m = n - B falls by one per B, so D has n lines.  Line B of D is
+    line k + B: the paths of its points have k + B + 1 lattice points under
+    them, so the points share the ECH index g = 2(k + B)."""
     p, q = kp.p, kp.q
-    index = _index_evaluator(p, q).index
-    last = -1
-    for D, P0, n in _walk(q, p, top):
+    for k, D, P0, n in _walk(q, p, top):
         Q = (D - q * P0) // p  # the first point of line B has Q0 = Q - q*B
         for B in range(n):
-            Q0 = Q - q * B
-            g = index(B, 0, P0, Q0)
-            assert g > last, "line indices must increase along the walk"
-            last = g
-            yield g, D, B, P0, Q0, n - B
+            yield 2 * (k + B), D, B, P0, Q - q * B, n - B
 
 
 def _line_renderer(kp: KnotParams, max_degree: int) -> tuple[

@@ -3,8 +3,8 @@
 One fused pass per (p, q) compares, on every admissible current up to the
 cutoff, the closed-form index of :mod:`echtk.indices` with two independent
 routes, the ledger's bilinear expansion and the lattice-path count, and
-checks index parity and the h/b step relations.  The lattice counts come
-from one pass of :func:`echtk.nseq._walk`, not from the index evaluator.
+checks index parity and the h/b step relations.  The lattice counts are
+the first indices from one pass of :func:`echtk.nseq._walk`, not the evaluator's.
 The object API (path round trips, component recomputation with its
 internal consistency guard) is exercised on a deterministic sample of the
 same window.  The window
@@ -21,8 +21,6 @@ sampled currents; medians over eight alternating processes of the best of
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .currents import KnotParams, ReebCurrent, admissible_exponents
 from .indices import _index_evaluator, ech_index, ech_index_from_components
 from .nseq import _walk
@@ -35,13 +33,10 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
     pq = p * q
     evaluator = _index_evaluator(p, q)
     idx, components = evaluator.index, evaluator.components
-    # strict lattice counts T[w] = #{(x,y) >= 0 : px + qy < w}, the running
-    # sum of the walk's representation counts; the sampled path_index takes
-    # the floor sum, so the two lattice routes meet at the index
-    counts = [0] * (max_degree + 1)
-    for n, _, count in _walk(p, q, max_degree - 1):
-        counts[n + 1] = count
-    strict = list(accumulate(counts))
+    # strict lattice counts T[w] = #{(x,y) >= 0 : px + qy < w}, the walk's
+    # first index of each w (every degree is representable); the sampled
+    # path_index takes the floor sum, so the two lattice routes meet at the index
+    strict = {n: k for k, n, _, _ in _walk(p, q, max_degree)}
 
     def where(B: int, H: int, P: int, Q: int) -> str:
         # built only when a check fails

@@ -82,10 +82,8 @@ def _error_runs(kp: KnotParams, k_max: int) -> Iterator[tuple[int, int, list[str
     """``(k, N_k, errors)`` for each run of equal N_k in k = 0..k_max: the
     first index of the run, its value, and e_k rendered at each of its indices."""
     errors = _weyl_fixed(kp)
-    k = 0
-    for value, length in runs(kp.p, kp.q, k_max):
+    for k, value, length in runs(kp.p, kp.q, k_max):
         yield k, value, _fixed_strs(errors(value, range(k, k + length)), _WEYL_SCALE, _WEYL_DIGITS)
-        k += length
 
 
 def action_spectrum(kp: KnotParams, k_max: int) -> list[SpectrumEntry]:
@@ -103,23 +101,22 @@ def action_spectrum(kp: KnotParams, k_max: int) -> list[SpectrumEntry]:
 def linking_spectrum(kp: KnotParams, k_max: int) -> list[InfRat]:
     """Threshold levels of the knot filtration per index: N_k plus the
     infinitesimal repeat correction d*(repeats - 1)."""
-    return [InfRat(value, j) for value, length in runs(kp.p, kp.q, k_max) for j in range(length)]
+    return [InfRat(value, j) for _, value, length in runs(kp.p, kp.q, k_max) for j in range(length)]
 
 
-def _weyl_sup(kp: KnotParams, spans: Iterable[tuple[int, int]]) -> str:
-    """max |e_k| rendered over the indices of ``spans``, the ``(N_k, length)``
-    runs of N_0..N_k.
+def _weyl_sup(kp: KnotParams, spans: Iterable[tuple[int, int, int]]) -> str:
+    """max |e_k| rendered over the indices of ``spans``, the
+    ``(first k, N_k, length)`` runs of N_0..N_k.
 
     Only the two ends of each run are evaluated.  Within a run N_k is fixed
     and the root grows with k, so the floored error does not increase, and
     its largest absolute value sits at one of the ends.
     """
     errors = _weyl_fixed(kp)
-    top = first = 0
-    for value, length in spans:
-        head, tail = errors(value, (first, first + length - 1))
+    top = 0
+    for k, value, length in spans:
+        head, tail = errors(value, (k, k + length - 1))
         top = max(top, head, -tail)  # head >= tail, so |e| peaks at head or -tail
-        first += length
     return _fixed_strs([top], _WEYL_SCALE, _WEYL_DIGITS)[0]
 
 
@@ -167,10 +164,10 @@ def cobordism_obstruction(
     k = src_end = dst_end = 0  # first index past the current run of each stream
     while k <= top:
         if k == src_end:
-            a, length = next(src)
+            _, a, length = next(src)
             src_end += length
         if k == dst_end:
-            b, length = next(dst)
+            _, b, length = next(dst)
             dst_end += length
         if a < b:
             return CobordismResult(True, False, k, k_max)

@@ -36,4 +36,4 @@ def nk_doubling(p, q, k):
 
 
 def nk_prefix(p, q, k_max):
-    return [value for value, length in runs(p, q, k_max) for _ in range(length)]
+    return [value for _, value, length in runs(p, q, k_max) for _ in range(length)]

@@ -17,7 +17,7 @@ from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 from echtk.exact import render, render_fraction
-from echtk.indices import _index_evaluator, ech_index
+from echtk.indices import ech_index
 from echtk.nseq import NSeq, nk
 from echtk.spectra import action_spectrum, weyl_sup
 from echtk.toric import current_to_path, path_index
@@ -642,6 +642,19 @@ def test_bounds_calabi(capsys):
     assert rows["bound_squared"] == "1/120"
 
 
+def test_a_negative_twist_takes_the_equals_form(capsys, monkeypatch):
+    # (-1/pq, 0] holds no negative integer, so argparse reads every nonzero
+    # "--d" value after a space as a flag; the help gives the "=" form
+    monkeypatch.setenv("COLUMNS", "200")  # the help on one line
+    with pytest.raises(SystemExit) as info:
+        main(["bounds", "calabi", "--p", "2", "--q", "3", "--d", "-1/20", "--calabi", "1/20"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --d: expected one argument\n")
+    with pytest.raises(SystemExit):
+        main(["bounds", "--help"])
+    assert "as --d=-1/20" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("svg", [[], ["--svg", "x.svg"]], ids=["plain", "svg"])
 def test_toric_json_refuses_a_path_index_past_the_int_string_limit(
     capsys, monkeypatch, tmp_path, svg
@@ -709,17 +722,44 @@ def test_toric_path_of_a_huge_current_reads_few_columns(capsys):
     ]
 
 
-def test_generators_of_a_huge_pair_grow_the_prefix_sums_only_as_read(capsys):
-    # the walk stops at the cutoff, and the evaluator grows its sums
-    # through the iterates it reads, not through p - 1 up front
+def test_the_complex_commands_read_no_index_evaluator(capsys, monkeypatch):
+    # the line walk grades each line by its count, the rank rows come from
+    # the class count and d^2 from line membership, so none grades a current
+    def refuse(p, q):
+        raise AssertionError(f"the index evaluator of ({p}, {q}) was read")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("echtk") and hasattr(module, "_index_evaluator"):
+            monkeypatch.setattr(module, "_index_evaluator", refuse)
+    code, out, _ = run(
+        capsys, "generators", "--p", "3", "--q", "4", "--max-degree", "300", "--format", "csv"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATORS_T34_300_CSV_SHA256
+    # the d^2 check walks the lines of the window under a huge cutoff
+    code, out, _ = run(
+        capsys, "homology", "--p", "3", "--q", "4", "--max-index", "3", "--max-degree",
+        str(10**15), "--check-d-squared", "--format", "json",
+    )
+    meta = {"p": 3, "q": 4, "deltaMode": "limit", "toolVersion": __version__, "maxIndex": 3,
+            "maxDegree": 10**15, "validatedWindow": "indices 0..3", "dSquaredZero": True}
+    doc = {"meta": meta, "columns": ["index", "rank"], "rows": [["0", "1"], ["1", "0"],
+                                                                ["2", "1"], ["3", "0"]]}
+    assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
+    code, out, _ = run(
+        capsys, "knot-filtered", "--p", "3", "--q", "4", "--max-index", "9", "--filtration", "7/2",
+        "--format", "csv",
+    )
+    ranks = "".join(f"{i},{int(i in (0, 2))}\n" for i in range(10))  # N_0, N_1 <= 7/2 < N_2
+    assert (code, out) == (0, "index,rank\n" + ranks)
+    # the walk stops at the cutoff, whatever the pair
+    start = time.monotonic()
     code, out, _ = run(
         capsys, "generators", "--p", "1000003", "--q", "1000033", "--max-degree", "10",
         "--format", "csv",
     )
-    assert code == 0
-    assert out == "degree,generator,index\n0,1,0\n"
-    evaluator = _index_evaluator(1000003, 1000033)
-    assert len(evaluator.sum_p) < 100 and len(evaluator.sum_q) < 100
+    assert time.monotonic() - start < 2.0
+    assert (code, out) == (0, "degree,generator,index\n0,1,0\n")
 
 
 def test_toric_svg(tmp_path, capsys):

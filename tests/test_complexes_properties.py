@@ -378,8 +378,8 @@ def test_lines_are_the_runs_of_n(pq, max_degree):
     # every value up to the cutoff, its run whole: N_0..N_K with K = #lines - 1
     assert len(lines) == lattice_count(p, q, max_degree)
     spans = list(runs(p, q, len(lines) - 1))
-    assert Counter(D for _, D, *_ in lines) == dict(spans)
-    expected = [(value, j) for value, length in spans for j in range(length)]
+    assert Counter(D for _, D, *_ in lines) == {value: length for _, value, length in spans}
+    expected = [(value, j) for _, value, length in spans for j in range(length)]
     assert [(D, B) for _, D, B, *_ in lines] == expected
     spec = ComplexSpec(kp, max_degree)
     # the representative of index 2k is the first point of line k

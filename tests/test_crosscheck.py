@@ -12,7 +12,7 @@ def test_failure_names_the_current_and_the_pair(monkeypatch):
     original = crosscheck._walk
     monkeypatch.setattr(
         crosscheck, "_walk",
-        lambda p, q, top: ((n, a0, count + (n == 0)) for n, a0, count in original(p, q, top)),
+        lambda p, q, top: ((k + (n > 0), n, a0, count) for k, n, a0, count in original(p, q, top)),
     )
     with pytest.raises(AssertionError) as info:
         crosscheck.verify_index_identities(2, 3, 12)

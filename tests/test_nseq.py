@@ -1,5 +1,6 @@
 import random
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
@@ -38,8 +39,9 @@ def brute_sequence(p, q, k_max):
 
 
 def brute_runs(p, q, k_max):
-    """(value, length) runs of the sorted brute-force prefix."""
-    return [(value, len(list(run))) for value, run in groupby(brute_sequence(p, q, k_max))]
+    """(first k, value, length) runs of the sorted brute-force prefix."""
+    values = brute_sequence(p, q, k_max)
+    return [(bisect_left(values, value), value, len(list(run))) for value, run in groupby(values)]
 
 
 def test_nk_examples():
@@ -134,10 +136,12 @@ def test_nk_far_out_is_a_floor_sum_search():
 
 def test_runs_examples():
     # 0, 3, 4, 6, 7, 8, 9, 10, 11, 12, 12: the run of 12 is (4, 0) and (0, 3)
-    assert list(runs(3, 4, 10)) == [(v, 1) for v in (0, 3, 4, 6, 7, 8, 9, 10, 11)] + [(12, 2)]
-    assert list(runs(3, 4, 9))[-1] == (12, 1)  # the last run is cut at k_max
-    assert list(runs(1, 1, 5)) == [(0, 1), (1, 2), (2, 3)]
-    assert list(runs(7, 1, 0)) == list(runs(1, 7, 0)) == [(0, 1)]
+    assert list(runs(3, 4, 10)) == [
+        (k, v, 1) for k, v in enumerate((0, 3, 4, 6, 7, 8, 9, 10, 11))
+    ] + [(9, 12, 2)]
+    assert list(runs(3, 4, 9))[-1] == (9, 12, 1)  # the last run is cut at k_max
+    assert list(runs(1, 1, 5)) == [(0, 0, 1), (1, 1, 2), (3, 2, 3)]
+    assert list(runs(7, 1, 0)) == list(runs(1, 7, 0)) == [(0, 0, 1)]
 
 
 def test_runs_equal_the_sorted_brute_force():
@@ -165,16 +169,17 @@ def test_runs_at_a_billion():
     k_max = 10**9
     for p, q in [(2, 3), (3, 4), (5, 7)]:
         spans = list(runs(p, q, k_max))
-        assert sum(length for _, length in spans) == k_max + 1
-        assert spans[-1][0] == nk(p, q, k_max)
-        values = [value for value, _ in spans]
+        assert sum(length for _, _, length in spans) == k_max + 1
+        assert spans[-1][1] == nk(p, q, k_max)
+        values = [value for _, value, _ in spans]
         assert values == sorted(set(values))
         ends, last = [], -1
-        for _, length in spans:
+        for _, _, length in spans:
             last += length
             ends.append(last)
         for i in [0, 1, len(spans) - 2, len(spans) - 1] + rng.sample(range(len(spans)), 12):
-            value = spans[i][0]
+            k, value, _ = spans[i]
+            assert k == lattice_count(p, q, value - 1), (p, q, value)
             assert ends[i] == min(lattice_count(p, q, value), k_max + 1) - 1, (p, q, value)
 
 
@@ -182,8 +187,29 @@ def test_the_walk_stops_at_its_top():
     for p, q in [(1, 1), (2, 3), (3, 4), (5, 3), (7, 10)]:
         for top in (0, 1, p * q - p - q, p * q, 50):
             counts = [lattice_count(p, q, n) - lattice_count(p, q, n - 1) for n in range(top + 1)]
-            expected = [(n, c) for n, c in enumerate(counts) if c]
-            assert [(n, c) for n, _, c in _walk(p, q, top)] == expected
+            expected = [(lattice_count(p, q, n - 1), n, c) for n, c in enumerate(counts) if c]
+            assert [(k, n, c) for k, n, _, c in _walk(p, q, top)] == expected
+
+
+def test_the_walk_and_the_runs_give_each_value_its_first_index():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pairs = st.tuples(st.integers(1, 30), st.integers(1, 30)).filter(lambda pq: gcd(*pq) == 1)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(pq=pairs, data=st.data())
+    def check(pq, data):
+        p, q = pq
+        top = data.draw(st.integers(-1, 3 * p * q + 10), label="top")
+        for k, n, _, _ in _walk(p, q, top):
+            assert k == lattice_count(p, q, n - 1) == lattice_count_rows(p, q, n - 1), (k, n)
+        k_max = data.draw(st.integers(0, 3 * p * q + 10), label="k_max")
+        spans = list(runs(p, q, k_max))
+        assert [k for k, _, _ in spans] == [sum(s[2] for s in spans[:i]) for i in range(len(spans))]
+        k, _, length = spans[-1]
+        assert k + length - 1 == k_max
+
+    check()
 
 
 def test_validation():

@@ -42,7 +42,8 @@ def brute_force_sup(kp, values):
 
 
 def to_runs(values):
-    return [(value, len(list(run))) for value, run in groupby(values)]
+    """(first k, value, length) runs of a sorted list."""
+    return [(values.index(value), value, len(list(run))) for value, run in groupby(values)]
 
 
 def test_action_spectrum_examples():
@@ -128,7 +129,7 @@ def test_weyl_sup_matches_brute_force():
     # on N_k the largest |e_k| has sat at the negative, last end of a run; in
     # this nondecreasing sequence it sits at the first index of the run of 100
     kp, values = KnotParams(2, 3), [0, 100, 100]
-    assert _weyl_sup(kp, [(0, 1), (100, 2)]) == brute_force_sup(kp, values)
+    assert _weyl_sup(kp, [(0, 0, 1), (1, 100, 2)]) == brute_force_sup(kp, values)
     assert brute_force_sup(kp, values) == weyl_error_str(kp, 1, 100)
 
 
