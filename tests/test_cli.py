@@ -17,7 +17,7 @@ from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
 from echtk.exact import render, render_fraction
-from echtk.indices import ech_index
+from echtk.indices import _index_evaluator, ech_index
 from echtk.nseq import NSeq, nk
 from echtk.spectra import action_spectrum, weyl_sup
 from echtk.toric import current_to_path, path_index
@@ -760,6 +760,21 @@ def test_the_complex_commands_read_no_index_evaluator(capsys, monkeypatch):
     )
     assert time.monotonic() - start < 2.0
     assert (code, out) == (0, "degree,generator,index\n0,1,0\n")
+
+
+def test_generators_of_a_huge_pair_grow_the_prefix_sums_only_as_read(capsys):
+    # the walk stops at the cutoff and grades each line by its count, so the
+    # evaluator's prefix sums stay as they were, not grown through p - 1
+    evaluator = _index_evaluator(1000003, 1000033)
+    before = (len(evaluator.sum_p), len(evaluator.sum_q))
+    code, out, _ = run(
+        capsys, "generators", "--p", "1000003", "--q", "1000033", "--max-degree", "10",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out == "degree,generator,index\n0,1,0\n"
+    assert len(evaluator.sum_p) < 100 and len(evaluator.sum_q) < 100
+    assert (len(evaluator.sum_p), len(evaluator.sum_q)) == before
 
 
 def test_toric_svg(tmp_path, capsys):

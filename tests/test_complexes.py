@@ -24,7 +24,7 @@ from echtk.complexes import (
 )
 from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree, knot_filtration
 from echtk.exact import InfRat
-from echtk.indices import ech_index
+from echtk.indices import _index_evaluator, ech_index
 from echtk.nseq import nk, repeat_count
 from gf2_oracle import (
     _complex,
@@ -181,6 +181,21 @@ def test_each_h_current_hits_the_two_points_it_sits_between():
             for i, (b, h, P, Q) in enumerate(h_currents):
                 assert (b, h) == (B, 1)
                 assert points[i + 1] == (B, 0, P + p, Q) and points[i] == (B, 0, P, Q + q)
+
+
+def test_a_small_window_grows_the_index_evaluator_only_as_far_as_its_walk(capsys):
+    # the d^2 check walks the lines of the window under a huge cutoff; the
+    # walk grades each line by its count, so the evaluator's prefix sums do
+    # not grow at all, where one grown to the cutoff would fill 10**15 // 3
+    evaluator = _index_evaluator(3, 4)
+    before = (len(evaluator.sum_p), len(evaluator.sum_q))
+    for cutoff in (10**6, 10**15):
+        argv = ["homology", "--p", "3", "--q", "4", "--max-index", "3", "--max-degree", str(cutoff),
+                "--check-d-squared", "--format", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "index,rank\n0,1\n1,0\n2,1\n3,0\n"
+        assert len(evaluator.sum_q) <= max(before[1], 8)
+        assert (len(evaluator.sum_p), len(evaluator.sum_q)) == before
 
 
 def test_differential_structure():
