@@ -24,9 +24,8 @@ The lines of degree D are the representations counted by
 index-2k class and ``lattice_count(n)`` lines have degree at most n.  The
 knot filtration D + B*d is constant on a line, so a filtered subcomplex
 keeps a prefix of the classes, which :func:`_classes` counts with no walk.
-:func:`echtk.currents.admissible_exponents` is a second enumeration that
-relies on none of this, kept for the crosscheck (its docstring says why);
-the tests build the whole boundary matrix from it.
+:func:`echtk.crosscheck.verify_index_identities` checks the closed-form
+index of every current of this walk against the grade of its line.
 """
 
 from __future__ import annotations

@@ -1,69 +1,56 @@
 """Exhaustive index cross-checks over a degree window.
 
-One fused pass per (p, q) compares, on every admissible current up to the
-cutoff, the closed-form index of :mod:`echtk.indices` with two independent
-routes, the ledger's bilinear expansion and the lattice-path count, and
-checks index parity and the h/b step relations.  The lattice counts are
-the first indices from one pass of :func:`echtk.nseq._walk`, not the evaluator's.
-The object API (path round trips, component recomputation with its
-internal consistency guard) is exercised on a deterministic sample of the
-same window.  The window
-is enumerated once: the sample thins the exponent tuples of the fused
-pass.  Raw integer arithmetic on the exponent tuples keeps the sweep fast
-enough for six-figure generator counts.
+One fused pass per (p, q) walks the lines of :func:`echtk.complexes._lines`
+to the cutoff and compares, on every current, the closed-form index of
+:mod:`echtk.indices` with the ledger's bilinear expansion and with the
+lattice-path count that grades its line: line B of degree D is line k + B,
+so its points sit at g = 2(k + B) and its h-currents at g + 1.  Parity and
+the h/b step relations follow from that grade, so neither is evaluated: for
+a point a of degree D with D + pq <= max_degree, h*a, p^p*a and q^q*a lie on
+the line (D + pq, B) and b*a on the line (D + pq, B + 1) two above, all four
+in the window.  Raw integer arithmetic on the exponent tuples keeps the
+sweep fast enough for six-figure generator counts.
 
-A sampled current costs one ``ReebCurrent``, one ``LatticePath`` and the
-current rebuilt from it, each a validated named tuple, plus the index
-three ways: about 6.5 us per current (T(3,4) at degree 150, 1,760
-sampled currents; medians over eight alternating processes of the best of
-40 passes, 2-vCPU VM, CPython 3.11).
+The object API (path round trips, component recomputation with its internal
+consistency guard) runs on a deterministic sample of the window.  A sampled
+current builds a ``ReebCurrent``, a ``LatticePath`` and the current rebuilt
+from it, each a validated named tuple, and takes the index three ways: about
+6.5 us (T(3,4) at degree 150, 1,760 sampled currents; medians over eight
+alternating processes of the best of 40 passes, 2-vCPU VM, CPython 3.11).
 """
 
 from __future__ import annotations
 
-from .currents import KnotParams, ReebCurrent, admissible_exponents
+from .complexes import _lines
+from .currents import KnotParams, ReebCurrent
 from .indices import _index_evaluator, ech_index, ech_index_from_components
-from .nseq import _walk
 from .toric import current_to_path, path_index, path_to_current
 
 
 def verify_index_identities(p: int, q: int, max_degree: int) -> int:
     """Raise on any violation; return the number of currents checked."""
     kp = KnotParams(p, q)
-    pq = p * q
     evaluator = _index_evaluator(p, q)
     idx, components = evaluator.index, evaluator.components
-    # strict lattice counts T[w] = #{(x,y) >= 0 : px + qy < w}, the walk's
-    # first index of each w (every degree is representable); the sampled
-    # path_index takes the floor sum, so the two lattice routes meet at the index
-    strict = {n: k for k, n, _, _ in _walk(p, q, max_degree)}
 
     def where(B: int, H: int, P: int, Q: int) -> str:
         # built only when a check fails
         return f"(B,H,P,Q)=({B},{H},{P},{Q}), (p,q)=({p},{q})"
 
-    window = list(admissible_exponents(kp, max_degree))
-    for B, H, P, Q in window:
-        w = pq * (B + H) + q * P + p * Q
-        index = idx(B, H, P, Q)
-        # parity: even iff no hyperbolic orbit
-        if (index % 2) != H:
-            raise AssertionError(f"parity failure at {where(B, H, P, Q)}: {index}")
-        # ledger route: zero Chern term plus the bilinear pairing
-        if components(B, H, P, Q) != index:
-            raise AssertionError(f"component mismatch at {where(B, H, P, Q)}")
-        # lattice-path index: 2(points under the path - 1) - H
-        if 2 * (strict[w] + B + H) - H != index:
-            raise AssertionError(f"path index mismatch at {where(B, H, P, Q)}")
-        # step relations on currents without the hyperbolic orbit
-        if H == 0 and w + pq <= max_degree:
-            h_idx = idx(B, 1, P, Q)
-            if h_idx != idx(B, 0, P + p, Q) + 1:
-                raise AssertionError(f"I(h a) = I(p^p a) + 1 fails at {where(B, H, P, Q)}")
-            if h_idx != idx(B, 0, P, Q + q) + 1:
-                raise AssertionError(f"I(h a) = I(q^q a) + 1 fails at {where(B, H, P, Q)}")
-            if idx(B + 1, 0, P, Q) != h_idx + 1:
-                raise AssertionError(f"I(b a) = I(h a) + 1 fails at {where(B, H, P, Q)}")
+    window = []
+    for g, D, B, P0, Q0, m in _lines(kp, max_degree):
+        # the m points at g, then the m - 1 h-currents between them at g + 1
+        for H in range(min(m, 2)):
+            for i in range(m - H):
+                e = B, H, P0 + i * p, Q0 - (i + H) * q
+                index = idx(*e)
+                # ledger route: zero Chern term plus the bilinear pairing
+                if components(*e) != index:
+                    raise AssertionError(f"component mismatch at {where(*e)}")
+                # lattice-path index: 2(points under the path - 1) - H = g + H
+                if g + H != index:
+                    raise AssertionError(f"path index mismatch at {where(*e)}")
+                window.append(e)
 
     for c in _sample_currents(window):
         direct = ech_index(c, kp)
@@ -79,8 +66,9 @@ def verify_index_identities(p: int, q: int, max_degree: int) -> int:
 
 def _sample_currents(window: list[tuple[int, int, int, int]], cap: int = 2000):
     """Deterministic thinning of the window's exponent tuples: everything
-    when small, a fixed stride plus the low corner otherwise."""
+    when small, the low corner plus a fixed stride through the rest
+    otherwise, each tuple once."""
     if len(window) > cap:
         # thin the exponent tuples, so only sampled currents are built
-        window = window[:: len(window) // cap + 1] + window[:64]
+        window = window[:64] + window[64:: len(window) // cap + 1]
     return [ReebCurrent(*exponents) for exponents in window]

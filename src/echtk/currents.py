@@ -8,14 +8,13 @@ formulas in these exponents.
 :class:`ReebCurrent` is a named tuple of the exponents whose constructor
 validates them, so a current unpacks like ``B, H, P, Q = c`` and costs one
 tuple to build; it equals only another current, never a bare tuple.
-:func:`_power` and :func:`_join` make its name, and the names of whole
-lines of the chain complex in :func:`echtk.complexes._line_renderer`.
+:func:`_power` and :func:`_join` make its name, and those of the admissible
+currents, a line at a time, in :func:`echtk.complexes._line_renderer`.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -112,25 +111,6 @@ def _power(orbit: str, mult: int) -> str:
 def _join(b: str, h: str, p: str, q: str) -> str:
     """The canonical name from the four rendered factors."""
     return " ".join([s for s in (b, h, p, q) if s]) or "1"
-
-
-def admissible_exponents(kp: KnotParams, max_degree: int) -> Iterator[tuple[int, int, int, int]]:
-    """Exponents (B, H, P, Q) of every admissible current of degree at most
-    the cutoff, ordered by B + H, then H, P and Q.
-
-    The complex has a second loop, the walk over lines in
-    :mod:`echtk.complexes`, which relies on facts about the index and the
-    lattice.  This one relies on none, so the crosscheck built on it can
-    check that walk, and it is the faster list: the 222 windows of the
-    seed-1 benchmark query mix took 0.017 s here against 0.22-0.27 s by
-    the walk (2-vCPU VM, CPython 3.11)."""
-    p, q, pq = kp.p, kp.q, kp.pq
-    for bh in range(max_degree // pq + 1):
-        rem_bh = max_degree - pq * bh
-        for H in (0, 1) if bh else (0,):
-            for P in range(rem_bh // q + 1):
-                for Q in range((rem_bh - q * P) // p + 1):
-                    yield bh - H, H, P, Q
 
 
 def degree(c: ReebCurrent, kp: KnotParams) -> int:

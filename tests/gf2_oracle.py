@@ -11,8 +11,9 @@ tests: the keep mask compares every current with the cutoff through
 equation, not by the library's walk.
 
 The whole boundary matrix (:func:`differential`) is built here, from
-``admissible_exponents``, which uses none of the facts of the walk, and
-its d^2 is formed here too (:func:`squares_vanish`): each column squared
+:func:`admissible_exponents`, a loop over the exponent box that uses none
+of the facts of the walk and that the other tests compare the walk with.
+Its d^2 is formed here too (:func:`squares_vanish`): each column squared
 as the XOR of the bitsets of the columns it names.  The library forms no
 such sum; it only checks that each h-current's targets are points of its
 line.
@@ -22,9 +23,26 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from echtk.complexes import ComplexSpec, homology, knot_filtered_homology
-from echtk.currents import ReebCurrent, admissible_exponents, knot_filtration
+from echtk.currents import ReebCurrent, knot_filtration
 from echtk.indices import _index_evaluator
 from echtk.nseq import lattice_count
+
+
+def admissible_exponents(kp, max_degree):
+    """Exponents (B, H, P, Q) of every admissible current of degree at most
+    the cutoff, ordered by B + H, then H, P and Q.
+
+    The library lists the currents one way, by the walk over lines in
+    :mod:`echtk.complexes`, which relies on facts about the index and the
+    lattice.  This loop relies on none, so the tests built on it check that
+    walk."""
+    p, q, pq = kp.p, kp.q, kp.pq
+    for bh in range(max_degree // pq + 1):
+        rem_bh = max_degree - pq * bh
+        for H in (0, 1) if bh else (0,):
+            for P in range(rem_bh // q + 1):
+                for Q in range((rem_bh - q * P) // p + 1):
+                    yield bh - H, H, P, Q
 
 
 @dataclass

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from echtk.currents import KnotParams, ReebCurrent, admissible_exponents
+from echtk.currents import KnotParams, ReebCurrent
 from echtk.exact import InfRat, ceil_inf, floor_inf
 from echtk.toric import LatticePath, current_to_path
+from gf2_oracle import admissible_exponents
 
 
 @dataclass(frozen=True)

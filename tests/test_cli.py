@@ -15,12 +15,13 @@ import pytest
 from echtk import __version__, cli, complexes
 from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
-from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
+from echtk.currents import KnotParams, ReebCurrent, degree
 from echtk.exact import render, render_fraction
 from echtk.indices import _index_evaluator, ech_index
 from echtk.nseq import NSeq, nk
 from echtk.spectra import action_spectrum, weyl_sup
 from echtk.toric import current_to_path, path_index
+from gf2_oracle import admissible_exponents
 from golden_tables import (
     GENERATORS_T34_300_CSV_LINES,
     GENERATORS_T34_300_CSV_SHA256,

@@ -22,12 +22,13 @@ from echtk.complexes import (
     linking_threshold,
     required_degree,
 )
-from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree, knot_filtration
+from echtk.currents import KnotParams, ReebCurrent, degree, knot_filtration
 from echtk.exact import InfRat
 from echtk.indices import _index_evaluator, ech_index
 from echtk.nseq import nk, repeat_count
 from gf2_oracle import (
     _complex,
+    admissible_exponents,
     assert_ranks_match_oracle,
     bitset_columns,
     bitset_ranks,

@@ -56,7 +56,6 @@ from echtk.complexes import (  # noqa: E402
 from echtk.currents import (  # noqa: E402
     KnotParams,
     ReebCurrent,
-    admissible_exponents,
     degree,
 )
 from echtk.exact import InfRat  # noqa: E402
@@ -65,6 +64,7 @@ from echtk.nseq import lattice_count, nk, runs  # noqa: E402
 from echtk.toric import current_to_path, path_index  # noqa: E402
 from gf2_oracle import (  # noqa: E402
     _complex,
+    admissible_exponents,
     assert_ranks_match_oracle,
     bitset_columns,
     bitset_ranks,

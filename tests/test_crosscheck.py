@@ -1,17 +1,19 @@
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
-from echtk import crosscheck, indices
-from echtk.currents import KnotParams, ReebCurrent, admissible_exponents, degree
+from echtk import complexes, crosscheck, indices
+from echtk.currents import KnotParams, ReebCurrent, degree
+from gf2_oracle import admissible_exponents
 
 
 def test_failure_names_the_current_and_the_pair(monkeypatch):
-    # one extra representation of n = 0 shifts every strict count past w = 0,
-    # so the first current of positive degree, q, is the first to fail
-    original = crosscheck._walk
+    # one extra representation of n = 0 shifts the grade of every line past
+    # D = 0, so the first current of positive degree, q, is the first to fail
+    original = complexes._walk
     monkeypatch.setattr(
-        crosscheck, "_walk",
+        complexes, "_walk",
         lambda p, q, top: ((k + (n > 0), n, a0, count) for k, n, a0, count in original(p, q, top)),
     )
     with pytest.raises(AssertionError) as info:
@@ -19,29 +21,57 @@ def test_failure_names_the_current_and_the_pair(monkeypatch):
     assert str(info.value) == "path index mismatch at (B,H,P,Q)=(0,0,0,1), (p,q)=(2,3)"
 
 
-# Each fault shifts the closed form at one current of T(2,3); the fused pass
-# reaches the check that names it at the empty current, before any other.
+def _evaluator_off_at(at, shift, routes):
+    """An index evaluator factory whose named routes are off by ``shift`` at
+    the exponents ``at`` and right everywhere else."""
+    original = crosscheck._index_evaluator
+
+    def faulty(p, q):
+        ev = original(p, q)
+
+        def route(name):
+            right = getattr(ev, name)
+            return (lambda *e: right(*e) + shift * (e == at)) if name in routes else right
+
+        return SimpleNamespace(index=route("index"), components=route("components"))
+
+    return faulty
+
+
+# Each fault shifts the closed form alone at one current of T(2,3); the
+# comparison with the ledger route names that current.
 FUSED_FAULTS = [
-    ((0, 0, 0, 0), 1, "parity failure at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3): 1"),
+    ((0, 0, 0, 0), 1, "component mismatch at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
     ((0, 0, 0, 0), 2, "component mismatch at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
-    ((0, 1, 0, 0), 2, "I(h a) = I(p^p a) + 1 fails at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
-    ((0, 0, 0, 3), 2, "I(h a) = I(q^q a) + 1 fails at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
-    ((1, 0, 0, 0), 2, "I(b a) = I(h a) + 1 fails at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
+    ((0, 1, 0, 0), 2, "component mismatch at (B,H,P,Q)=(0,1,0,0), (p,q)=(2,3)"),
+    ((0, 0, 0, 3), 2, "component mismatch at (B,H,P,Q)=(0,0,0,3), (p,q)=(2,3)"),
+    ((1, 0, 0, 0), 2, "component mismatch at (B,H,P,Q)=(1,0,0,0), (p,q)=(2,3)"),
 ]
 
 
 @pytest.mark.parametrize("at,shift,message", FUSED_FAULTS)
 def test_each_fused_check_names_its_failure(monkeypatch, at, shift, message):
-    original = crosscheck._index_evaluator
+    monkeypatch.setattr(crosscheck, "_index_evaluator", _evaluator_off_at(at, shift, ["index"]))
+    with pytest.raises(AssertionError) as info:
+        crosscheck.verify_index_identities(2, 3, 12)
+    assert str(info.value) == message
 
-    def faulty(p, q):
-        ev = original(p, q)
-        index = ev.index
-        return SimpleNamespace(
-            index=lambda *e: index(*e) + shift * (e == at), grow=ev.grow, sum_p=ev.sum_p,
-            sum_q=ev.sum_q, components=ev.components,
-        )
 
+# A shift of both routes at one current, as a fault in the Conley-Zehnder sums
+# they share would make, breaks the grade there.  The odd shift of the empty
+# current is the old parity fault; the others break the step relations from
+# the empty current, I(h) = I(p^2) + 1 = I(q^3) + 1 = I(b) - 1.
+SHARED_FAULTS = [
+    ((0, 0, 0, 0), 1, "path index mismatch at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
+    ((0, 1, 0, 0), 2, "path index mismatch at (B,H,P,Q)=(0,1,0,0), (p,q)=(2,3)"),
+    ((0, 0, 0, 3), 2, "path index mismatch at (B,H,P,Q)=(0,0,0,3), (p,q)=(2,3)"),
+    ((1, 0, 0, 0), 2, "path index mismatch at (B,H,P,Q)=(1,0,0,0), (p,q)=(2,3)"),
+]
+
+
+@pytest.mark.parametrize("at,shift,message", SHARED_FAULTS)
+def test_a_shift_of_both_routes_is_named_by_the_grade(monkeypatch, at, shift, message):
+    faulty = _evaluator_off_at(at, shift, ["index", "components"])
     monkeypatch.setattr(crosscheck, "_index_evaluator", faulty)
     with pytest.raises(AssertionError) as info:
         crosscheck.verify_index_identities(2, 3, 12)
@@ -111,12 +141,37 @@ def test_returns_the_admissible_count(p, q, max_degree):
     assert crosscheck.verify_index_identities(p, q, max_degree) == len(box)
 
 
+def test_the_count_is_the_independent_enumeration():
+    # the crosscheck counts the currents of the line walk; the oracle's loop
+    # over the exponent box lists them with none of the walk's facts
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # coprime p, q <= 15, p = 1 and q = 1 among them, and a cutoff from 0 to 3pq + 20
+    windows = (
+        st.tuples(st.integers(1, 15), st.integers(1, 15))
+        .filter(lambda pq: gcd(*pq) == 1)
+        .flatmap(lambda pq: st.tuples(st.just(pq), st.integers(0, 3 * pq[0] * pq[1] + 20)))
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(case=windows)
+    @hypothesis.example(case=((1, 1), 23))
+    @hypothesis.example(case=((1, 7), 41))
+    @hypothesis.example(case=((15, 1), 65))
+    def check(case):
+        (p, q), max_degree = case
+        expected = len(list(admissible_exponents(KnotParams(p, q), max_degree)))
+        assert crosscheck.verify_index_identities(p, q, max_degree) == expected
+
+    check()
+
+
 def test_sample_keeps_small_windows_and_thins_large_ones():
     window = list(admissible_exponents(KnotParams(2, 3), 200))
     assert len(window) > 2000
     sample = crosscheck._sample_currents(window)
     stride = len(window) // 2000 + 1
-    assert sample == [ReebCurrent(*e) for e in window[::stride] + window[:64]]
-    assert len(sample) <= 2000 + 64
+    assert sample == [ReebCurrent(*e) for e in window[:64] + window[64::stride]]
+    assert len(set(sample)) == len(sample) <= 2000 + 64
     small = window[:2000]
     assert crosscheck._sample_currents(small) == [ReebCurrent(*e) for e in small]

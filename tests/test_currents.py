@@ -8,13 +8,13 @@ from echtk.currents import (
     KnotParams,
     ReebCurrent,
     action,
-    admissible_exponents,
     degree,
     knot_filtration,
     linking,
 )
 from echtk.exact import InfRat
 from echtk.nseq import NSeq, nk, runs
+from gf2_oracle import admissible_exponents
 
 
 KP = KnotParams(3, 4)
