@@ -52,6 +52,8 @@ def lattice_count(p: int, q: int, bound: int) -> int:
 
     Row a of the n = bound // p + 1 rows holds (bound - a*p) // q + 1; with
     i = n - 1 - a that is 1 + (p*i + bound mod p) // q, summed by a floor sum."""
+    if p < 1 or q < 1:
+        raise ValueError(f"p and q must be positive, got ({p}, {q})")
     if bound < 0:
         return 0
     n = bound // p + 1

@@ -143,14 +143,15 @@ def vertices(path: LatticePath) -> list[tuple[int, int]]:
 # 720 MB (2-vCPU VM, CPython 3.11).
 _MAX_SVG_DOTS = 4_000_000
 _DOT_BYTES = 180
+_SVG_SIZE = 480
 
 
-def svg(path: LatticePath, size: int = 480) -> str:
-    """A small static figure, ``size`` pixels square: lattice dots, the
+def svg(path: LatticePath) -> str:
+    """A small static figure, ``_SVG_SIZE`` pixels square: lattice dots, the
     path, and the dashed line of slope -p/q through the middle segment.
 
     Its user units are integers.  The picture spans span + 3 lattice steps
-    of size*pq units each, so a pixel is pq*(span + 3) units and the line's
+    of _SVG_SIZE*pq units each, so a pixel is pq*(span + 3) units and the line's
     ends (0, W/q) and (W/p, 0) fall on whole units.  A dot grid of more than
     ``_MAX_SVG_DOTS`` dots is refused, counted from the vertices before any
     dot is drawn."""
@@ -162,7 +163,7 @@ def svg(path: LatticePath, size: int = 480) -> str:
     _check_budget("the figure's dot grid", (x_max + 1) * (y_max + 1), "dots", _MAX_SVG_DOTS,
                   _DOT_BYTES, "drawn")
     span = max(x_max, y_max)
-    step, px = size * kp.pq, kp.pq * (span + 3)  # units per lattice step, per pixel
+    step, px = _SVG_SIZE * kp.pq, kp.pq * (span + 3)  # units per lattice step, per pixel
     view = step * (span + 3)
 
     def sx(x: int) -> int:
@@ -172,8 +173,8 @@ def svg(path: LatticePath, size: int = 480) -> str:
         return step * (span + 2 - y)
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {view} {view}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
+        f'height="{_SVG_SIZE}" viewBox="0 0 {view} {view}">'
     ]
     for x in range(x_max + 1):
         for y in range(y_max + 1):
@@ -182,8 +183,8 @@ def svg(path: LatticePath, size: int = 480) -> str:
     if w > 0:
         # W/q steps up the y-axis and W/p steps along the x-axis
         lines.append(
-            f'<line x1="{sx(0)}" y1="{sy(0) - size * kp.p * w}" x2="{sx(0) + size * kp.q * w}" '
-            f'y2="{sy(0)}" stroke="#7bc" stroke-width="{px}" '
+            f'<line x1="{sx(0)}" y1="{sy(0) - _SVG_SIZE * kp.p * w}" '
+            f'x2="{sx(0) + _SVG_SIZE * kp.q * w}" y2="{sy(0)}" stroke="#7bc" stroke-width="{px}" '
             f'stroke-dasharray="{6 * px},{4 * px}"/>'
         )
     pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in verts)

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd
 from types import SimpleNamespace
 
@@ -166,12 +167,48 @@ def test_the_count_is_the_independent_enumeration():
     check()
 
 
-def test_sample_keeps_small_windows_and_thins_large_ones():
-    window = list(admissible_exponents(KnotParams(2, 3), 200))
-    assert len(window) > 2000
-    sample = crosscheck._sample_currents(window)
-    stride = len(window) // 2000 + 1
-    assert sample == [ReebCurrent(*e) for e in window[:64] + window[64::stride]]
-    assert len(set(sample)) == len(sample) <= 2000 + 64
-    small = window[:2000]
-    assert crosscheck._sample_currents(small) == [ReebCurrent(*e) for e in small]
+def _sampled(monkeypatch, p, q, max_degree):
+    """The currents the crosscheck puts through the object API, in order."""
+    seen = []
+    original = crosscheck.current_to_path
+
+    def recording(c, kp):
+        seen.append(tuple(c))
+        return original(c, kp)
+
+    monkeypatch.setattr(crosscheck, "current_to_path", recording)
+    crosscheck.verify_index_identities(p, q, max_degree)
+    return seen
+
+
+def _walk_order(p, q, max_degree):
+    """Every current of the window in the crosscheck's order: each line's
+    points, then its h-currents, in the order of i."""
+    return [
+        (B, H, P0 + i * p, Q0 - (i + H) * q)
+        for _, _, B, P0, Q0, m in complexes._lines(KnotParams(p, q), max_degree)
+        for H in range(min(m, 2))
+        for i in range(m - H)
+    ]
+
+
+def test_sample_keeps_small_windows_and_thins_large_ones(monkeypatch):
+    window = _walk_order(2, 3, 200)
+    assert len(window) == 77486
+    assert sorted(window) == sorted(admissible_exponents(KnotParams(2, 3), 200))
+    assert _sampled(monkeypatch, 2, 3, 200) == window[:2000] + window[2000::64]
+    small = _walk_order(2, 3, 30)
+    assert _sampled(monkeypatch, 2, 3, 30) == small
+
+
+def test_the_crosscheck_holds_no_window():
+    # a list of this window's 45,526 currents takes 3.7 MB; T(1,1) at degree
+    # 120 (597,861 currents, 48 MB as a list) traces 30 times slower than 0.7 s
+    tracemalloc.start()
+    try:
+        checked = crosscheck.verify_index_identities(1, 1, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == 45526
+    assert peak < 1 << 20

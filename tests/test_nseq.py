@@ -227,6 +227,14 @@ def test_validation():
             runs(*args)
 
 
+def test_lattice_count_refuses_nonpositive_p_and_q():
+    for p, q in [(-2, 3), (0, 3), (3, 0), (2, -1)]:
+        with pytest.raises(ValueError, match=re.escape(f"p and q must be positive, got ({p}, {q})")):
+            lattice_count(p, q, 10)
+    # coprimality is not needed to count lattice points
+    assert lattice_count(2, 4, 10) == lattice_count_rows(2, 4, 10) == 12
+
+
 def test_closed_form_examples():
     assert nk_closed_form(3, 4, 1) == (10, 12, 2)
     assert nk_closed_form(3, 4, 0) == (0, 0, 1)
