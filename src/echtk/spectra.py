@@ -7,7 +7,7 @@ and tolerance claims never depend on floating-point rounding.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -46,21 +46,6 @@ def _fixed_strs(values: Sequence[int], scale_digits: int, digits: int) -> list[s
     return [(neg if x < 0 else pos)(divmod((abs(x) + half) // drop, unit)) for x in values]
 
 
-def _weyl_fixed(kp: KnotParams) -> Callable[[int, Iterable[int]], list[int]]:
-    """``errors(value, ks)``: the fixed-point Weyl error at each k of ``ks``,
-    all with N_k = value, that is (N_k - sqrt(2*k*p*q)) / (p*q) floored to
-    _WEYL_SCALE decimals, ready for
-    ``_fixed_strs(errors, _WEYL_SCALE, _WEYL_DIGITS)``."""
-    pq = kp.pq
-    square = 2 * pq * _WEYL_ONE * _WEYL_ONE  # isqrt(square * k) is sqrt(2*k*pq) in fixed point
-
-    def errors(value: int, ks: Iterable[int]) -> list[int]:
-        top = value * _WEYL_ONE
-        return [(top - isqrt(square * k)) // pq for k in ks]
-
-    return errors
-
-
 class SpectrumEntry(NamedTuple):
     """Index k of the action spectrum, held as plain integers: ``value`` is
     N_k and ``repeats`` the number of j <= k with N_j = N_k.  ``ck`` is one
@@ -80,10 +65,34 @@ class SpectrumEntry(NamedTuple):
 
 def _error_runs(kp: KnotParams, k_max: int) -> Iterator[tuple[int, int, list[str]]]:
     """``(k, N_k, errors)`` for each run of equal N_k in k = 0..k_max: the
-    first index of the run, its value, and e_k rendered at each of its indices."""
-    errors = _weyl_fixed(kp)
+    first index of the run, its value, and e_k rendered at each of its indices.
+    Each text is what ``_fixed_strs`` makes of the floored fixed-point error
+    (T - r) // pq, T = N_k and r = sqrt(2*k*pq) at _WEYL_SCALE decimals: that
+    floor and the half-up rounding fold into one division by pq * 10**_GUARD."""
+    pq = kp.pq
+    square = 2 * pq * _WEYL_ONE * _WEYL_ONE  # isqrt(square * k) is sqrt(2*k*pq) in fixed point
+    unit, one = pq * 10**_GUARD, 10**_WEYL_DIGITS
     for k, value, length in runs(kp.p, kp.q, k_max):
-        yield k, value, _fixed_strs(errors(value, range(k, k + length)), _WEYL_SCALE, _WEYL_DIGITS)
+        top = value * _WEYL_ONE
+        up, down = top + unit // 2, unit // 2 + pq - 1 - top
+        texts: list[str] = []
+        append = texts.append
+        for r in map(isqrt, range(square * k, square * (k + length), square)):
+            if r <= top:
+                y = (up - r) // unit
+                if y < one:  # str() of one + y keeps the leading zeros of the decimals
+                    append("0." + str(y + one)[1:])
+                else:
+                    s = str(y)
+                    append(s[:-_WEYL_DIGITS] + "." + s[-_WEYL_DIGITS:])
+            else:
+                y = (r + down) // unit
+                if y < one:
+                    append("-0." + str(y + one)[1:])
+                else:
+                    s = str(y)
+                    append("-" + s[:-_WEYL_DIGITS] + "." + s[-_WEYL_DIGITS:])
+        yield k, value, texts
 
 
 def action_spectrum(kp: KnotParams, k_max: int) -> list[SpectrumEntry]:
@@ -112,10 +121,11 @@ def _weyl_sup(kp: KnotParams, spans: Iterable[tuple[int, int, int]]) -> str:
     and the root grows with k, so the floored error does not increase, and
     its largest absolute value sits at one of the ends.
     """
-    errors = _weyl_fixed(kp)
+    pq = kp.pq
+    square = 2 * pq * _WEYL_ONE * _WEYL_ONE
     top = 0
     for k, value, length in spans:
-        head, tail = errors(value, (k, k + length - 1))
+        head, tail = ((value * _WEYL_ONE - isqrt(square * j)) // pq for j in (k, k + length - 1))
         top = max(top, head, -tail)  # head >= tail, so |e| peaks at head or -tail
     return _fixed_strs([top], _WEYL_SCALE, _WEYL_DIGITS)[0]
 

@@ -96,12 +96,19 @@ GENERATORS_T34_300_CSV_LINES = 65102
 
 # `nseq --p 3 --q 4 --k-max 100000 --format csv` and
 # `spectrum --p 3 --q 4 --k-max 20000 --format csv`: sha256 of the output and
-# its number of lines, recorded while the scans handed _emit cell tuples
+# its number of lines, recorded while the scans handed _emit cell tuples; the
+# two T(1,1) scans were recorded while each Weyl error still went through two
+# floor divisions and a divmod rendering
 SCAN_CSV_SHA256 = {
     "nseq --p 3 --q 4 --k-max 100000":
         ("c0b86ea3c017455b57d6dab0273b1d5ad86f23a9f900c16ad99feb7724c2ac66", 100002),
     "spectrum --p 3 --q 4 --k-max 20000":
         ("21d47fffa8c457c78ac6c7abf7b5dab664171b128fb23f2c3809750d598e978b", 20002),
+    # T(1,1): 9,901 rows with |e_k| >= 1, and -1.000000000000 at k = 2
+    "spectrum --p 1 --q 1 --k-max 20000":
+        ("ea1df0f4994aeb1e9436d0997fe17e67644fbab0206a6e98e91cb12b2c75e461", 20002),
+    "weyl --p 1 --q 1 --k-max 20000 --plot-data":
+        ("e83fcce1f32125746208a5208caee70b225c2308646bb73439c2afa7bd8485d1", 20002),
 }
 
 # `homology ... --check-d-squared`: sha256 of the output for each of these

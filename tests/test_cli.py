@@ -16,7 +16,7 @@ from echtk import __version__, cli, complexes
 from echtk.cli import main
 from echtk.complexes import ComplexSpec, enumerate_currents
 from echtk.currents import KnotParams, ReebCurrent, degree
-from echtk.exact import render, render_fraction
+from echtk.exact import InfRat, render, render_fraction
 from echtk.indices import _index_evaluator, ech_index
 from echtk.nseq import NSeq, nk
 from echtk.spectra import action_spectrum, weyl_sup
@@ -29,6 +29,7 @@ from golden_tables import (
     SCAN_CSV_SHA256,
 )
 from nseq_oracle import nk_prefix
+from weyl_oracle import weyl_error_str
 
 
 def run(capsys, *argv):
@@ -121,22 +122,23 @@ def test_generators_match_a_per_current_rendering(capsys, p, q, max_degree, fmt)
 
 def scan_reference(command, p, q, k_max):
     """Header, rows and meta of a scan, built one k at a time from the
-    brute-force NSeq and from action_spectrum."""
+    brute-force NSeq and the Weyl oracle; action_spectrum must agree."""
+    kp = KnotParams(p, q)
     values = NSeq(p, q).prefix(k_max)
     repeats = [values[:k + 1].count(v) for k, v in enumerate(values)]
+    errors = [weyl_error_str(kp, k, v) for k, v in enumerate(values)]
     meta = {"p": p, "q": q, "deltaMode": "limit", "toolVersion": __version__, "kMax": k_max}
     if command == "nseq":
         rows = [[str(k), str(v), str(r)] for k, (v, r) in enumerate(zip(values, repeats))]
         return ["k", "N_k", "repeats"], rows, meta
-    entries = action_spectrum(KnotParams(p, q), k_max)
-    assert [e[:3] for e in entries] == [(k, *vr) for k, vr in enumerate(zip(values, repeats))]
+    assert [e[:4] for e in action_spectrum(kp, k_max)] == [
+        (k, *vre) for k, vre in enumerate(zip(values, repeats, errors))]
     if command == "spectrum":
-        rows = [[str(e.k), render_fraction(e.ck), render(e.ck_link), e.weyl_error]
-                for e in entries]
+        rows = [[str(k), render_fraction(Fraction(v, kp.pq)), render(InfRat(v, r - 1)), e]
+                for k, (v, r, e) in enumerate(zip(values, repeats, errors))]
         return ["k", "c_k", "c_k_link", "e_k"], rows, meta
-    errors = [e.weyl_error for e in entries]
     meta["supAbsError"] = max((e.lstrip("-") for e in errors), key=Decimal)
-    return ["k", "e_k"], [[str(e.k), e.weyl_error] for e in entries], meta
+    return ["k", "e_k"], [[str(k), e] for k, e in enumerate(errors)], meta
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

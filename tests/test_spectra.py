@@ -17,7 +17,6 @@ from echtk.spectra import (
     CobordismResult,
     _error_runs,
     _fixed_strs,
-    _weyl_fixed,
     _weyl_sup,
     action_linking_bound,
     action_spectrum,
@@ -28,17 +27,16 @@ from echtk.spectra import (
     weyl_sup,
 )
 from nseq_oracle import nk_prefix
-from weyl_oracle import weyl_error_str, weyl_error_within
+from weyl_oracle import divmod_fixed, weyl_error_str, weyl_error_within, weyl_fixed
 
 KP = KnotParams(3, 4)
 COPRIME_UP_TO_8 = [(p, q) for q in range(2, 9) for p in range(1, q) if gcd(p, q) == 1]
 
 
 def brute_force_sup(kp, values):
-    """sup |e_k| from the fixed-point error at every index."""
-    errors = _weyl_fixed(kp)
-    top = max(abs(e) for k, value in enumerate(values) for e in errors(value, [k]))
-    return _fixed_strs([top], 18, 12)[0]
+    """sup |e_k| from the oracle's fixed-point error at every index."""
+    top = max(abs(weyl_fixed(kp, k, value)) for k, value in enumerate(values))
+    return divmod_fixed(top, 18, 12)
 
 
 def to_runs(values):
@@ -158,6 +156,63 @@ def test_weyl_sup_property_over_random_pairs():
 
     on_nk()
     on_sorted_lists()
+
+
+def error_run(kp, k, value, length):
+    """The texts _error_runs gives for the run (k, value, length), fed to it
+    in place of the N_k runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "runs", lambda p, q, k_max: iter([(k, value, length)]))
+        [(first, got_value, texts)] = _error_runs(kp, 0)
+    assert (first, got_value) == (k, value)
+    return texts
+
+
+def test_error_runs_match_the_oracle_far_out():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pairs = st.integers(1, 40).flatmap(lambda q: st.tuples(st.integers(1, q), st.just(q)))
+
+    # N is shift/100 of pq from sqrt(2pq*k): both signs and |e_k| up to 3
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(pq=pairs, k=st.integers(0, 10**9), length=st.integers(1, 40),
+                      shift=st.integers(-300, 300))
+    @hypothesis.example(pq=(1, 1), k=2, length=3, shift=-100)  # e_2 = -1 exactly
+    @hypothesis.example(pq=(1, 1), k=10**9, length=40, shift=250)
+    def far_runs(pq, k, length, shift):
+        p, q = pq
+        hypothesis.assume(gcd(p, q) == 1)
+        kp = KnotParams(p, q)
+        value = max(0, math.isqrt(2 * kp.pq * k) + shift * kp.pq // 100)
+        texts = error_run(kp, k, value, length)
+        assert texts == [weyl_error_str(kp, j, value) for j in range(k, k + length)]
+
+    # a floored error x = (T - r) // pq next to a rounding edge,
+    # |x| = m*10^6 + 5*10^5 + edge, with T - r = x*pq + rest, rest < pq: for
+    # N above 10^21, r = isqrt(square * k) takes every integer value as k
+    # grows, so the least k with r^2 <= square * k gives that r
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(pq=pairs, m=st.integers(0, 4 * 10**12), edge=st.integers(-2, 1),
+                      sign=st.sampled_from([1, -1]), rest=st.integers(0, 39),
+                      value=st.integers(10**21, 10**22))
+    def at_rounding_edges(pq, m, edge, sign, rest, value):
+        p, q = pq
+        hypothesis.assume(gcd(p, q) == 1)
+        kp = KnotParams(p, q)
+        x = sign * (m * 10**6 + 5 * 10**5 + edge)
+        r = value * 10**18 - x * kp.pq - rest % kp.pq
+        square = 2 * kp.pq * 10**36
+        k = -(-r * r // square)
+        assert math.isqrt(square * k) == r
+        assert error_run(kp, k, value, 1) == [weyl_error_str(kp, k, value)]
+
+    far_runs()
+    at_rounding_edges()
+    # on N_k itself, (1,1) has rows with |e_k| >= 1
+    for p, q, k_max in [(1, 1, 500), (2, 3, 300), (37, 40, 2000)]:
+        kp, values = KnotParams(p, q), nk_prefix(p, q, k_max)
+        texts = [e for _, _, errors in _error_runs(kp, k_max) for e in errors]
+        assert texts == [weyl_error_str(kp, k, v) for k, v in enumerate(values)], (p, q)
 
 
 def cli_out(capsys, fmt, *argv):
@@ -336,13 +391,6 @@ def test_cobordism_not_applicable_and_validation():
     for frm, to in [((2, 3), (3, 4)), ((3, 4), (2, 3))]:
         with pytest.raises(ValueError, match="k_max must be nonnegative"):
             cobordism_obstruction(frm, to, -1)
-
-
-def divmod_fixed(scaled, scale_digits, digits):
-    """The fixed-point rendering as a divmod of the rounded magnitude."""
-    drop = 10 ** (scale_digits - digits)
-    whole, frac = divmod((abs(scaled) + drop // 2) // drop, 10**digits)
-    return "%s%d.%0*d" % ("-" if scaled < 0 else "", whole, digits, frac)
 
 
 def test_fixed_strs_matches_the_divmod_rendering():
