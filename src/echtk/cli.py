@@ -242,8 +242,6 @@ def _cmd_bounds(args, kp: KnotParams) -> Rows:
     else:
         if args.d is None or args.calabi is None:
             raise UsageError("calabi needs --d and --calabi")
-        if kp.p < 2 or kp.q < 2:
-            raise UsageError("the mean-action bound needs p, q >= 2")
         result = calabi_mean_action_bound(kp, _parse_fraction(args.d), _parse_fraction(args.calabi))
         flag, fields = "--calabi", {"d": args.d, "calabi": args.calabi}
     squared = result.bound_squared

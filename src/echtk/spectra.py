@@ -225,6 +225,8 @@ def calabi_mean_action_bound(kp: KnotParams, d: Fraction, calabi: Fraction) -> B
     """Mean action bound sqrt(V(psi)/pq) for twist parameter d in
     (-1/pq, 0], available when V(psi) < pq*theta_0^2 with
     theta_0 = 1/pq + d."""
+    if kp.p < 2 or kp.q < 2:
+        raise ValueError("the mean-action bound needs p, q >= 2")
     d = Fraction(d)
     calabi = Fraction(calabi)
     if not (-Fraction(1, kp.pq) < d <= 0):

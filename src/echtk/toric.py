@@ -13,9 +13,8 @@ than stored.
 A :class:`LatticePath` is a named tuple (kp, anchor, m, label) whose
 constructor validates it.  :func:`current_to_path`, :func:`path_to_current`
 and :func:`path_index` unpack their argument once and build one tuple or
-take one floor sum: the three together, the per-current round trip of
-:mod:`echtk.crosscheck`, take about 3.5 us (timeit on T(3,4), 2-vCPU VM,
-CPython 3.11).
+take one floor sum: the three together, which :mod:`echtk.crosscheck` runs
+on every current, take about 3-5 us (timeit on T(3,4), 2-vCPU VM, CPython 3.11).
 """
 
 from __future__ import annotations

@@ -605,6 +605,28 @@ def test_obstruct_negative_k_max_is_a_usage_error(capsys, frm, to):
     assert err == "error: --k-max must be nonnegative\n"
 
 
+REFUSALS = [
+    (["generators", "--p", "3", "--q", "4", "--max-degree", "-1"],
+     "--max-degree must be nonnegative"),
+    (["obstruct", "--from", "2", "--to", "3,4", "--k-max", "5"], "expected P,Q pair, got '2'"),
+    (["obstruct", "--from", "a,b", "--to", "3,4", "--k-max", "5"], "bad pair 'a,b'"),
+    (["bounds", "action-linking", "--p", "3", "--q", "4", "--Delta", "1"],
+     "action-linking needs --Delta and --V"),
+    (["bounds", "calabi", "--p", "3", "--q", "4", "--d", "0"], "calabi needs --d and --calabi"),
+    (["bounds", "calabi", "--p", "1", "--q", "3", "--d", "0", "--calabi", "1/100"],
+     "the mean-action bound needs p, q >= 2"),
+    (["bounds", "calabi", "--p", "2", "--q", "1", "--d", "0", "--calabi", "1/100"],
+     "the mean-action bound needs p, q >= 2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_a_bad_flag_is_refused_in_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

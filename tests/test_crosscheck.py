@@ -19,13 +19,13 @@ def test_failure_names_the_current_and_the_pair(monkeypatch):
     )
     with pytest.raises(AssertionError) as info:
         crosscheck.verify_index_identities(2, 3, 12)
-    assert str(info.value) == "path index mismatch at (B,H,P,Q)=(0,0,0,1), (p,q)=(2,3)"
+    assert str(info.value) == "grade mismatch at q, (p,q)=(2,3)"
 
 
 def _evaluator_off_at(at, shift, routes):
     """An index evaluator factory whose named routes are off by ``shift`` at
     the exponents ``at`` and right everywhere else."""
-    original = crosscheck._index_evaluator
+    original = indices._index_evaluator
 
     def faulty(p, q):
         ev = original(p, q)
@@ -39,21 +39,34 @@ def _evaluator_off_at(at, shift, routes):
     return faulty
 
 
-# Each fault shifts the closed form alone at one current of T(2,3); the
-# comparison with the ledger route names that current.
-FUSED_FAULTS = [
-    ((0, 0, 0, 0), 1, "component mismatch at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
-    ((0, 0, 0, 0), 2, "component mismatch at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
-    ((0, 1, 0, 0), 2, "component mismatch at (B,H,P,Q)=(0,1,0,0), (p,q)=(2,3)"),
-    ((0, 0, 0, 3), 2, "component mismatch at (B,H,P,Q)=(0,0,0,3), (p,q)=(2,3)"),
-    ((1, 0, 0, 0), 2, "component mismatch at (B,H,P,Q)=(1,0,0,0), (p,q)=(2,3)"),
+def _fault_ids(faults):
+    """Ids like h+2: the current a fault is at and its shift."""
+    return [f"{ReebCurrent(*at).name()}+{shift}" for at, shift, _ in faults]
+
+
+# Each fault shifts the closed form alone at one current of T(2,3);
+# ech_index_from_components compares it with the ledger route and names that
+# current.
+CLOSED_FORM_FAULTS = [
+    ((0, 0, 0, 0), 1,
+     "index inconsistency for 1 at (p,q)=(2,3): components give 0, closed form gives 1"),
+    ((0, 0, 0, 0), 2,
+     "index inconsistency for 1 at (p,q)=(2,3): components give 0, closed form gives 2"),
+    ((0, 1, 0, 0), 2,
+     "index inconsistency for h at (p,q)=(2,3): components give 11, closed form gives 13"),
+    ((0, 0, 0, 3), 2,
+     "index inconsistency for q^3 at (p,q)=(2,3): components give 10, closed form gives 12"),
+    ((1, 0, 0, 0), 2,
+     "index inconsistency for b at (p,q)=(2,3): components give 12, closed form gives 14"),
 ]
 
 
-@pytest.mark.parametrize("at,shift,message", FUSED_FAULTS)
-def test_each_fused_check_names_its_failure(monkeypatch, at, shift, message):
-    monkeypatch.setattr(crosscheck, "_index_evaluator", _evaluator_off_at(at, shift, ["index"]))
-    with pytest.raises(AssertionError) as info:
+@pytest.mark.parametrize("at,shift,message", CLOSED_FORM_FAULTS, ids=_fault_ids(CLOSED_FORM_FAULTS))
+def test_a_shift_of_the_closed_form_alone_is_named_by_the_ledger_route(
+    monkeypatch, at, shift, message
+):
+    monkeypatch.setattr(indices, "_index_evaluator", _evaluator_off_at(at, shift, ["index"]))
+    with pytest.raises(RuntimeError) as info:
         crosscheck.verify_index_identities(2, 3, 12)
     assert str(info.value) == message
 
@@ -63,17 +76,17 @@ def test_each_fused_check_names_its_failure(monkeypatch, at, shift, message):
 # current is the old parity fault; the others break the step relations from
 # the empty current, I(h) = I(p^2) + 1 = I(q^3) + 1 = I(b) - 1.
 SHARED_FAULTS = [
-    ((0, 0, 0, 0), 1, "path index mismatch at (B,H,P,Q)=(0,0,0,0), (p,q)=(2,3)"),
-    ((0, 1, 0, 0), 2, "path index mismatch at (B,H,P,Q)=(0,1,0,0), (p,q)=(2,3)"),
-    ((0, 0, 0, 3), 2, "path index mismatch at (B,H,P,Q)=(0,0,0,3), (p,q)=(2,3)"),
-    ((1, 0, 0, 0), 2, "path index mismatch at (B,H,P,Q)=(1,0,0,0), (p,q)=(2,3)"),
+    ((0, 0, 0, 0), 1, "grade mismatch at 1, (p,q)=(2,3)"),
+    ((0, 1, 0, 0), 2, "grade mismatch at h, (p,q)=(2,3)"),
+    ((0, 0, 0, 3), 2, "grade mismatch at q^3, (p,q)=(2,3)"),
+    ((1, 0, 0, 0), 2, "grade mismatch at b, (p,q)=(2,3)"),
 ]
 
 
-@pytest.mark.parametrize("at,shift,message", SHARED_FAULTS)
+@pytest.mark.parametrize("at,shift,message", SHARED_FAULTS, ids=_fault_ids(SHARED_FAULTS))
 def test_a_shift_of_both_routes_is_named_by_the_grade(monkeypatch, at, shift, message):
     faulty = _evaluator_off_at(at, shift, ["index", "components"])
-    monkeypatch.setattr(crosscheck, "_index_evaluator", faulty)
+    monkeypatch.setattr(indices, "_index_evaluator", faulty)
     with pytest.raises(AssertionError) as info:
         crosscheck.verify_index_identities(2, 3, 12)
     assert str(info.value) == message
@@ -81,17 +94,19 @@ def test_a_shift_of_both_routes_is_named_by_the_grade(monkeypatch, at, shift, me
 
 def test_the_fused_pass_reads_the_ledger(monkeypatch):
     # one wrong ledger pairing, Q(Z_p, Z_q), shows at the first current with
-    # both P and Q, in the fused pass rather than the sample pass
+    # both P and Q, in the one pass that runs every check
     led = indices.InvariantLedger.for_params(KnotParams(2, 3))
     led.qpair[("Z_p", "Z_q", "orbibundle")] = 2
     monkeypatch.setattr(indices, "ledger", lambda kp: led)
     indices._index_evaluator.cache_clear()
     try:
-        with pytest.raises(AssertionError) as info:
+        with pytest.raises(RuntimeError) as info:
             crosscheck.verify_index_identities(2, 3, 12)
     finally:
         indices._index_evaluator.cache_clear()
-    assert str(info.value) == "component mismatch at (B,H,P,Q)=(0,0,1,1), (p,q)=(2,3)"
+    assert str(info.value) == (
+        "index inconsistency for p q at (p,q)=(2,3): components give 10, closed form gives 8"
+    )
 
 
 TARGET = ReebCurrent(1, 1, 2, 1)  # degree 21 in T(2,3), inside the window
@@ -113,15 +128,18 @@ def _path_index_off_at_target(original):
     return lambda path: original(path) + (crosscheck.path_to_current(path) == TARGET)
 
 
-SAMPLE_FAULTS = [
-    ("ech_index_from_components", _components_off_at_target, "component mismatch at b h p^2 q"),
-    ("path_to_current", _round_trip_off_at_target, "path round-trip failure at b h p^2 q"),
-    ("path_index", _path_index_off_at_target, "path index mismatch at b h p^2 q"),
+# a wrong index from the object API breaks the grade first
+OBJECT_FAULTS = [
+    ("ech_index_from_components", _components_off_at_target,
+     "grade mismatch at b h p^2 q, (p,q)=(2,3)"),
+    ("path_to_current", _round_trip_off_at_target,
+     "path round-trip failure at b h p^2 q, (p,q)=(2,3)"),
+    ("path_index", _path_index_off_at_target, "path index mismatch at b h p^2 q, (p,q)=(2,3)"),
 ]
 
 
-@pytest.mark.parametrize("name,fault,message", SAMPLE_FAULTS)
-def test_each_sample_check_names_its_failure(monkeypatch, name, fault, message):
+@pytest.mark.parametrize("name,fault,message", OBJECT_FAULTS, ids=[n for n, _, _ in OBJECT_FAULTS])
+def test_each_object_check_names_its_failure(monkeypatch, name, fault, message):
     monkeypatch.setattr(crosscheck, name, fault(getattr(crosscheck, name)))
     with pytest.raises(AssertionError) as info:
         crosscheck.verify_index_identities(2, 3, 30)
@@ -167,20 +185,6 @@ def test_the_count_is_the_independent_enumeration():
     check()
 
 
-def _sampled(monkeypatch, p, q, max_degree):
-    """The currents the crosscheck puts through the object API, in order."""
-    seen = []
-    original = crosscheck.current_to_path
-
-    def recording(c, kp):
-        seen.append(tuple(c))
-        return original(c, kp)
-
-    monkeypatch.setattr(crosscheck, "current_to_path", recording)
-    crosscheck.verify_index_identities(p, q, max_degree)
-    return seen
-
-
 def _walk_order(p, q, max_degree):
     """Every current of the window in the crosscheck's order: each line's
     points, then its h-currents, in the order of i."""
@@ -192,18 +196,49 @@ def _walk_order(p, q, max_degree):
     ]
 
 
-def test_sample_keeps_small_windows_and_thins_large_ones(monkeypatch):
+def test_every_current_of_a_large_window_goes_through_every_check(monkeypatch):
     window = _walk_order(2, 3, 200)
     assert len(window) == 77486
     assert sorted(window) == sorted(admissible_exponents(KnotParams(2, 3), 200))
-    assert _sampled(monkeypatch, 2, 3, 200) == window[:2000] + window[2000::64]
-    small = _walk_order(2, 3, 30)
-    assert _sampled(monkeypatch, 2, 3, 30) == small
+    indexed, compared, pathed, round_tripped = [], [], [], []
+
+    class Index(int):
+        """An index that records the current it belongs to at each comparison."""
+
+        def __eq__(self, other):
+            compared.append(self.current)
+            return int(self) == other
+
+        def __ne__(self, other):
+            return not self == other
+
+    def components(c, kp, original=crosscheck.ech_index_from_components):
+        indexed.append(tuple(c))
+        index = Index(original(c, kp))
+        index.current = tuple(c)
+        return index
+
+    def to_path(c, kp, original=crosscheck.current_to_path):
+        pathed.append(tuple(c))
+        return original(c, kp)
+
+    def to_current(path, original=crosscheck.path_to_current):
+        c = original(path)
+        round_tripped.append(tuple(c))
+        return c
+
+    monkeypatch.setattr(crosscheck, "ech_index_from_components", components)
+    monkeypatch.setattr(crosscheck, "current_to_path", to_path)
+    monkeypatch.setattr(crosscheck, "path_to_current", to_current)
+    assert crosscheck.verify_index_identities(2, 3, 200) == len(window)
+    assert indexed == pathed == round_tripped == window
+    # each index is compared with its line's grade and with its path's index
+    assert compared == [c for c in window for _ in range(2)]
 
 
 def test_the_crosscheck_holds_no_window():
     # a list of this window's 45,526 currents takes 3.7 MB; T(1,1) at degree
-    # 120 (597,861 currents, 48 MB as a list) traces 30 times slower than 0.7 s
+    # 120 (597,861 currents, 48 MB as a list) takes 43 s under tracemalloc
     tracemalloc.start()
     try:
         checked = crosscheck.verify_index_identities(1, 1, 50)

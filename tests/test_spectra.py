@@ -189,12 +189,13 @@ def test_error_runs_match_the_oracle_far_out():
 
     # a floored error x = (T - r) // pq next to a rounding edge,
     # |x| = m*10^6 + 5*10^5 + edge, with T - r = x*pq + rest, rest < pq: for
-    # N above 10^21, r = isqrt(square * k) takes every integer value as k
-    # grows, so the least k with r^2 <= square * k gives that r
+    # N above pq*10^18 (pq < 1,600 here), r = isqrt(square * k) steps by
+    # about pq*10^18/N < 1 as k grows, so it takes every integer value and
+    # the least k with r^2 <= square * k gives that r
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(pq=pairs, m=st.integers(0, 4 * 10**12), edge=st.integers(-2, 1),
                       sign=st.sampled_from([1, -1]), rest=st.integers(0, 39),
-                      value=st.integers(10**21, 10**22))
+                      value=st.integers(10**22, 10**23))
     def at_rounding_edges(pq, m, edge, sign, rest, value):
         p, q = pq
         hypothesis.assume(gcd(p, q) == 1)
@@ -494,3 +495,10 @@ def test_calabi_bound_validation():
         calabi_mean_action_bound(KP, Fraction(-1, 12), Fraction(1, 50))  # d <= -1/pq
     with pytest.raises(ValueError):
         calabi_mean_action_bound(KP, Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize("p,q", [(1, 3), (2, 1)])
+def test_calabi_bound_needs_p_and_q_at_least_2(p, q):
+    # refused by the library, not only by the CLI; d = 0 is in (-1/pq, 0]
+    with pytest.raises(ValueError, match=r"^the mean-action bound needs p, q >= 2$"):
+        calabi_mean_action_bound(KnotParams(p, q), Fraction(0), Fraction(1, 100))
