@@ -174,11 +174,11 @@ def required_degree(kp: KnotParams, max_index: int) -> int:
     return nk(kp.p, kp.q, (max_index + 1) // 2)
 
 
-# Rows of an index window: about 160 bytes each (156 MB max RSS at 10^6) in
-# the homology and knot_filtered_homology dicts and a table's lines, while CSV
-# and JSON stream them, so this budget is about 800 MB (2-vCPU VM, CPython 3.11).
+# Rows of an index window: at 10^6 rows the homology dict peaks at 101 MB max
+# RSS and a table at 88 MB, against 16 MB for a bare import or a streamed CSV,
+# about 85 bytes a row held, so this budget is about 425 MB (2-vCPU VM, CPython 3.11).
 _MAX_INDEX_ROWS = 5_000_000
-_ROW_BYTES = 160
+_ROW_BYTES = 85
 
 
 def _certify(spec: ComplexSpec, max_index: int) -> None:

@@ -41,22 +41,23 @@ class _IndexEvaluator:
     """The closed-form ECH index on the exponents (B, H, P, Q) of an
     admissible current for one (p, q), the expansion of the same value over
     the ledger's pairings (read once), and the prefix sums of cz_orb over the
-    iterates of p and q that both read.  The sums grow through exactly the
-    iterate a call reads past their end, so no caller sizes them."""
+    iterates of p and q that both read.  Only ``index`` grows the sums,
+    through exactly the iterate a call reads past their end, so no caller
+    sizes them; ``components`` runs only after ``index`` on the same current."""
 
     def __init__(self, p: int, q: int):
-        self.p, self.q = p, q
         pq, s = p * q, p + q
         sum_p = self.sum_p = [0]
         sum_q = self.sum_q = [0]
-        grow = self.grow
         pairings = ()  # the ledger's, read on the first call: most evaluators never need them
 
         def index(B: int, H: int, P: int, Q: int) -> int:
             try:
                 cz = sum_p[P] + sum_q[Q]
             except IndexError:
-                grow(P, Q)
+                for sums, period, upto in ((sum_p, p, P), (sum_q, q, Q)):
+                    for i in range(len(sums), upto + 1):
+                        sums.append(sums[-1] + _cz_elliptic(s, period, i))
                 return index(B, H, P, Q)
             # relative intersection pairing (zero Chern term in the
             # orbibundle trivialization) plus the summed CZ terms of
@@ -73,11 +74,6 @@ class _IndexEvaluator:
 
         def components(B: int, H: int, P: int, Q: int) -> int:
             nonlocal pairings
-            try:
-                cz = sum_p[P] + sum_q[Q]
-            except IndexError:
-                grow(P, Q)
-                return components(B, H, P, Q)
             # zero Chern term, the ledger's pairings expanded bilinearly,
             # and the CZ sums: cz_orb is 2si + 1 on b^i and 2s on h
             pairings = pairings or _orbibundle_pairings(p, q)
@@ -89,17 +85,10 @@ class _IndexEvaluator:
                 + Q * Q * qq
                 + 2 * (B * (H * bh + P * bp + Q * bq) + H * (P * hp + Q * hq) + P * Q * pq)
             )
-            return qterm + s * B * (B + 1) + B + 2 * s * H + cz
+            return qterm + s * B * (B + 1) + B + 2 * s * H + sum_p[P] + sum_q[Q]
 
         self.index = index
         self.components = components
-
-    def grow(self, max_p: int, max_q: int) -> None:
-        """Extend the prefix sums through iterate max_p of p and max_q of q."""
-        s = self.p + self.q
-        for sums, period, upto in ((self.sum_p, self.p, max_p), (self.sum_q, self.q, max_q)):
-            for i in range(len(sums), upto + 1):
-                sums.append(sums[-1] + _cz_elliptic(s, period, i))
 
 
 # one per (p, q), keyed by the plain ints its callers hold
@@ -264,8 +253,8 @@ def ech_index_from_components(c: ReebCurrent, kp: KnotParams) -> int:
     bilinearly, and the Conley-Zehnder sums.  Must agree with
     :func:`ech_index`; disagreement signals a bug."""
     evaluator = _index_evaluator(kp.p, kp.q)
+    direct = evaluator.index(*c)  # first: it grows the prefix sums that components reads
     total = evaluator.components(*c)
-    direct = evaluator.index(*c)
     if total != direct:
         raise RuntimeError(
             f"index inconsistency for {c.name()} at (p,q)=({kp.p},{kp.q}): "

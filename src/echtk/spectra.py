@@ -7,7 +7,7 @@ and tolerance claims never depend on floating-point rounding.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -16,34 +16,24 @@ from .currents import KnotParams
 from .exact import InfRat, _ValidatedTuple
 from .nseq import _ordered_from, runs
 
-_GUARD = 6  # extra decimal digits carried through fixed-point roots
+_GUARD = 6  # extra decimal digits of the fixed-point Weyl errors, dropped by rounding
 _WEYL_DIGITS = 12  # decimals of every rendered Weyl error
 _WEYL_SCALE = _WEYL_DIGITS + _GUARD  # decimals of the fixed-point Weyl errors
 _WEYL_ONE = 10**_WEYL_SCALE
 
 
 def sqrt_decimal(value: Fraction | int, digits: int = 12) -> str:
-    """Decimal string of sqrt(value) rounded to the given digits."""
+    """Decimal string of sqrt(value) rounded half up to the given digits."""
     value = Fraction(value)
     if value < 0:
         raise ValueError("square root of a negative value")
     if digits < 1:
         raise ValueError("digits must be positive")
     a, b = value.numerator, value.denominator
-    scale = 10 ** (digits + _GUARD)
-    # sqrt(a/b) = sqrt(a*b)/b
-    root = isqrt(a * b * scale * scale) // b
-    return _fixed_strs([root], digits + _GUARD, digits)[0]
-
-
-def _fixed_strs(values: Sequence[int], scale_digits: int, digits: int) -> list[str]:
-    """Round fixed-point integers half up in absolute value from
-    scale_digits to digits >= 1 decimals, as text.  The sign is that of the
-    unrounded value, so a small negative value renders as -0.000..."""
-    drop = 10 ** (scale_digits - digits)
-    half, unit = drop // 2, 10**digits
-    pos, neg = f"%d.%0{digits}d".__mod__, f"-%d.%0{digits}d".__mod__
-    return [(neg if x < 0 else pos)(divmod((abs(x) + half) // drop, unit)) for x in values]
+    # floor(10**digits * sqrt(a/b) + 1/2) = floor((2 * 10**digits * sqrt(a*b) + b) / (2b)),
+    # and flooring the root first changes nothing, as b is an integer
+    whole, frac = divmod((isqrt(4 * a * b * 10 ** (2 * digits)) + b) // (2 * b), 10**digits)
+    return f"{whole}.{frac:0{digits}d}"
 
 
 class SpectrumEntry(NamedTuple):
@@ -66,9 +56,10 @@ class SpectrumEntry(NamedTuple):
 def _error_runs(kp: KnotParams, k_max: int) -> Iterator[tuple[int, int, list[str]]]:
     """``(k, N_k, errors)`` for each run of equal N_k in k = 0..k_max: the
     first index of the run, its value, and e_k rendered at each of its indices.
-    Each text is what ``_fixed_strs`` makes of the floored fixed-point error
-    (T - r) // pq, T = N_k and r = sqrt(2*k*pq) at _WEYL_SCALE decimals: that
-    floor and the half-up rounding fold into one division by pq * 10**_GUARD."""
+    Each text is the floored fixed-point error (T - r) // pq, T = N_k and
+    r = sqrt(2*k*pq) at _WEYL_SCALE decimals, rounded half up in absolute value
+    with its sign kept (so -0.000... is possible): that floor and the rounding
+    fold into one division by pq * 10**_GUARD."""
     pq = kp.pq
     square = 2 * pq * _WEYL_ONE * _WEYL_ONE  # isqrt(square * k) is sqrt(2*k*pq) in fixed point
     unit, one = pq * 10**_GUARD, 10**_WEYL_DIGITS
@@ -127,7 +118,8 @@ def _weyl_sup(kp: KnotParams, spans: Iterable[tuple[int, int, int]]) -> str:
     for k, value, length in spans:
         head, tail = ((value * _WEYL_ONE - isqrt(square * j)) // pq for j in (k, k + length - 1))
         top = max(top, head, -tail)  # head >= tail, so |e| peaks at head or -tail
-    return _fixed_strs([top], _WEYL_SCALE, _WEYL_DIGITS)[0]
+    whole, frac = divmod((top + 10**_GUARD // 2) // 10**_GUARD, 10**_WEYL_DIGITS)
+    return f"{whole}.{frac:0{_WEYL_DIGITS}d}"
 
 
 def weyl_sup(kp: KnotParams, k_max: int) -> str:

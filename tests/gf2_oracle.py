@@ -77,7 +77,7 @@ def _complex(spec):
     row = {e: i for i, e in enumerate(exponents)}
     columns = [(row[B, 0, P + p, Q], row[B, 0, P, Q + q]) if H else () for B, H, P, Q in exponents]
     evaluator = _index_evaluator(p, q)
-    evaluator.grow(top // q, top // p)
+    evaluator.index(0, 0, top // q, top // p)  # grows the prefix sums once, up front
     return exponents, [evaluator.index(*e) for e in exponents], columns
 
 

@@ -521,7 +521,7 @@ def test_certified_window_over_the_row_budget_is_refused_before_allocating(capsy
     assert code == 2 and out == ""
     assert err == (
         f"error: index window up to {max_index} has {max_index + 1} rows, about "
-        f"{(max_index + 1) * 160 // 10**6} MB; at most 5000000 rows are held\n"
+        f"{(max_index + 1) * 85 // 10**6} MB; at most 5000000 rows are held\n"
     )
 
 

@@ -107,7 +107,7 @@ def test_index_evaluator_matches_independent_routes(pq, B, H, P, Q):
     p, q = pq
     kp = KnotParams(p, q)
     evaluator = _index_evaluator(p, q)
-    evaluator.grow(P + p, Q + q)  # covers the p^p and q^q steps
+    evaluator.index(0, 0, P + p, Q + q)  # grows the sums past the p^p and q^q steps
     index = evaluator.index
     c = ReebCurrent(B, H, P, Q)
     value = index(B, H, P, Q)

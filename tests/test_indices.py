@@ -55,7 +55,7 @@ def test_exceptional_cz_on_integers_matches_the_infinitesimal_floor():
                 continue
             kp = KnotParams(p, q)
             evaluator = _index_evaluator(p, q)
-            evaluator.grow(199, 199)
+            evaluator.index(0, 0, 199, 199)  # grows both prefix sums through iterate 199
             for orbit, period, sums in (("p", p, evaluator.sum_p), ("q", q, evaluator.sum_q)):
                 angle = InfRat(Fraction(p + q, period), -1)
                 total = 0
@@ -243,6 +243,16 @@ def test_components_match_closed_form():
                         c = ReebCurrent(B, H, P, Q)
                         assert ech_index_from_components(c, kp) == ech_index(c, kp)
                         assert components_reference(c, kp) == ech_index(c, kp)
+
+
+def test_components_on_a_fresh_evaluator_read_the_sums_the_closed_form_grew():
+    # components reads the prefix sums without growing them, so
+    # ech_index_from_components runs the closed form first
+    indices._index_evaluator.cache_clear()
+    c = ReebCurrent(2, 1, 40, 70)
+    assert ech_index_from_components(c, KP) == ech_index(c, KP) == components_reference(c, KP)
+    evaluator = _index_evaluator(3, 4)
+    assert (len(evaluator.sum_p), len(evaluator.sum_q)) == (41, 71)
 
 
 def test_components_raise_when_the_closed_form_disagrees(monkeypatch):

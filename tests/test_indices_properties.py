@@ -4,8 +4,8 @@ The index evaluator's ``components`` reads the ledger's ten orbibundle
 pairings and expands Q(Z) as one integer expression.  Over random coprime
 (p, q) and random admissible currents it equals the per-pair
 ``q_pairing`` expansion in ledger_oracle.py with term-by-term
-Conley-Zehnder sums, and the closed form; a fresh evaluator grows its own
-prefix sums for both."""
+Conley-Zehnder sums, and the closed form; on a fresh evaluator the closed
+form grows the prefix sums that ``components`` then reads."""
 
 from math import gcd
 

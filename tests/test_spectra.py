@@ -16,7 +16,6 @@ from echtk.nseq import NSeq, _ordered_from, nk, nk_closed_form, repeat_count, ru
 from echtk.spectra import (
     CobordismResult,
     _error_runs,
-    _fixed_strs,
     _weyl_sup,
     action_linking_bound,
     action_spectrum,
@@ -168,6 +167,35 @@ def error_run(kp, k, value, length):
     return texts
 
 
+def k_with_error(kp, value, x, rest):
+    """The k at which N = value has the floored fixed-point error
+    x = (T - r) // pq, with T - r = x*pq + rest % pq: for N above pq*10^18
+    (pq < 1,600 here), r = isqrt(square * k) steps by about pq*10^18/N < 1
+    as k grows, so it takes every integer value and the least k with
+    r^2 <= square * k gives that r."""
+    r = value * 10**18 - x * kp.pq - rest % kp.pq
+    square = 2 * kp.pq * 10**36
+    k = -(-r * r // square)
+    assert math.isqrt(square * k) == r
+    return k
+
+
+def test_weyl_sup_rounds_half_up_at_its_edges():
+    # one run of one index whose floored error x is next to a rounding
+    # edge, |x| = m*10^6 + 5*10^5 + edge: the sup is |x| rounded half up
+    value = 10**22
+    for p, q in [(1, 1), (2, 3), (37, 40)]:
+        kp = KnotParams(p, q)
+        for m in (0, 1, 123_456_789_012, 999_999_999_999):  # the last carries into 1.0
+            for edge in (-1, 0, 1):
+                for sign in (1, -1):
+                    x = sign * (m * 10**6 + 5 * 10**5 + edge)
+                    k = k_with_error(kp, value, x, 0)
+                    assert _weyl_sup(kp, [(k, value, 1)]) == divmod_fixed(abs(x), 18, 12)
+    assert divmod_fixed(5 * 10**5, 18, 12) == "0.000000000001"
+    assert divmod_fixed(999_999_999_999_500_000, 18, 12) == "1.000000000000"
+
+
 def test_error_runs_match_the_oracle_far_out():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -188,10 +216,7 @@ def test_error_runs_match_the_oracle_far_out():
         assert texts == [weyl_error_str(kp, j, value) for j in range(k, k + length)]
 
     # a floored error x = (T - r) // pq next to a rounding edge,
-    # |x| = m*10^6 + 5*10^5 + edge, with T - r = x*pq + rest, rest < pq: for
-    # N above pq*10^18 (pq < 1,600 here), r = isqrt(square * k) steps by
-    # about pq*10^18/N < 1 as k grows, so it takes every integer value and
-    # the least k with r^2 <= square * k gives that r
+    # |x| = m*10^6 + 5*10^5 + edge
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(pq=pairs, m=st.integers(0, 4 * 10**12), edge=st.integers(-2, 1),
                       sign=st.sampled_from([1, -1]), rest=st.integers(0, 39),
@@ -201,10 +226,7 @@ def test_error_runs_match_the_oracle_far_out():
         hypothesis.assume(gcd(p, q) == 1)
         kp = KnotParams(p, q)
         x = sign * (m * 10**6 + 5 * 10**5 + edge)
-        r = value * 10**18 - x * kp.pq - rest % kp.pq
-        square = 2 * kp.pq * 10**36
-        k = -(-r * r // square)
-        assert math.isqrt(square * k) == r
+        k = k_with_error(kp, value, x, rest)
         assert error_run(kp, k, value, 1) == [weyl_error_str(kp, k, value)]
 
     far_runs()
@@ -394,50 +416,29 @@ def test_cobordism_not_applicable_and_validation():
             cobordism_obstruction(frm, to, -1)
 
 
-def test_fixed_strs_matches_the_divmod_rendering():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    # every digit count, with the guard digits sqrt_decimal carries
-    digit_counts = st.integers(1, 40)
-
-    @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(digits=digit_counts, values=st.lists(st.integers(-(10**60), 10**60)))
-    def any_values(digits, values):
-        expected = [divmod_fixed(x, digits + 6, digits) for x in values]
-        assert _fixed_strs(values, digits + 6, digits) == expected
-
-    # values next to a rounding edge: tiny negatives, carries into the whole part
-    @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(digits=digit_counts, whole=st.integers(0, 10**6),
-                      offset=st.integers(-3, 3), sign=st.sampled_from([1, -1]))
-    def near_edges(digits, whole, offset, sign):
-        drop = 10**6
-        for x in (whole * 10 ** (digits + 6) - drop // 2 + offset, offset, drop // 2 + offset):
-            x *= sign
-            assert _fixed_strs([x], digits + 6, digits) == [divmod_fixed(x, digits + 6, digits)]
-
-    any_values()
-    near_edges()
-    assert _fixed_strs([-1, 0, -499_999], 18, 12) == [
-        "-0.000000000000", "0.000000000000", "-0.000000000000"]
-    assert _fixed_strs([999_999_999_999_500_000, -999_999_999_999_500_000], 18, 12) == [
-        "1.000000000000", "-1.000000000000"]
-    assert _fixed_strs([-500_000, 9_499_999], 18, 12) == ["-0.000000000001", "0.000000000009"]
-    assert _fixed_strs([], 18, 12) == []
-
-
 def test_sqrt_decimal_over_digit_counts():
+    # y = sqrt_decimal(a/b, d) in units of 10^-d is x = 10^d * sqrt(a/b)
+    # rounded half up, y - 1/2 <= x < y + 1/2: squared, in integers only,
+    # (2y - 1)^2 * b <= 4a * 10^(2d) < (2y + 1)^2 * b (no lower bound at y = 0)
+    def check(a, b, digits):
+        whole, frac = sqrt_decimal(Fraction(a, b), digits).split(".")
+        assert len(frac) == digits
+        y, scaled = int(whole + frac), 4 * a * 10 ** (2 * digits)
+        assert max(2 * y - 1, 0) ** 2 * b <= scaled < (2 * y + 1) ** 2 * b, (a, b, digits)
+        return y
+
     for digits in range(1, 41):
-        for value in (Fraction(1, 60), Fraction(2), Fraction(10**9 + 7, 3), 0):
-            root = sqrt_decimal(value, digits)
-            whole, frac = root.split(".")
-            assert len(frac) == digits
-            # within half a unit of the last place of the root floored to
-            # digits + 6 places
-            unit, guard = Fraction(1, 10**digits), Fraction(1, 10 ** (digits + 6))
-            approx = Fraction(int(whole + frac), 10**digits)
-            low = max(approx - unit / 2, 0)
-            assert low**2 <= value < (approx + unit / 2 + guard) ** 2, (value, digits)
+        for a, b in ((1, 60), (2, 1), (10**9 + 7, 3), (0, 1)):
+            check(a, b, digits)
+    rng = random.Random(32)
+    for _ in range(3000):
+        a, b = (rng.randrange(10 ** rng.randrange(1, 41)) for _ in range(2))
+        check(a, b + 1, rng.randrange(1, 41))
+    # exact ties, sqrt = (2y + 1) / (2 * 10^d), round up
+    for _ in range(1000):
+        digits = rng.randrange(1, 41)
+        y = rng.randrange(10 ** rng.randrange(1, 41))
+        assert check((2 * y + 1) ** 2, 4 * 10 ** (2 * digits), digits) == y + 1
     for digits in (0, -1):
         with pytest.raises(ValueError):
             sqrt_decimal(2, digits)
